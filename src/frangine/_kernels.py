@@ -17,7 +17,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is an optional extra
     _HAVE_NUMBA = False
 
 

@@ -269,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", required=True, help="output directory for CSVs")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--trials", type=int, default=None, help="MC trials override")
+        p.add_argument(
+            "--trials", type=int, default=None,
+            help="MC trials override: sets mc_trials only; clustering keeps "
+            "cluster_mc_trials",
+        )
 
     p_run = sub.add_parser("run", help="run one scenario")
     common(p_run)

@@ -4,7 +4,8 @@ fractional frequency reuse.
 
 Clustering uses merge-and-split over F-AP index sets with the utility
 u(C) = R(C) / P(C)^tau, where R is the Monte-Carlo successful-access rate
-of the cluster and P its power draw. Total utility strictly increases at
+of the cluster, estimated on Rayleigh fades that every block shares
+(FadeTable), and P its power draw. Total utility strictly increases at
 every accepted merge or split, so the procedure terminates on the finite
 partition lattice.
 """
@@ -67,6 +68,71 @@ class CoalitionPartition:
         return [len(b) for b in self.blocks]
 
 
+class FadeTable:
+    """Common random numbers for the cluster utilities of one merge-and-split
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 4.2).
+
+    The F-UEs served by F-AP a form group a. The Rayleigh power fades from
+    F-AP j to group a over the T trials are one (n_a, T) slab of Exp(1)
+    draws from its own stream, derive_rng(base_seed, "cluster", a, j). Every
+    block is scored on these same fades, so a merge or split compares the
+    utilities of the whole and of its parts on common noise, and a block's
+    utility does not depend on which blocks were evaluated before it.
+
+    The table keeps each F-UE's per-trial total received power over all
+    F-APs. A block C regenerates the slabs (a, j) for a, j in C to get its
+    signal; interference is the total minus the signal. The arrays held
+    are the totals and the mean link gains, 8*U*(T + F) bytes, plus the
+    U serving indices; the U x T x F fade tensor is never built.
+    """
+
+    def __init__(self, fap_positions, fue_positions, budget: LinkBudget, trials: int,
+                 base_seed: int, serving=None):
+        """serving[u] is the F-AP serving F-UE u; by default the nearest
+        F-AP, which is the strongest under uniform F-AP transmit power."""
+        dists = pairwise_distances(fue_positions, fap_positions)
+        if serving is None:
+            serving = np.argmin(dists, axis=1)
+        self.serving = np.asarray(serving, dtype=np.intp)
+        self.base_seed = base_seed
+        self.trials = trials
+        self.noise_watts = budget.noise_watts
+        self.gains = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
+        self.total = np.empty((self.serving.size, trials))
+        every_fap = range(dists.shape[1])
+        for a in np.unique(self.serving):
+            group = np.flatnonzero(self.serving == a)
+            self.total[group] = self._received(int(a), group, every_fap)
+
+    def _received(self, a: int, group: np.ndarray, faps) -> np.ndarray:
+        """(n_a, T) per-trial power that group a receives from the given
+        F-APs. group must hold every F-UE of group a in index order: each
+        slab is drawn at the group's full size."""
+        power = np.zeros((group.size, self.trials))
+        gains = self.gains[group]
+        for j in faps:
+            fades = derive_rng(self.base_seed, "cluster", a, j).standard_exponential(
+                (group.size, self.trials)
+            )
+            power += gains[:, j, None] * fades
+        return power
+
+    def success_counts(self, cluster, gamma_lin: float) -> np.ndarray:
+        """Trials, out of T, in which each F-UE served by the cluster reaches
+        SINR gamma_lin; one entry per served_fue_indices(cluster, self)."""
+        cluster = sorted(cluster)
+        served = served_fue_indices(cluster, self)
+        serving = self.serving[served]
+        signal = np.empty((served.size, self.trials))
+        for a in cluster:
+            rows = np.flatnonzero(serving == a)
+            if rows.size:
+                signal[rows] = self._received(a, served[rows], cluster)
+        interference = np.maximum(self.total[served] - signal, 0.0)
+        sinr = signal / (interference + self.noise_watts)
+        return np.count_nonzero(sinr >= gamma_lin, axis=1)
+
+
 def successful_access_probability(
     cluster,
     topology: NetworkTopology,
@@ -75,13 +141,14 @@ def successful_access_probability(
     mc_trials: int,
     rng: np.random.Generator,
     gamma_th_db: float | None = None,
-    fading: FadingModel = RAYLEIGH,
 ) -> float:
     """Monte-Carlo probability that a cluster-served F-UE reaches the SINR
-    threshold, with joint (summed-power) transmission from all cluster
-    F-APs and every out-of-cluster F-AP acting as an interferer.
+    threshold under Rayleigh fading, with joint (summed-power) transmission
+    from all cluster F-APs and every out-of-cluster F-AP acting as an
+    interferer.
 
     Averaged over the given served F-UE positions; 0.0 if none are served.
+    The positions form one group of a FadeTable, served by the cluster.
     """
     cluster = sorted(cluster)
     if not cluster:
@@ -94,25 +161,15 @@ def successful_access_probability(
     gamma_lin = db_to_linear(
         budget.sinr_threshold_db if gamma_th_db is None else gamma_th_db
     )
-    n_faps = len(topology.faps)
-    outside = [i for i in range(n_faps) if i not in set(cluster)]
-    p_fap = budget.tx_watts(NodeKind.FAP)
-    dists = pairwise_distances(fue_positions, topology.faps.positions)
-    fractions = []
-    for u in range(fue_positions.shape[0]):
-        sig_gains = p_fap * path_gain(dists[u, cluster], budget)
-        int_gains = p_fap * path_gain(dists[u, outside], budget) if outside else np.empty(0)
-        sig_fades = fading_sample(fading, rng, size=(mc_trials, len(cluster)))
-        int_fades = (
-            fading_sample(fading, rng, size=(mc_trials, len(outside)))
-            if outside
-            else np.empty((mc_trials, 0))
-        )
-        trial_sinr = _kernels.sinr_trials(
-            sig_fades, sig_gains, int_fades, int_gains, budget.noise_watts
-        )
-        fractions.append(_kernels.success_fraction(trial_sinr, gamma_lin))
-    return float(np.mean(fractions))
+    table = FadeTable(
+        topology.faps.positions,
+        fue_positions,
+        budget,
+        mc_trials,
+        int(rng.integers(0, 2**63)),
+        serving=np.full(fue_positions.shape[0], cluster[0]),
+    )
+    return float(np.mean(table.success_counts(cluster, gamma_lin))) / mc_trials
 
 
 def cluster_power(cluster_size: int, params: ClusterUtilityParams) -> float:
@@ -121,38 +178,19 @@ def cluster_power(cluster_size: int, params: ClusterUtilityParams) -> float:
     )
 
 
-def served_fue_indices(cluster, topology: NetworkTopology) -> np.ndarray:
-    """F-UEs whose strongest-power F-AP lies in the cluster (uniform F-AP
-    transmit power makes that the nearest F-AP)."""
-    if len(topology.fues) == 0 or len(topology.faps) == 0:
-        return np.empty(0, dtype=int)
-    dists = pairwise_distances(topology.fues.positions, topology.faps.positions)
-    nearest = np.argmin(dists, axis=1)
-    members = set(cluster)
-    return np.flatnonzero([int(f) in members for f in nearest])
+def served_fue_indices(cluster, table: FadeTable) -> np.ndarray:
+    """F-UEs of the table whose serving F-AP lies in the cluster."""
+    in_cluster = np.zeros(table.gains.shape[1], dtype=bool)
+    in_cluster[list(cluster)] = True
+    return np.flatnonzero(in_cluster[table.serving])
 
 
-def cluster_utility(
-    cluster,
-    params: ClusterUtilityParams,
-    topology: NetworkTopology,
-    budget: LinkBudget,
-    rng: np.random.Generator,
-) -> float:
-    """u(C) = R(C) / P(C)^tau with R = success prob x log2(1+gamma) x served."""
-    cluster = sorted(cluster)
-    served = served_fue_indices(cluster, topology)
-    prob = successful_access_probability(
-        cluster,
-        topology,
-        budget,
-        topology.fues.positions[served],
-        params.mc_trials,
-        rng,
-        gamma_th_db=params.gamma_th_db,
-    )
-    target_rate = math.log2(1.0 + db_to_linear(params.gamma_th_db))
-    reward = prob * target_rate * served.size
+def cluster_utility(cluster, params: ClusterUtilityParams, table: FadeTable) -> float:
+    """u(C) = R(C) / P(C)^tau with R = success prob x log2(1+gamma) x served,
+    scored on the table's common fades."""
+    gamma_lin = db_to_linear(params.gamma_th_db)
+    successes = int(np.sum(table.success_counts(cluster, gamma_lin)))
+    reward = successes / table.trials * math.log2(1.0 + gamma_lin)
     return reward / cluster_power(len(cluster), params) ** params.tau
 
 
@@ -187,23 +225,28 @@ def merge_and_split(
 
     utility_fn, when given, replaces the Monte-Carlo cluster utility; it is
     called with a sorted tuple of F-AP indices and must be deterministic.
-    The default evaluates each distinct block once, on a stream derived
-    from the block's membership, so utilities are stable across rescans.
+    The default scores every block on one FadeTable drawn from rng, so all
+    utilities share common random numbers. Each distinct block is
+    evaluated once.
     """
     n = len(topology.faps)
     if n < 1:
         raise ValueError("at least one F-AP required")
-    base_seed = int(rng.integers(0, 2**63))
+    if utility_fn is None:
+        table = FadeTable(
+            topology.faps.positions, topology.fues.positions, budget,
+            params.mc_trials, int(rng.integers(0, 2**63)),
+        )
+
+        def utility_fn(block: tuple) -> float:
+            return cluster_utility(block, params, table)
+
     cache: dict[frozenset, float] = {}
 
     def utility(block: tuple) -> float:
         key = frozenset(block)
         if key not in cache:
-            if utility_fn is not None:
-                cache[key] = utility_fn(tuple(sorted(block)))
-            else:
-                block_rng = derive_rng(base_seed, "cluster", *sorted(block))
-                cache[key] = cluster_utility(block, params, topology, budget, block_rng)
+            cache[key] = utility_fn(tuple(sorted(block)))
         return cache[key]
 
     def allowed(block) -> bool:

@@ -40,7 +40,6 @@ from .coordination import (
     SchedulerKind,
     SffrUe,
     cellular_success_probability,
-    cluster_power,
     coac_assign,
     drac_assign,
     make_d2d_links,
@@ -642,7 +641,8 @@ _SWEEPABLE = {
 
 
 def sweep(config: ScenarioConfig, parameter: str, grid):
-    """One run per grid value with seeds derived as (master, sweep, index)."""
+    """One run per grid value, every run on the config's master seed, so
+    grid points share their random streams (common random numbers)."""
     if parameter not in _SWEEPABLE:
         raise UnknownParameter(
             f"unknown sweep parameter {parameter!r}; choose from {sorted(_SWEEPABLE)}"

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget
+from frangine.channel import LinkBudget, path_gain
 from frangine.coordination import (
     ClusterUtilityParams,
+    FadeTable,
     SffrUe,
     cellular_success_probability,
     cluster_power,
@@ -16,6 +17,7 @@ from frangine.coordination import (
     make_d2d_links,
     merge_and_split,
     round_half_away,
+    served_fue_indices,
     sffr_allocate,
     successful_access_probability,
 )
@@ -87,11 +89,15 @@ def test_cluster_utility_recomputation_oracle():
     )
     params = ClusterUtilityParams(tau=1.0, gamma_th_db=0.0, mc_trials=500)
     cluster = [0, 1]
-    u = cluster_utility(cluster, params, topo, BUDGET, derive_rng(4, "u"))
+    served = topo.fues.positions[[0, 1]]
+    # The table successful_access_probability builds from derive_rng(4, "u"):
+    # the served positions as one group of the cluster's first F-AP.
+    seed = int(derive_rng(4, "u").integers(0, 2**63))
+    table = FadeTable(topo.faps.positions, served, BUDGET, 500, seed, serving=[0, 0])
+    u = cluster_utility(cluster, params, table)
     # Recompute from the pieces with an identically derived stream.
     prob = successful_access_probability(
-        cluster, topo, BUDGET,
-        topo.fues.positions[[0, 1]], 500, derive_rng(4, "u"), gamma_th_db=0.0,
+        cluster, topo, BUDGET, served, 500, derive_rng(4, "u"), gamma_th_db=0.0,
     )
     expected = prob * math.log2(2.0) * 2 / cluster_power(2, params) ** 1.0
     assert u == pytest.approx(expected, rel=1e-12)
@@ -99,12 +105,91 @@ def test_cluster_utility_recomputation_oracle():
 
 def test_utility_decreasing_in_tau_for_power_above_one():
     topo = make_topology([[400, 500], [600, 500]], fue_positions=[[405, 500]])
+    table = FadeTable(topo.faps.positions, topo.fues.positions, BUDGET, 300, 5)
     values = []
     for tau in (0.1, 1.0, 10.0):
         params = ClusterUtilityParams(tau=tau, gamma_th_db=0.0, mc_trials=300)
-        values.append(cluster_utility([0, 1], params, topo, BUDGET, derive_rng(5)))
+        values.append(cluster_utility([0, 1], params, table))
     assert cluster_power(2, ClusterUtilityParams()) > 1.0
     assert values[0] > values[1] > values[2]
+
+
+FOUR_FAPS = [[300, 300], [700, 300], [300, 700], [700, 700]]
+
+
+def _nonempty_blocks(n):
+    return [b for r in range(1, n + 1) for b in itertools.combinations(range(n), r)]
+
+
+def test_fade_table_matches_slice_sum_oracle():
+    fues = np.random.default_rng(12).uniform(100, 900, size=(24, 2))
+    trials, seed = 400, 99
+    table = FadeTable(FOUR_FAPS, fues, BUDGET, trials, seed)
+    dists = np.linalg.norm(fues[:, None, :] - np.asarray(FOUR_FAPS, float)[None], axis=2)
+    nearest = np.argmin(dists, axis=1)
+    assert np.array_equal(table.serving, nearest)
+    gains = BUDGET.tx_watts(NodeKind.FAP) * path_gain(dists, BUDGET)
+    # Every (group, F-AP) slab, regenerated from its own named stream.
+    groups = {a: np.flatnonzero(nearest == a).tolist() for a in range(4)}
+    slabs = {
+        (a, j): derive_rng(seed, "cluster", a, j).standard_exponential(
+            (len(groups[a]), trials)
+        )
+        for a in range(4)
+        for j in range(4)
+    }
+    for gamma_db in (-5.0, 0.0, 5.0):
+        gamma = 10 ** (gamma_db / 10.0)
+        for block in _nonempty_blocks(4):
+            expected = []
+            for u in range(len(fues)):
+                a = int(nearest[u])
+                if a not in block:
+                    continue
+                row = groups[a].index(u)
+                power = {j: gains[u, j] * slabs[(a, j)][row] for j in range(4)}
+                signal = sum(power[j] for j in block)
+                interference = sum((power[j] for j in range(4) if j not in block),
+                                   np.zeros(trials))
+                sinr = signal / (interference + BUDGET.noise_watts)
+                expected.append(int(np.count_nonzero(sinr >= gamma)))
+            assert table.success_counts(block, gamma).tolist() == expected, (gamma_db, block)
+            assert served_fue_indices(block, table).size == len(expected)
+
+
+def test_cluster_utilities_do_not_depend_on_evaluation_order():
+    fues = np.random.default_rng(13).uniform(100, 900, size=(20, 2))
+    params = ClusterUtilityParams(mc_trials=200)
+    blocks = _nonempty_blocks(4)
+    first = FadeTable(FOUR_FAPS, fues, BUDGET, 200, 5)
+    forward = [cluster_utility(b, params, first) for b in blocks]
+    again = [cluster_utility(b, params, first) for b in reversed(blocks)][::-1]
+    fresh = FadeTable(FOUR_FAPS, fues, BUDGET, 200, 5)
+    backward = [cluster_utility(b, params, fresh) for b in reversed(blocks)][::-1]
+    assert forward == again == backward
+    assert len(set(forward)) > 1
+
+
+def _held_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_held_bytes(v) for v in value)
+    return 0
+
+
+def test_fade_table_holds_no_fade_tensor():
+    n_fues, n_faps, trials = 60, 12, 300
+    rng = np.random.default_rng(14)
+    faps = rng.uniform(0, 1000, size=(n_faps, 2))
+    fues = rng.uniform(0, 1000, size=(n_fues, 2))
+    table = FadeTable(faps, fues, BUDGET, trials, 7)
+    held = sum(_held_bytes(v) for v in vars(table).values())
+    # Totals and mean gains, plus the serving index and a little slack; the
+    # (U, T, F) fade tensor alone would be 8 * n_fues * trials * n_faps.
+    assert held <= 8 * n_fues * (trials + n_faps) + 8 * n_fues + 1024
 
 
 def test_merge_and_split_single_fap():
