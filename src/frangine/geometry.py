@@ -100,22 +100,33 @@ def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:
         return {(i, j) for i in range(n) for j in range(i + 1, n)}
     if n == 1:
         return set()
-    # Prim's algorithm with (distance, i, j) lexicographic selection.
+    # Prim's algorithm with (distance, i, j) lexicographic selection. Each
+    # vertex outside the tree keeps its best key (dist, min, max) over the
+    # tree's members; keys of distinct vertices never tie, because each one
+    # names its own vertex.
     dist = pairwise_distances(faps.positions, faps.positions)
-    in_tree = {0}
+    ids = np.arange(n)
+    outside = np.ones(n, dtype=bool)
+    best_d = np.full(n, np.inf)
+    best_lo = np.zeros(n, dtype=int)
+    best_hi = np.zeros(n, dtype=int)
     edges = set()
-    while len(in_tree) < n:
-        best = None
-        for i in sorted(in_tree):
-            for j in range(n):
-                if j in in_tree:
-                    continue
-                cand = (dist[i, j], min(i, j), max(i, j))
-                if best is None or cand < best:
-                    best = cand
-        _, i, j = best
-        edges.add((i, j))
-        in_tree.update((i, j))
+    u = 0
+    for _ in range(n - 1):
+        outside[u] = False
+        lo = np.minimum(ids, u)
+        hi = np.maximum(ids, u)
+        d = dist[u]
+        better = outside & (
+            (d < best_d)
+            | ((d == best_d) & ((lo < best_lo) | ((lo == best_lo) & (hi < best_hi))))
+        )
+        best_d[better] = d[better]
+        best_lo[better] = lo[better]
+        best_hi[better] = hi[better]
+        rest = np.flatnonzero(outside)
+        u = int(rest[np.lexsort((best_hi[rest], best_lo[rest], best_d[rest]))[0]])
+        edges.add((int(best_lo[u]), int(best_hi[u])))
     return edges
 
 
@@ -129,18 +140,20 @@ def pair_d2d(fues: NodeSet, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
     if idx.size < 2:
         return []
     dist = pairwise_distances(fues.positions[idx], fues.positions[idx])
-    candidates = sorted(
-        (dist[a, b], int(idx[a]), int(idx[b]))
-        for a in range(idx.size)
-        for b in range(a + 1, idx.size)
-    )
-    paired: set[int] = set()
+    a, b = np.triu_indices(idx.size, 1)
+    order = np.lexsort((b, a, dist[a, b]))
+    ids = idx.tolist()
+    paired = [False] * len(ids)
     pairs = []
-    for _, i, j in candidates:
-        if i in paired or j in paired:
+    left = len(ids)
+    for i, j in zip(a[order].tolist(), b[order].tolist()):
+        if paired[i] or paired[j]:
             continue
-        pairs.append((i, j))
-        paired.update((i, j))
+        pairs.append((ids[i], ids[j]))
+        paired[i] = paired[j] = True
+        left -= 2
+        if left < 2:
+            break
     return pairs
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -149,10 +148,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+        for name in (
+            "epsilon", "eta", "d2d_fraction", "relay_fraction", "voice_fraction",
+            "high_qos_fraction",
+        ):
+            # Written so that NaN fails too.
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.mc_trials < 1 or self.cluster_mc_trials < 1:
             raise ValueError("Monte-Carlo trial counts must be at least 1")
         if self.iq_expansion_factor < 1:
@@ -378,8 +380,11 @@ def _build_topology(config: ScenarioConfig) -> NetworkTopology:
     )
 
 
-def _architecture_mode(config, src, dst, thresholds, relays, tier, lc_feasible, serving):
-    """Apply the architecture gate, then the full decision tree for F-RAN."""
+def _architecture_mode(config, src, dst, thresholds, relays, cloud_only, lc_feasible, serving):
+    """Apply the architecture gate, then the full decision tree for F-RAN.
+
+    A request enters only through whether its content is cloud-only, so an
+    F-UE has at most two modes per run."""
     if config.architecture is Architecture.CRAN:
         return Mode.GLOBAL_CRAN
     if config.architecture is Architecture.HCRAN:
@@ -400,7 +405,7 @@ def _architecture_mode(config, src, dst, thresholds, relays, tier, lc_feasible, 
         dst,
         thresholds,
         relay_candidates=relays,
-        content_available_locally=tier is not ContentTier.CLOUD_ONLY,
+        content_available_locally=not cloud_only,
         local_coordination_feasible=lc_feasible,
         serving_fap=serving,
     )
@@ -506,21 +511,25 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         else:
             lc_feasible = False
         dst = ues[partner[i]] if i in partner else None
+        peer_caches = (
+            [fap_caches[j] for j in sorted(neighbors[s])]
+            if (config.cooperative_caching and s is not None)
+            else ()
+        )
+        modes = {}  # cloud-only content -> mode
         for item in stream:
-            peer_caches = (
-                [fap_caches[j] for j in sorted(neighbors[s])]
-                if (config.cooperative_caching and s is not None)
-                else ()
-            )
             tier = content_available(
                 int(item),
                 fue_caches[i],
                 fap_caches[s] if s is not None else None,
                 peer_caches,
             )
-            mode = _architecture_mode(
-                config, ue, dst, thresholds, relays, tier, lc_feasible, s
-            )
+            cloud_only = tier is ContentTier.CLOUD_ONLY
+            if cloud_only not in modes:
+                modes[cloud_only] = _architecture_mode(
+                    config, ue, dst, thresholds, relays, cloud_only, lc_feasible, s
+                )
+            mode = modes[cloud_only]
             fue_caches[i].request(int(item))
             if s is not None:
                 fap_caches[s].request(int(item))
@@ -652,7 +661,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
         raise ValueError("sweep grid must be nonempty")
     field_name = _SWEEPABLE[parameter]
 
-    def run_point(index, value):
+    def run_point(value):
         # Matched master seed across grid points: common random numbers make
         # sweep curves directly comparable, and a one-point grid reproduces
         # a plain run exactly.
@@ -661,14 +670,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
         point = dataclasses.replace(config, **{field_name: value})
         return value, run_scenario(point)
 
-    max_workers = int(os.environ.get("FRANGINE_THREADS", "1") or "1")
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_point, i, v) for i, v in enumerate(grid)]
-            return [f.result() for f in futures]  # grid order preserved
-    return [run_point(i, v) for i, v in enumerate(grid)]
+    return [run_point(v) for v in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import LinkBudget, path_gain
-from .geometry import NodeKind, NodeSet, distance
+from .geometry import NodeKind, NodeSet, distance, pairwise_distances
 
 
 class Mode(Enum):
@@ -119,18 +119,22 @@ def select_mode(
     # (3) Relay bridge in (D1, D2]: willing relay within D1 of both ends,
     # minimizing the bottleneck hop, ties by lower id.
     if th.d1 < d <= th.d2 and both_capable and _slow_pair(src, dst, th):
-        best = None
-        for cand in relay_candidates:
-            if not cand.relay_willing or cand.id in (src.id, dst.id):
-                continue
-            hop_src = distance(cand.position, src.position)
-            hop_dst = distance(cand.position, dst.position)
-            if hop_src <= th.d1 and hop_dst <= th.d1:
-                key = (max(hop_src, hop_dst), cand.id)
-                if best is None or key < best[0]:
-                    best = (key, cand.id)
-        if best is not None:
-            return ModeDecision(Mode.FUE_RELAY, Reason.RELAY_BRIDGE, relay_id=best[1])
+        cands = [
+            c for c in relay_candidates
+            if c.relay_willing and c.id != src.id and c.id != dst.id
+        ]
+        if cands:
+            pos = np.array([c.position for c in cands], dtype=float)
+            ids = np.array([c.id for c in cands])
+            hop_src = np.hypot(pos[:, 0] - src.position[0], pos[:, 1] - src.position[1])
+            hop_dst = np.hypot(pos[:, 0] - dst.position[0], pos[:, 1] - dst.position[1])
+            ok = np.flatnonzero((hop_src <= th.d1) & (hop_dst <= th.d1))
+            if ok.size:
+                bottleneck = np.maximum(hop_src[ok], hop_dst[ok])
+                best = ok[np.lexsort((ids[ok], bottleneck))[0]]
+                return ModeDecision(
+                    Mode.FUE_RELAY, Reason.RELAY_BRIDGE, relay_id=int(ids[best])
+                )
 
     # (4) Local distributed coordination: midrange distance, or short range
     # with a D2D-incapable endpoint, when the local path can serve it.
@@ -164,12 +168,12 @@ def associate_fap(
     n = len(faps)
     if n < 1:
         raise ValueError("at least one F-AP required")
-    dists = np.array([distance(ue.position, p) for p in faps.positions])
+    dists = pairwise_distances([ue.position], faps.positions)[0]
     rx_power = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
-    # Descending power, ties by lower index.
-    order = sorted(range(n), key=lambda i: (-rx_power[i], i))
+    # Descending power, ties by lower index (lexsort is stable).
+    order = np.lexsort((-rx_power,))
     ue_tx = budget.tx_watts(NodeKind.FUE)
-    for i in order:
+    for i in order.tolist():
         if capacity is not None and capacity[i] <= 0:
             continue
         others = np.delete(dists, i)

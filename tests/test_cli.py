@@ -101,6 +101,23 @@ def test_validate_bad_config_exit_two(tmp_path, capsys):
     assert "thresholds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("geometry", "d2d_fraction", "1.7"),
+        ("geometry", "d2d_fraction", "nan"),
+        ("mode", "relay_fraction", "-0.2"),
+        ("mode", "voice_fraction", "nan"),
+        ("mode", "high_qos_fraction", "1.01"),
+    ],
+)
+def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
+    path = tmp_path / "fraction.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_run_twice_byte_identical(tmp_path, fast_config):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", fast_config, "--out", str(out1)]) == EXIT_OK

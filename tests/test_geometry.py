@@ -13,6 +13,7 @@ from frangine.geometry import (
     build_fap_adjacency,
     distance,
     pair_d2d,
+    pairwise_distances,
     sample_ppp,
 )
 from frangine.rng import derive_rng
@@ -149,3 +150,69 @@ def test_pair_d2d_respects_capability_and_uniqueness():
         assert capable[i] and capable[j]
         assert i not in seen and j not in seen
         seen.update((i, j))
+
+
+def _prim_oracle(points):
+    """Cubic pure-Python Prim: the lexicographically smallest
+    (distance, min, max) edge leaving the tree joins it."""
+    n = len(points)
+    dist = pairwise_distances(points, points)
+    in_tree = {0}
+    edges = set()
+    while len(in_tree) < n:
+        best = None
+        for i in sorted(in_tree):
+            for j in range(n):
+                if j in in_tree:
+                    continue
+                cand = (dist[i, j], min(i, j), max(i, j))
+                if best is None or cand < best:
+                    best = cand
+        _, i, j = best
+        edges.add((i, j))
+        in_tree.update((i, j))
+    return edges
+
+
+def _pair_oracle(points, capable):
+    """Greedy pairing over every candidate pair sorted as Python tuples."""
+    idx = np.flatnonzero(capable)
+    dist = pairwise_distances(points[idx], points[idx])
+    candidates = sorted(
+        (dist[a, b], int(idx[a]), int(idx[b]))
+        for a in range(idx.size)
+        for b in range(a + 1, idx.size)
+    )
+    paired, pairs = set(), []
+    for _, i, j in candidates:
+        if i in paired or j in paired:
+            continue
+        pairs.append((i, j))
+        paired.update((i, j))
+    return pairs
+
+
+def _oracle_layouts():
+    """Random layouts, then integer-grid layouts where distances tie exactly
+    (and points coincide)."""
+    for seed in range(12):
+        rng = derive_rng(seed, "oracle-layout")
+        n = int(rng.integers(2, 70))
+        yield rng, rng.uniform(0.0, 500.0, size=(n, 2))
+    for seed in range(12):
+        rng = derive_rng(seed, "oracle-grid")
+        n = int(rng.integers(2, 70))
+        yield rng, rng.integers(0, 6, size=(n, 2)).astype(float)
+
+
+def test_tree_matches_cubic_prim_oracle():
+    for _, points in _oracle_layouts():
+        edges = build_fap_adjacency(_nodeset(points), FapTopology.TREE)
+        assert edges == _prim_oracle(points)
+
+
+def test_pair_d2d_matches_tuple_sort_oracle():
+    for rng, points in _oracle_layouts():
+        fues = NodeSet(NodeKind.FUE, points, 0.0)
+        for capable in (np.ones(len(points), dtype=bool), rng.random(len(points)) < 0.6):
+            assert pair_d2d(fues, capable) == _pair_oracle(points, capable)

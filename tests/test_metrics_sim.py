@@ -5,6 +5,7 @@ import pytest
 
 from frangine.channel import FadingKind, FadingModel, LinkBudget
 from frangine.geometry import NetworkTopology, NodeKind, NodeSet, Region
+from frangine import metrics_sim
 from frangine.metrics_sim import (
     Architecture,
     ScenarioConfig,
@@ -204,3 +205,21 @@ def test_config_validation():
         ScenarioConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(mc_trials=0)
+
+
+def test_mode_decided_once_per_fue_and_content_case(monkeypatch):
+    config = ScenarioConfig(master_seed=3)
+    expected = run_scenario(config)
+    calls = []
+    select_mode = metrics_sim.select_mode
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].id)
+        return select_mode(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_sim, "select_mode", counting)
+    report = run_scenario(config)
+    assert 0 < len(calls) <= 2 * report.n_fues
+    assert len(calls) < len(report.ledger)
+    assert metrics_row(report) == metrics_row(expected)
+    assert ledger_rows(report) == ledger_rows(expected)

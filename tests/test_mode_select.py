@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget
-from frangine.geometry import NodeKind, NodeSet
+from frangine.channel import LinkBudget, path_gain
+from frangine.geometry import NodeKind, NodeSet, distance, pairwise_distances
 from frangine.mode_select import (
     AllFapsBlocked,
     Mode,
@@ -14,6 +14,7 @@ from frangine.mode_select import (
     associate_fap,
     select_mode,
 )
+from frangine.rng import derive_rng
 
 TH = ModeThresholds(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
 
@@ -193,3 +194,90 @@ def test_associate_interference_limit_blocks_admission():
     budget = LinkBudget()
     with pytest.raises(AllFapsBlocked):
         associate_fap(ue, faps, budget, interference_limit=1e-30)
+
+
+def _relay_oracle(src, dst, th, candidates):
+    """Linear relay scan: bottleneck hop first, then the lower id."""
+    best = None
+    for cand in candidates:
+        if not cand.relay_willing or cand.id in (src.id, dst.id):
+            continue
+        hop_src = distance(cand.position, src.position)
+        hop_dst = distance(cand.position, dst.position)
+        if hop_src <= th.d1 and hop_dst <= th.d1:
+            key = (max(hop_src, hop_dst), cand.id)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]
+
+
+def _oracle_layouts(tag, cells):
+    """Random layouts, then 10 m integer grids of cells x cells points where
+    distances tie exactly."""
+    for seed in range(8):
+        rng = derive_rng(seed, tag, "random")
+        yield rng, rng.uniform(0.0, 10.0 * cells, size=(int(rng.integers(5, 60)), 2))
+    for seed in range(8):
+        rng = derive_rng(seed, tag, "grid")
+        yield rng, 10.0 * rng.integers(0, cells, size=(int(rng.integers(5, 60)), 2))
+
+
+def test_relay_search_matches_linear_scan_oracle():
+    bridged = 0
+    for rng, points in _oracle_layouts("relay", 16):
+        ues = [
+            UeContext(id=i, position=tuple(p), relay_willing=bool(w))
+            for i, (p, w) in enumerate(zip(points, rng.random(len(points)) < 0.5))
+        ]
+        shuffled = [ues[k] for k in rng.permutation(len(ues))]
+        for src, dst in itertools.combinations(ues, 2):
+            if not TH.d1 < distance(src.position, dst.position) <= TH.d2:
+                continue
+            want = _relay_oracle(src, dst, TH, shuffled)
+            decision = select_mode(src, dst, TH, relay_candidates=shuffled)
+            assert decision.relay_id == want
+            assert (decision.mode is Mode.FUE_RELAY) == (want is not None)
+            bridged += want is not None
+    assert bridged > 100
+
+
+def _associate_oracle(ue, faps, budget, interference_limit, capacity):
+    """Scalar distances and a Python sort; None when every F-AP is blocked."""
+    dists = np.array([distance(ue.position, p) for p in faps.positions])
+    rx_power = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
+    for i in sorted(range(len(faps)), key=lambda i: (-rx_power[i], i)):
+        if capacity is not None and capacity[i] <= 0:
+            continue
+        others = np.delete(dists, i)
+        if others.size:
+            leak = budget.tx_watts(NodeKind.FUE) * float(np.max(path_gain(others, budget)))
+            if leak > interference_limit:
+                continue
+        return i
+    return None
+
+
+def test_associate_matches_scalar_distance_oracle():
+    budget = LinkBudget()
+    outcomes = set()
+    for rng, points in _oracle_layouts("associate", 5):
+        ue = UeContext(id=0, position=tuple(points[0]))
+        faps = NodeSet(NodeKind.FAP, points[1:], 0.0)
+        strongest = _associate_oracle(ue, faps, budget, float("inf"), None)
+        # Limits at the leak levels the layout produces block some F-APs.
+        leaks = budget.tx_watts(NodeKind.FUE) * path_gain(
+            pairwise_distances([ue.position], faps.positions)[0], budget
+        )
+        for limit in (float("inf"), *rng.choice(leaks, size=3)):
+            for capacity in (None, rng.integers(0, 2, size=len(faps))):
+                want = _associate_oracle(ue, faps, budget, limit, capacity)
+                try:
+                    got = associate_fap(ue, faps, budget, limit, capacity)
+                except AllFapsBlocked:
+                    got = None
+                assert got == want
+                outcomes.add(
+                    "blocked" if want is None else "strongest" if want == strongest
+                    else "fallback"
+                )
+    assert outcomes == {"blocked", "strongest", "fallback"}
