@@ -21,6 +21,7 @@ from .coordination import SchedulerKind
 from .geometry import FapTopology
 from .metrics_sim import (
     Architecture,
+    InvalidGridValue,
     LEDGER_COLUMNS,
     METRICS_COLUMNS,
     MetricsReport,
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, InvalidGridValue) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,6 +71,11 @@ from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
+# Draws shared by the points of one `sweep` call, one per draw site (see
+# `_shared_draw`); None outside a sweep. A context variable, so concurrent
+# or nested sweeps never see each other's draws.
+_shared: ContextVar[dict | None] = ContextVar("frangine_shared_draws", default=None)
+
 
 class Architecture(Enum):
     CRAN = "cran"
@@ -83,6 +89,10 @@ class UnknownParameter(Exception):
 
 class ZeroPower(Exception):
     pass
+
+
+class InvalidGridValue(ValueError):
+    """A sweep grid value that makes an invalid config."""
 
 
 @dataclass(frozen=True)
@@ -148,13 +158,21 @@ class ScenarioConfig:
 
     def __post_init__(self):
         ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
+        # Comparisons are written so that NaN fails too.
         for name in (
             "epsilon", "eta", "d2d_fraction", "relay_fraction", "voice_fraction",
-            "high_qos_fraction",
+            "high_qos_fraction", "sleep_power_fraction",
         ):
-            # Written so that NaN fails too.
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("warmup_requests", "payload_bits", "speed_mean"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("fue_cache_capacity", "fap_cache_capacity"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not self.tau > 0:
+            raise ValueError("tau must be positive")
         if self.mc_trials < 1 or self.cluster_mc_trials < 1:
             raise ValueError("Monte-Carlo trial counts must be at least 1")
         if self.iq_expansion_factor < 1:
@@ -279,6 +297,31 @@ def energy_efficiency(rate_sum: float, total_power: float) -> float:
     return rate_sum / total_power
 
 
+def _shared_draw(site: str, rng: np.random.Generator, inputs: tuple, draw):
+    """`draw(rng)`, or inside a `sweep` the array the last grid point drew at
+    this `site` when it started from the same generator state with the same
+    non-random `inputs`.
+
+    A hit also moves `rng` to the state it would have after drawing, so the
+    reuse is exact: the result and every later draw are byte-identical to a
+    fresh draw. A miss drops the site's old draw before drawing, so a sweep
+    holds at most one draw per site."""
+    shared = _shared.get()
+    if shared is None:
+        return draw(rng)
+    key = (repr(rng.bit_generator.state), inputs)
+    held = shared.pop(site, None)
+    if held is not None and held[0] == key:
+        rng.bit_generator.state = held[2]
+    else:
+        held = None  # free the old draw before making the new one
+        value = draw(rng)
+        value.flags.writeable = False
+        held = (key, value, rng.bit_generator.state)
+    shared[site] = held
+    return held[1]
+
+
 def spatial_average_rate(
     topology: NetworkTopology,
     fading: FadingModel,
@@ -303,16 +346,25 @@ def spatial_average_rate(
     p_fue = budget.tx_watts(NodeKind.FUE)
     signal_mean = p_fue * float(path_gain(link_distance, budget))
     # Signal fading first: the draw count is K-independent (two normals per
-    # trial), so matched seeds stay paired across fading models.
+    # trial), so matched seeds stay paired across fading models and the
+    # interferer field below starts from the same generator state for every K.
     sig_fades = fading_sample(fading, rng, size=mc_trials)
-    counts = rng.poisson(interferer_density * region.area, size=mc_trials)
-    total = int(counts.sum())
-    xs = rng.uniform(0.0, region.width, size=total)
-    ys = rng.uniform(0.0, region.height, size=total)
-    d = np.hypot(xs - center[0], ys - center[1])
-    gains = p_fue * path_gain(d, budget) * fading_sample(RAYLEIGH, rng, size=total)
-    trial_of = np.repeat(np.arange(mc_trials), counts)
-    interference = np.bincount(trial_of, weights=gains, minlength=mc_trials)
+
+    def draw_interference(rng):
+        counts = rng.poisson(interferer_density * region.area, size=mc_trials)
+        total = int(counts.sum())
+        xs = rng.uniform(0.0, region.width, size=total)
+        ys = rng.uniform(0.0, region.height, size=total)
+        d = np.hypot(xs - center[0], ys - center[1])
+        gains = p_fue * path_gain(d, budget) * fading_sample(RAYLEIGH, rng, size=total)
+        trial_of = np.repeat(np.arange(mc_trials), counts)
+        return np.bincount(trial_of, weights=gains, minlength=mc_trials)
+
+    inputs = (
+        interferer_density, region.width, region.height, p_fue,
+        budget.path_loss_exponent, budget.reference_gain_db, mc_trials,
+    )
+    interference = _shared_draw("rate", rng, inputs, draw_interference)
     trial_sinr = signal_mean * sig_fades / (interference + budget.noise_watts)
     rates = np.log2(1.0 + trial_sinr)
     mean = float(rates.mean())
@@ -346,7 +398,12 @@ def d2d_success_probability(
     if tx_positions.shape[0]:
         dists = pairwise_distances(tx_positions, [center])[:, 0]
         int_gains = p_fue * path_gain(dists, budget)
-        int_fades = fading_sample(RAYLEIGH, rng, size=(mc_trials, len(int_gains)))
+        int_fades = _shared_draw(
+            "d2d",
+            rng,
+            (mc_trials, len(int_gains)),
+            lambda rng: fading_sample(RAYLEIGH, rng, size=(mc_trials, len(int_gains))),
+        )
     else:
         int_gains = np.empty(0)
         int_fades = np.empty((mc_trials, 0))
@@ -594,6 +651,18 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
     report.cellular_ci = _prob_ci(report.cellular_success_probability, config.mc_trials)
 
+    # Rate before D2D success (their streams are independent): inside a
+    # sweep the D2D interferer fades stay held, and drawing them first
+    # would hold them through the first point's rate field, the peak memory.
+    report.spatial_average_rate, report.rate_ci = spatial_average_rate(
+        topology,
+        config.d2d_fading(),
+        budget,
+        config.mc_trials,
+        derive_rng(config.master_seed, "rate"),
+        link_distance=config.d2d_link_distance,
+    )
+
     report.d2d_success_probability, report.d2d_ci = d2d_success_probability(
         topology,
         pairs,
@@ -602,15 +671,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         config.gamma_th_db,
         config.mc_trials,
         derive_rng(config.master_seed, "d2d"),
-        link_distance=config.d2d_link_distance,
-    )
-
-    report.spatial_average_rate, report.rate_ci = spatial_average_rate(
-        topology,
-        config.d2d_fading(),
-        budget,
-        config.mc_trials,
-        derive_rng(config.master_seed, "rate"),
         link_distance=config.d2d_link_distance,
     )
 
@@ -651,7 +711,28 @@ _SWEEPABLE = {
 
 def sweep(config: ScenarioConfig, parameter: str, grid):
     """One run per grid value, every run on the config's master seed, so
-    grid points share their random streams (common random numbers)."""
+    grid points share their random streams (common random numbers) and a
+    one-point grid reproduces a plain run exactly.
+
+    Every point's config is built before any point runs, so a bad grid value
+    fails with `InvalidGridValue`, naming the key, before any work is done.
+
+    Draws that do not depend on the swept value are made once per call and
+    reused by the later points: the interferer field of
+    `spatial_average_rate` and the interferer fades of
+    `d2d_success_probability`. Each is keyed on the generator's exact state
+    at the draw site plus every non-random input the draw reads, and a hit
+    moves the generator to its post-draw state, so every point's output is
+    byte-identical to a lone `run_scenario` of that point. A swept value
+    that feeds a draw (`lambda_d` sets the interferer density) changes the
+    key, and the draw is made again in place of the old one, so a sweep
+    holds at most one draw per site. The shared draws are dropped when the
+    call returns or raises.
+
+    Each point still runs the whole of `run_scenario`, clustering included,
+    even where the swept value cannot change the partition (`k_factor_db`):
+    the scenario benchmark checks one `merge_and_split` partition per point.
+    """
     if parameter not in _SWEEPABLE:
         raise UnknownParameter(
             f"unknown sweep parameter {parameter!r}; choose from {sorted(_SWEEPABLE)}"
@@ -660,17 +741,21 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
     if not grid:
         raise ValueError("sweep grid must be nonempty")
     field_name = _SWEEPABLE[parameter]
-
-    def run_point(value):
-        # Matched master seed across grid points: common random numbers make
-        # sweep curves directly comparable, and a one-point grid reproduces
-        # a plain run exactly.
+    points = []
+    for value in grid:
         if field_name == "fue_cache_capacity":
+            if not float(value).is_integer():
+                raise InvalidGridValue(f"{parameter} grid value {value!r} is not an integer")
             value = int(value)
-        point = dataclasses.replace(config, **{field_name: value})
-        return value, run_scenario(point)
-
-    return [run_point(v) for v in grid]
+        try:
+            points.append((value, dataclasses.replace(config, **{field_name: value})))
+        except ValueError as exc:
+            raise InvalidGridValue(f"{parameter} grid value {value!r}: {exc}") from exc
+    token = _shared.set({})
+    try:
+        return [(value, run_scenario(point)) for value, point in points]
+    finally:
+        _shared.reset(token)
 
 
 # ---------------------------------------------------------------------------

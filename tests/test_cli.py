@@ -12,6 +12,7 @@ from frangine.cli import (
     main,
     parse_config,
 )
+from frangine import metrics_sim
 from frangine.metrics_sim import ScenarioConfig
 
 FAST_BODY = """\
@@ -109,6 +110,8 @@ def test_validate_bad_config_exit_two(tmp_path, capsys):
         ("mode", "relay_fraction", "-0.2"),
         ("mode", "voice_fraction", "nan"),
         ("mode", "high_qos_fraction", "1.01"),
+        ("coordination", "sleep_power_fraction", "-1"),
+        ("coordination", "sleep_power_fraction", "nan"),
     ],
 )
 def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
@@ -116,6 +119,32 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
     path.write_text(f"[{section}]\n{key} = {value}\n")
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("traffic", "warmup_requests", "-1"),
+        ("traffic", "payload_bits", "-1"),
+        ("mode", "speed_mean", "-1"),
+        ("coordination", "tau", "0"),
+        ("coordination", "tau", "-1"),
+        ("coordination", "tau", "nan"),
+        ("caching", "fue_cache_capacity", "0"),
+        ("caching", "fap_cache_capacity", "0"),
+    ],
+)
+def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_zero_payload_and_speed_stay_legal(tmp_path):
+    path = tmp_path / "zero.ini"
+    path.write_text("[mode]\nspeed_mean = 0\n\n[traffic]\npayload_bits = 0\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
 def test_run_twice_byte_identical(tmp_path, fast_config):
@@ -170,3 +199,23 @@ def test_compare_arch_prints_ordering(tmp_path, fast_config, capsys):
 
 def test_missing_config_file_exit_two(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "param,grid",
+    [("epsilon", "0.5,2"), ("cache_capacity", "2,2.7"), ("tau", "1,0")],
+)
+def test_sweep_bad_grid_value_exit_two_before_any_point(
+    tmp_path, fast_config, capsys, monkeypatch, param, grid
+):
+    runs = []
+    monkeypatch.setattr(metrics_sim, "run_scenario", runs.append)
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--config", fast_config, "--out", str(out),
+        "--param", param, "--grid", grid,
+    ])
+    assert code == EXIT_CONFIG
+    assert param in capsys.readouterr().err
+    assert runs == []
+    assert not (out / "sweep.csv").exists()

@@ -223,3 +223,84 @@ def test_mode_decided_once_per_fue_and_content_case(monkeypatch):
     assert len(calls) < len(report.ledger)
     assert metrics_row(report) == metrics_row(expected)
     assert ledger_rows(report) == ledger_rows(expected)
+
+
+@pytest.mark.parametrize(
+    "parameter,grid",
+    [
+        ("epsilon", [0.2, 0.9]),
+        ("k_factor_db", [0.0, 10.0]),
+        ("lambda_d", [5e-5, 8e-5]),
+        ("tau", [0.5, 2.0]),
+        ("gamma_th", [-3.0, 3.0]),
+        ("cache_capacity", [1, 3]),
+    ],
+)
+def test_sweep_points_equal_lone_runs(parameter, grid):
+    field_name = metrics_sim._SWEEPABLE[parameter]
+    for value, report in sweep(FAST, parameter, grid):
+        lone = run_scenario(dataclasses.replace(FAST, **{field_name: value}))
+        assert metrics_row(report) == metrics_row(lone)
+        assert ledger_rows(report) == ledger_rows(lone)
+
+
+def test_sweep_shares_draws_only_within_one_call(monkeypatch):
+    calls = []
+    fading_sample = metrics_sim.fading_sample
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return fading_sample(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_sim, "fading_sample", counting)
+    run_scenario(FAST)
+    lone = len(calls)
+    assert lone > 0
+
+    calls.clear()
+    sweep(FAST, "k_factor_db", [0.0, 10.0])
+    assert len(calls) < 2 * lone  # the second point reused the first's fields
+    assert metrics_sim._shared.get() is None
+
+    run_point = metrics_sim.run_scenario
+    points = []
+
+    def second_point_fails(config):
+        points.append(config)
+        if len(points) == 2:
+            raise RuntimeError("second point failed")
+        return run_point(config)
+
+    monkeypatch.setattr(metrics_sim, "run_scenario", second_point_fails)
+    with pytest.raises(RuntimeError, match="second point"):
+        sweep(FAST, "k_factor_db", [0.0, 10.0])
+    assert metrics_sim._shared.get() is None
+
+    calls.clear()
+    run_point(FAST)
+    assert len(calls) == lone
+
+
+def test_sweep_holds_one_draw_per_site(monkeypatch):
+    held = []
+    run_point = metrics_sim.run_scenario
+
+    def recording(config):
+        report = run_point(config)
+        held.append(sorted(metrics_sim._shared.get()))
+        return report
+
+    monkeypatch.setattr(metrics_sim, "run_scenario", recording)
+    sweep(FAST, "lambda_d", [5e-5, 8e-5, 1e-4])  # every point misses
+    assert held == [["d2d", "rate"]] * 3
+
+
+def test_sweep_grid_values_of_an_integer_key(monkeypatch):
+    runs = []
+    monkeypatch.setattr(metrics_sim, "run_scenario", runs.append)
+    for bad in (2.7, float("nan"), float("inf")):
+        with pytest.raises(metrics_sim.InvalidGridValue, match="cache_capacity"):
+            sweep(FAST, "cache_capacity", [2, bad])
+    assert runs == []
+    assert [v for v, _ in sweep(FAST, "cache_capacity", [2.0, 3])] == [2, 3]
+    assert [c.fue_cache_capacity for c in runs] == [2, 3]
