@@ -6,9 +6,8 @@ caches), coordination (coalitional F-AP clustering, COAC/DRAC D2D
 scheduling, S-FFR), metrics_sim (scenario orchestration), cli.
 """
 
-from ._kernels import active_backend, set_backend
 from .metrics_sim import ScenarioConfig, run_scenario, sweep
 
-__all__ = ["ScenarioConfig", "run_scenario", "sweep", "active_backend", "set_backend"]
+__all__ = ["ScenarioConfig", "run_scenario", "sweep"]
 
 __version__ = "0.1.0"

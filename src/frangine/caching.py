@@ -7,7 +7,7 @@ lower id; FIFO evicts in insertion order regardless of re-access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,14 +25,9 @@ class ContentTier(Enum):
     CLOUD_ONLY = "cloud_only"
 
 
-class EmptyTrace(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ContentCatalog:
     n_items: int
-    item_size_bits: float = 1.0
     zipf_exponent: float = 0.8
 
     def __post_init__(self):
@@ -48,30 +43,20 @@ class ContentCatalog:
         return weights / weights.sum()
 
 
-@dataclass
-class TraceRow:
-    request_index: int
-    content_id: int
-    hit: bool
-    evicted: int | None = None
-
-
 class EdgeCache:
     """Single-owner bounded cache; |store| <= capacity after every request."""
 
-    def __init__(self, capacity: int, policy: EvictionPolicy, owner: str = ""):
+    def __init__(self, capacity: int, policy: EvictionPolicy):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.policy = policy
-        self.owner = owner
         self.hits = 0
         self.misses = 0
         self._clock = 0
         self._insert_order: list[int] = []  # FIFO queue
         self._last_use: dict[int, int] = {}
         self._freq: dict[int, int] = {}
-        self.trace: list[TraceRow] = []
 
     def __contains__(self, item: int) -> bool:
         return item in self._last_use
@@ -107,7 +92,6 @@ class EdgeCache:
             self._freq[item] = 1
             self._insert_order.append(item)
             hit = False
-        self.trace.append(TraceRow(len(self.trace), item, hit, evicted))
         return hit, evicted
 
 
@@ -120,12 +104,6 @@ def zipf_stream(
     if length == 0:
         return np.empty(0, dtype=np.int64)
     return rng.choice(catalog.n_items, size=length, p=catalog.popularity())
-
-
-def hit_ratio(trace: list[TraceRow]) -> float:
-    if not trace:
-        raise EmptyTrace("hit ratio undefined for an empty trace")
-    return sum(1 for row in trace if row.hit) / len(trace)
 
 
 def content_available(

@@ -1,4 +1,4 @@
-"""Link budget, small-scale fading, SINR, and the Shannon rate mapping.
+"""Link budget and small-scale fading.
 
 All fading sample distributions are normalized to unit mean power, so the
 link budget alone sets mean received power. Rayleigh is realized as the
@@ -53,7 +53,7 @@ class LinkBudget:
     path_loss_exponent: float = 4.0
     reference_gain_db: float = 0.0  # at 1 m
     tx_power_dbm: dict = field(
-        default_factory=lambda: {NodeKind.HPN: 43.0, NodeKind.FAP: 30.0, NodeKind.FUE: 20.0}
+        default_factory=lambda: {NodeKind.FAP: 30.0, NodeKind.FUE: 20.0}
     )
     noise_power_dbm: float = -100.0
     sinr_threshold_db: float = 0.0
@@ -96,20 +96,3 @@ def fading_sample(model: FadingModel, rng: np.random.Generator, size=None):
     los = np.sqrt(k / (k + 1.0))
     scatter = np.sqrt(1.0 / (2.0 * (k + 1.0)))
     return (los + scatter * g1) ** 2 + (scatter * g2) ** 2
-
-
-def sinr(signal_power: float, interferer_powers, noise: float) -> float:
-    """signal / (sum of interferers + noise); all powers in watts."""
-    interferers = np.asarray(interferer_powers, dtype=float)
-    if signal_power < 0 or np.any(interferers < 0):
-        raise ValueError("powers must be nonnegative")
-    if noise <= 0:
-        raise ValueError("noise must be positive")
-    return float(signal_power / (interferers.sum() + noise))
-
-
-def rate(sinr_value):
-    """Shannon spectral efficiency log2(1 + SINR), bits/s/Hz."""
-    if np.any(np.asarray(sinr_value) < 0):
-        raise ValueError("SINR must be nonnegative")
-    return np.log2(1.0 + sinr_value)

@@ -74,22 +74,21 @@ CONFIG_SCHEMA = {
         "d2d_fraction", "fap_topology",
     ],
     "channel": [
-        "path_loss_exponent", "reference_gain_db", "tx_power_hpn_dbm",
-        "tx_power_fap_dbm", "tx_power_fue_dbm", "noise_power_dbm", "gamma_th_db",
-        "d2d_k_factor_db", "d2d_link_distance",
+        "path_loss_exponent", "reference_gain_db", "tx_power_fap_dbm",
+        "tx_power_fue_dbm", "noise_power_dbm", "gamma_th_db", "d2d_k_factor_db",
+        "d2d_link_distance",
     ],
     "mode": [
         "d1", "d2", "d3", "speed_threshold", "speed_mean", "voice_fraction",
-        "relay_fraction", "high_qos_fraction", "fap_capacity", "interference_limit",
+        "relay_fraction", "fap_capacity", "interference_limit",
     ],
     "caching": [
         "catalog_items", "zipf_exponent", "cache_policy", "fue_cache_capacity",
         "fap_cache_capacity", "cooperative_caching",
     ],
     "coordination": [
-        "tau", "epsilon", "eta", "n_subchannels", "n_resource_blocks", "scheduler",
-        "p_static", "p_tx", "p_coord", "p_hpn", "sleep_power_fraction",
-        "mc_trials", "cluster_mc_trials",
+        "tau", "epsilon", "n_subchannels", "scheduler", "p_static", "p_tx", "p_coord",
+        "p_hpn", "sleep_power_fraction", "mc_trials", "cluster_mc_trials",
     ],
     "traffic": [
         "requests_per_fue", "warmup_requests", "payload_bits", "iq_expansion_factor",

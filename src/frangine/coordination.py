@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .channel import LinkBudget, FadingModel, RAYLEIGH, db_to_linear, fading_sample, path_gain
+from .channel import LinkBudget, RAYLEIGH, db_to_linear, fading_sample, path_gain
 from .geometry import (
     FapTopology,
     NetworkTopology,
@@ -59,10 +59,6 @@ class ClusterUtilityParams:
 @dataclass
 class CoalitionPartition:
     blocks: list  # list of sorted tuples of F-AP indices, pairwise disjoint
-    utilities: list  # per-block utility
-
-    def total_utility(self) -> float:
-        return float(sum(self.utilities))
 
     def block_sizes(self) -> list[int]:
         return [len(b) for b in self.blocks]
@@ -295,7 +291,7 @@ def merge_and_split(
             blocks = [blk for i, blk in enumerate(blocks) if i != k] + [left, right]
             changed = True
     blocks.sort(key=lambda b: b[0])
-    return CoalitionPartition(blocks=blocks, utilities=[utility(b) for b in blocks])
+    return CoalitionPartition(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +307,7 @@ class SchedulerKind(Enum):
 @dataclass
 class D2dLinkSet:
     """D2D transmitters with their per-subchannel gains to the victim
-    cellular receiver (path gain x static fading, drawn once)."""
+    cellular receiver (path gain x static Rayleigh fading, drawn once)."""
 
     tx_positions: np.ndarray  # (n_links, 2)
     cross_gains: np.ndarray  # (n_links, n_subchannels), linear power gain
@@ -323,12 +319,8 @@ class D2dLinkSet:
 @dataclass
 class SubchannelAssignment:
     n_subchannels: int
-    epsilon: float
     occupied: list  # per link: sorted np.ndarray of subchannel indices
     links: D2dLinkSet
-
-    def occupancy_count(self) -> int:
-        return round_half_away(self.epsilon * self.n_subchannels)
 
 
 def make_d2d_links(
@@ -337,12 +329,11 @@ def make_d2d_links(
     n_subchannels: int,
     budget: LinkBudget,
     rng: np.random.Generator,
-    fading: FadingModel = RAYLEIGH,
 ) -> D2dLinkSet:
     tx_positions = np.asarray(tx_positions, dtype=float).reshape(-1, 2)
     dists = pairwise_distances(tx_positions, [victim_position])[:, 0]
     gains = path_gain(dists, budget)[:, None] * fading_sample(
-        fading, rng, size=(tx_positions.shape[0], n_subchannels)
+        RAYLEIGH, rng, size=(tx_positions.shape[0], n_subchannels)
     )
     return D2dLinkSet(tx_positions=tx_positions, cross_gains=gains)
 
@@ -360,7 +351,7 @@ def coac_assign(
     for i in range(len(d2d_links)):
         order = np.argsort(d2d_links.cross_gains[i], kind="stable")
         occupied.append(np.sort(order[:m]))
-    return SubchannelAssignment(n_subchannels, epsilon, occupied, d2d_links)
+    return SubchannelAssignment(n_subchannels, occupied, d2d_links)
 
 
 def drac_assign(
@@ -376,7 +367,7 @@ def drac_assign(
     occupied = []
     for _ in range(len(d2d_links)):
         occupied.append(np.sort(rng.permutation(n_subchannels)[:m]))
-    return SubchannelAssignment(n_subchannels, epsilon, occupied, d2d_links)
+    return SubchannelAssignment(n_subchannels, occupied, d2d_links)
 
 
 def cellular_success_probability(

@@ -38,13 +38,11 @@ from .channel import (
 from .coordination import (
     ClusterUtilityParams,
     SchedulerKind,
-    SffrUe,
     cellular_success_probability,
     coac_assign,
     drac_assign,
     make_d2d_links,
     merge_and_split,
-    sffr_allocate,
 )
 from .geometry import (
     FapTopology,
@@ -108,7 +106,6 @@ class ScenarioConfig:
     # Channel
     path_loss_exponent: float = 4.0
     reference_gain_db: float = 0.0
-    tx_power_hpn_dbm: float = 43.0
     tx_power_fap_dbm: float = 30.0
     tx_power_fue_dbm: float = 20.0
     noise_power_dbm: float = -100.0
@@ -123,7 +120,6 @@ class ScenarioConfig:
     speed_mean: float = 2.0
     voice_fraction: float = 0.1
     relay_fraction: float = 0.5
-    high_qos_fraction: float = 0.3
     fap_capacity: int = 10  # free resource blocks per F-AP
     interference_limit: float = float("inf")
     # Caching
@@ -136,9 +132,7 @@ class ScenarioConfig:
     # Coordination
     tau: float = 1.0
     epsilon: float = 0.5
-    eta: float = 0.5
     n_subchannels: int = 16
-    n_resource_blocks: int = 16
     scheduler: SchedulerKind = SchedulerKind.COAC
     p_static: float = 10.0
     p_tx: float = 1.0
@@ -160,8 +154,8 @@ class ScenarioConfig:
         ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
         # Comparisons are written so that NaN fails too.
         for name in (
-            "epsilon", "eta", "d2d_fraction", "relay_fraction", "voice_fraction",
-            "high_qos_fraction", "sleep_power_fraction",
+            "epsilon", "d2d_fraction", "relay_fraction", "voice_fraction",
+            "sleep_power_fraction",
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -186,7 +180,6 @@ class ScenarioConfig:
             path_loss_exponent=self.path_loss_exponent,
             reference_gain_db=self.reference_gain_db,
             tx_power_dbm={
-                NodeKind.HPN: self.tx_power_hpn_dbm,
                 NodeKind.FAP: self.tx_power_fap_dbm,
                 NodeKind.FUE: self.tx_power_fue_dbm,
             },
@@ -437,7 +430,7 @@ def _build_topology(config: ScenarioConfig) -> NetworkTopology:
     )
 
 
-def _architecture_mode(config, src, dst, thresholds, relays, cloud_only, lc_feasible, serving):
+def _architecture_mode(config, src, dst, thresholds, relays, cloud_only, lc_feasible):
     """Apply the architecture gate, then the full decision tree for F-RAN.
 
     A request enters only through whether its content is cloud-only, so an
@@ -464,7 +457,6 @@ def _architecture_mode(config, src, dst, thresholds, relays, cloud_only, lc_feas
         relay_candidates=relays,
         content_available_locally=not cloud_only,
         local_coordination_feasible=lc_feasible,
-        serving_fap=serving,
     )
     return decision.mode
 
@@ -487,7 +479,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     d2d_capable = attr_rng.random(n_fues) < config.d2d_fraction
     relay_willing = attr_rng.random(n_fues) < config.relay_fraction
     voice = attr_rng.random(n_fues) < config.voice_fraction
-    high_qos = attr_rng.random(n_fues) < config.high_qos_fraction
 
     ues = [
         UeContext(
@@ -517,16 +508,13 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         except AllFapsBlocked:
             serving.append(None)
 
-    catalog = ContentCatalog(
-        config.catalog_items, config.payload_bits, config.zipf_exponent
-    )
+    catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
     fue_caches = [
-        EdgeCache(config.fue_cache_capacity, config.cache_policy, f"fue{i}")
-        for i in range(n_fues)
+        EdgeCache(config.fue_cache_capacity, config.cache_policy) for _ in range(n_fues)
     ]
     fap_caches = [
-        EdgeCache(config.fap_cache_capacity, config.cache_policy, f"fap{i}")
-        for i in range(len(topology.faps))
+        EdgeCache(config.fap_cache_capacity, config.cache_policy)
+        for _ in range(len(topology.faps))
     ]
     neighbors = {i: set() for i in range(len(topology.faps))}
     for a, b in topology.fap_adjacency:
@@ -553,7 +541,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
                     fap_caches[s].request(int(item))
         for c in fue_caches + fap_caches:
             c.hits = c.misses = 0
-            c.trace.clear()
 
     decisions = []
     tiers = []
@@ -584,7 +571,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
             cloud_only = tier is ContentTier.CLOUD_ONLY
             if cloud_only not in modes:
                 modes[cloud_only] = _architecture_mode(
-                    config, ue, dst, thresholds, relays, cloud_only, lc_feasible, s
+                    config, ue, dst, thresholds, relays, cloud_only, lc_feasible
                 )
             mode = modes[cloud_only]
             fue_caches[i].request(int(item))
@@ -684,18 +671,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
     rate_sum = report.spatial_average_rate * n_fues
     report.energy_efficiency = energy_efficiency(rate_sum, total_power)
-
-    # S-FFR sanity: the plan is recomputed here so every run exercises the
-    # reserved/shared partition invariant.
-    sffr_ues = [
-        SffrUe(
-            i,
-            bool(high_qos[i]),
-            NodeKind.FAP if serving[i] is not None else NodeKind.HPN,
-        )
-        for i in range(n_fues)
-    ]
-    sffr_allocate(config.n_resource_blocks, config.eta, sffr_ues)
     return report
 
 

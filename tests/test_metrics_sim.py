@@ -151,7 +151,7 @@ def test_spatial_average_rate_no_fading_snr_one():
     # Huge-K Rician is effectively unfaded; tx power equal to noise at the
     # 1 m reference distance gives SNR = 1 and rate log2(2) = 1.
     budget = LinkBudget(
-        tx_power_dbm={NodeKind.HPN: 43.0, NodeKind.FAP: 30.0, NodeKind.FUE: -100.0},
+        tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -100.0},
         noise_power_dbm=-100.0,
     )
     fading = FadingModel(FadingKind.RICIAN, 80.0)
