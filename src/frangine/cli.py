@@ -26,6 +26,7 @@ from .metrics_sim import (
     METRICS_COLUMNS,
     MetricsReport,
     ScenarioConfig,
+    UnknownParameter,
     ledger_rows,
     metrics_row,
     run_scenario,
@@ -189,7 +190,10 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         changes["master_seed"] = args.seed
     if getattr(args, "trials", None) is not None:
         changes["mc_trials"] = args.trials
-    return dataclasses.replace(config, **changes) if changes else config
+    try:
+        return dataclasses.replace(config, **changes)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _cmd_validate(args) -> int:
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidGridValue) as exc:
+    except (ParseError, ValidationError, InvalidGridValue, UnknownParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

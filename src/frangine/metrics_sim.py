@@ -159,18 +159,24 @@ class ScenarioConfig:
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("warmup_requests", "payload_bits", "speed_mean"):
+        for name in (
+            "lambda_m", "lambda_fap", "lambda_fue", "d2d_link_distance", "speed_mean",
+            "fap_capacity", "zipf_exponent", "p_static", "p_tx", "p_coord", "p_hpn",
+            "requests_per_fue", "warmup_requests", "payload_bits",
+        ):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("fue_cache_capacity", "fap_cache_capacity"):
+        for name in ("region_width", "region_height", "tau"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in (
+            "catalog_items", "fue_cache_capacity", "fap_cache_capacity", "n_subchannels",
+            "mc_trials", "cluster_mc_trials", "iq_expansion_factor",
+        ):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.mc_trials < 1 or self.cluster_mc_trials < 1:
-            raise ValueError("Monte-Carlo trial counts must be at least 1")
-        if self.iq_expansion_factor < 1:
-            raise ValueError("iq_expansion_factor must be at least 1")
+        if not self.path_loss_exponent > 2:
+            raise ValueError("path_loss_exponent must exceed 2")
 
     def thresholds(self) -> ModeThresholds:
         return ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)

@@ -5,7 +5,6 @@ import pytest
 from frangine.cli import (
     EXIT_CONFIG,
     EXIT_OK,
-    EXIT_RUNTIME,
     ParseError,
     ValidationError,
     canonical_config,
@@ -131,10 +130,42 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("coordination", "tau", "nan"),
         ("caching", "fue_cache_capacity", "0"),
         ("caching", "fap_cache_capacity", "0"),
+        ("geometry", "region_width", "0"),
+        ("geometry", "region_height", "-5"),
+        ("geometry", "lambda_fap", "-1e-5"),
+        ("geometry", "lambda_fue", "nan"),
+        ("caching", "catalog_items", "0"),
+        ("caching", "zipf_exponent", "-0.5"),
+        ("coordination", "n_subchannels", "0"),
+        ("traffic", "requests_per_fue", "-1"),
+        ("channel", "path_loss_exponent", "2"),
+        ("channel", "d2d_link_distance", "-1"),
+        ("coordination", "p_static", "-20"),
+        ("coordination", "p_tx", "-5"),
+        ("mode", "fap_capacity", "-1"),
+        ("traffic", "iq_expansion_factor", "nan"),
+        ("coordination", "mc_trials", "0"),
+        ("coordination", "cluster_mc_trials", "0"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
     path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("channel", "tx_power_hpn_dbm", "43.0"),
+        ("mode", "high_qos_fraction", "1.01"),
+        ("coordination", "eta", "0.5"),
+        ("coordination", "n_resource_blocks", "16"),
+    ],
+)
+def test_removed_key_exit_two(tmp_path, capsys, section, key, value):
+    path = tmp_path / "old.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
@@ -173,13 +204,19 @@ def test_sweep_writes_csv(tmp_path, fast_config):
     assert len(text) == 4
 
 
-def test_sweep_unknown_param_exit_three(tmp_path, fast_config, capsys):
+def test_sweep_unknown_param_exit_two(tmp_path, fast_config, capsys):
     code = main([
         "sweep", "--config", fast_config, "--out", str(tmp_path / "x"),
         "--param", "bandwidth", "--grid", "1,2",
     ])
-    assert code == EXIT_RUNTIME
+    assert code == EXIT_CONFIG
     assert "bandwidth" in capsys.readouterr().err
+
+
+def test_trials_override_out_of_range_exit_two(tmp_path, fast_config, capsys):
+    code = main(["run", "--config", fast_config, "--out", str(tmp_path / "x"), "--trials", "0"])
+    assert code == EXIT_CONFIG
+    assert "mc_trials" in capsys.readouterr().err
 
 
 def test_compare_arch_prints_ordering(tmp_path, fast_config, capsys):
