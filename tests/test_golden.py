@@ -35,10 +35,6 @@ record = _load_record()
 DIGESTS = json.loads(record.DIGESTS.read_text())
 
 
-def _tiers(report):
-    return {row.tier.value for row in report.ledger}
-
-
 # case -> (feature, check on the report), so no case can quietly go degenerate.
 FEATURES = {
     "default": (
@@ -67,7 +63,7 @@ FEATURES = {
     ),
     "coop_lfu_blocked": (
         "more F-UEs than free F-AP blocks, and F-AP cache hits",
-        lambda r: r.n_fues > 3 * r.n_faps and "at_fap" in _tiers(r),
+        lambda r: r.n_fues > 3 * r.n_faps and any(row.tier.value == "at_fap" for row in r.ledger),
     ),
     "sparse_fues": (
         "more F-APs than F-UEs, so some F-APs sleep",
