@@ -1,14 +1,6 @@
 import numpy as np
-import pytest
 
 from frangine import _kernels
-
-
-@pytest.fixture
-def restore_backend():
-    current = _kernels.active_backend()
-    yield
-    _kernels.set_backend(current)
 
 
 def _random_case(rng, n_trials=500, n_sig=3, n_int=7):
@@ -35,36 +27,3 @@ def test_sinr_trials_no_interferers():
     sig_gains = np.array([0.5, 0.25])
     got = _kernels.sinr_trials(sig_fades, sig_gains, np.empty((100, 0)), np.empty(0), 2.0)
     assert np.allclose(got, (sig_fades @ sig_gains) / 2.0)
-
-
-@pytest.mark.skipif("numba" not in _kernels._BACKENDS, reason="numba unavailable")
-def test_backends_agree(restore_backend):
-    rng = np.random.default_rng(3)
-    case = _random_case(rng, n_trials=2000)
-    _kernels.set_backend("numpy")
-    via_numpy = _kernels.sinr_trials(*case)
-    frac_numpy = _kernels.success_fraction(via_numpy, 1.0)
-    rate_numpy = _kernels.mean_rate(via_numpy)
-    _kernels.set_backend("numba")
-    via_numba = _kernels.sinr_trials(*case)
-    assert np.allclose(via_numpy, via_numba, rtol=1e-10)
-    assert _kernels.success_fraction(via_numba, 1.0) == pytest.approx(frac_numpy)
-    assert _kernels.mean_rate(via_numba) == pytest.approx(rate_numpy, rel=1e-10)
-
-
-def test_success_fraction_and_mean_rate_values():
-    sinr = np.array([0.5, 1.0, 3.0, 7.0])
-    assert _kernels.success_fraction(sinr, 1.0) == pytest.approx(0.75)
-    assert _kernels.mean_rate(sinr) == pytest.approx(
-        np.mean(np.log2(1.0 + sinr)), rel=1e-12
-    )
-
-
-def test_set_backend_rejects_unknown(restore_backend):
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
-
-
-def test_active_backend_reports_switch(restore_backend):
-    _kernels.set_backend("numpy")
-    assert _kernels.active_backend() == "numpy"
