@@ -24,7 +24,6 @@ from .metrics_sim import (
     InvalidGridValue,
     LEDGER_COLUMNS,
     METRICS_COLUMNS,
-    MetricsReport,
     ScenarioConfig,
     UnknownParameter,
     ledger_rows,
@@ -89,7 +88,7 @@ CONFIG_SCHEMA = {
     ],
     "coordination": [
         "tau", "epsilon", "n_subchannels", "scheduler", "p_static", "p_tx", "p_coord",
-        "p_hpn", "sleep_power_fraction", "mc_trials", "cluster_mc_trials",
+        "p_hpn", "sleep_power_fraction", "mc_trials",
     ],
     "traffic": [
         "requests_per_fue", "warmup_requests", "payload_bits", "iq_expansion_factor",
@@ -169,8 +168,10 @@ def canonical_config(config: ScenarioConfig) -> str:
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
-    """Write atomically: a partial file is never left behind on failure."""
+    """Write atomically: a partial file is never left behind on failure. The
+    directory is made here, so a command that fails earlier leaves none."""
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -206,7 +207,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
     report = run_scenario(config)
     _write_csv(
         os.path.join(args.out, "metrics.csv"), METRICS_COLUMNS, [metrics_row(report)]
@@ -226,7 +226,6 @@ def _cmd_sweep(args) -> int:
         raise ParseError(f"bad --grid: {exc}") from exc
     if not grid:
         raise ParseError("--grid must list at least one value")
-    os.makedirs(args.out, exist_ok=True)
     results = sweep(config, args.param, grid)
     header = [args.param] + METRICS_COLUMNS
     rows = [[value] + metrics_row(report) for value, report in results]
@@ -237,7 +236,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare_arch(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     loads = {}
     for arch in (Architecture.CRAN, Architecture.HCRAN, Architecture.FRAN):
@@ -275,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
             "--trials", type=int, default=None,
-            help="MC trials override: sets mc_trials only; clustering keeps "
-            "cluster_mc_trials",
+            help="MC trials override (mc_trials)",
         )
 
     p_run = sub.add_parser("run", help="run one scenario")

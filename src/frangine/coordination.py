@@ -3,11 +3,10 @@ scheduling (centralized opportunistic vs distributed random), and soft
 fractional frequency reuse.
 
 Clustering uses merge-and-split over F-AP index sets with the utility
-u(C) = R(C) / P(C)^tau, where R is the Monte-Carlo successful-access rate
-of the cluster, estimated on Rayleigh fades that every block shares
-(FadeTable), and P its power draw. Total utility strictly increases at
-every accepted merge or split, so the procedure terminates on the finite
-partition lattice.
+u(C) = R(C) / P(C)^tau, where R is the cluster's successful-access rate,
+exact under Rayleigh fading (AccessTable), and P its power draw. Total
+utility strictly increases at every accepted merge or split, so the
+procedure terminates on the finite partition lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .geometry import (
     adjacency_is_connected,
     pairwise_distances,
 )
-from .rng import derive_rng
 
 
 def round_half_away(x: float) -> int:
@@ -39,7 +37,6 @@ def round_half_away(x: float) -> int:
 # Successful access probability and coalition formation
 # ---------------------------------------------------------------------------
 
-
 @dataclass(frozen=True)
 class ClusterUtilityParams:
     tau: float = 1.0
@@ -47,13 +44,10 @@ class ClusterUtilityParams:
     p_static: float = 10.0  # watts per F-AP
     p_tx: float = 1.0  # watts per F-AP
     p_coord: float = 0.5  # watts per ordered coordination pair
-    mc_trials: int = 2000
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.mc_trials < 1:
-            raise ValueError("mc_trials must be at least 1")
 
 
 @dataclass
@@ -64,108 +58,114 @@ class CoalitionPartition:
         return [len(b) for b in self.blocks]
 
 
-class FadeTable:
-    """Common random numbers for the cluster utilities of one merge-and-split
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 4.2).
+@dataclass
+class AccessTable:
+    """Exact Rayleigh success probabilities of the F-UEs for any F-AP block
+    (Haenggi, Stochastic Geometry for Wireless Networks, ch. 5).
 
-    The F-UEs served by F-AP a form group a. The Rayleigh power fades from
-    F-AP j to group a over the T trials are one (n_a, T) slab of Exp(1)
-    draws from its own stream, derive_rng(base_seed, "cluster", a, j). Every
-    block is scored on these same fades, so a merge or split compares the
-    utilities of the whole and of its parts on common noise, and a block's
-    utility does not depend on which blocks were evaluated before it.
+    F-UE u, served by F-AP serving[u] in block C, receives S = sum_{j in C}
+    g_j E_j and I = sum_{k not in C} g_k E_k, with g = gains[u] and i.i.d.
+    Exp(1) fades E, and succeeds when S >= theta (I + N). By the partial
+    fractions of the law of S (Amari & Misra, IEEE Trans. Reliability 1997),
 
-    The table keeps each F-UE's per-trial total received power over all
-    F-APs. A block C regenerates the slabs (a, j) for a, j in C to get its
-    signal; interference is the total minus the signal. The arrays held
-    are the totals and the mean link gains, 8*U*(T + F) bytes, plus the
-    U serving indices; the U x T x F fade tensor is never built.
+        p(C) = sum_{j in C} A_j exp(-theta N / g_j) prod_{k not in C} 1 / (1 + theta g_k / g_j),
+        A_j = prod_{i in C, i != j} g_j / (g_j - g_i).
+
+    log_products[u, j] memoizes the log of that product over every F-AP k;
+    a block divides its own F-APs back out. An F-UE whose terms cancel
+    (tied or nearly tied gains) is scored by _phase_type_success instead.
     """
 
-    def __init__(self, fap_positions, fue_positions, budget: LinkBudget, trials: int,
-                 base_seed: int, serving=None):
-        """serving[u] is the F-AP serving F-UE u; by default the nearest
-        F-AP, which is the strongest under uniform F-AP transmit power."""
+    gains: np.ndarray  # (U, F) mean received powers, watts
+    serving: np.ndarray  # (U,) the F-AP serving each F-UE
+    noise_watts: float
+    theta: float  # linear SINR threshold
+    cancellation_limit = 1e4  # largest sum |terms| / p kept (error ~1e-11 p)
+
+    def __post_init__(self):
+        self.log_products = np.full(self.gains.shape, np.nan)
+
+    @classmethod
+    def from_positions(cls, fap_positions, fue_positions, budget: LinkBudget,
+                       gamma_th_db: float) -> "AccessTable":
+        """Each F-UE served by its nearest F-AP, the strongest under uniform power."""
         dists = pairwise_distances(fue_positions, fap_positions)
-        if serving is None:
-            serving = np.argmin(dists, axis=1)
-        self.serving = np.asarray(serving, dtype=np.intp)
-        self.base_seed = base_seed
-        self.trials = trials
-        self.noise_watts = budget.noise_watts
-        self.gains = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
-        self.total = np.empty((self.serving.size, trials))
-        every_fap = range(dists.shape[1])
-        for a in np.unique(self.serving):
-            group = np.flatnonzero(self.serving == a)
-            self.total[group] = self._received(int(a), group, every_fap)
+        return cls(
+            budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget),
+            np.argmin(dists, axis=1),
+            budget.noise_watts,
+            db_to_linear(gamma_th_db),
+        )
 
-    def _received(self, a: int, group: np.ndarray, faps) -> np.ndarray:
-        """(n_a, T) per-trial power that group a receives from the given
-        F-APs. group must hold every F-UE of group a in index order: each
-        slab is drawn at the group's full size."""
-        power = np.zeros((group.size, self.trials))
-        gains = self.gains[group]
-        for j in faps:
-            fades = derive_rng(self.base_seed, "cluster", a, j).standard_exponential(
-                (group.size, self.trials)
-            )
-            power += gains[:, j, None] * fades
-        return power
-
-    def success_counts(self, cluster, gamma_lin: float) -> np.ndarray:
-        """Trials, out of T, in which each F-UE served by the cluster reaches
-        SINR gamma_lin; one entry per served_fue_indices(cluster, self)."""
-        cluster = sorted(cluster)
+    def success_probabilities(self, cluster) -> np.ndarray:
+        """One probability per F-UE of served_fue_indices(cluster, self)."""
+        cluster = np.array(sorted(cluster), dtype=np.intp)
         served = served_fue_indices(cluster, self)
-        serving = self.serving[served]
-        signal = np.empty((served.size, self.trials))
-        for a in cluster:
-            rows = np.flatnonzero(serving == a)
-            if rows.size:
-                signal[rows] = self._received(a, served[rows], cluster)
-        interference = np.maximum(self.total[served] - signal, 0.0)
-        sinr = signal / (interference + self.noise_watts)
-        return np.count_nonzero(sinr >= gamma_lin, axis=1)
+        own = self.gains[served[:, None], cluster]
+        logs = self.log_products[served[:, None], cluster]
+        terms = np.empty_like(own)
+        # One term j at a time, so that no temporary exceeds U x F.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(cluster.size):
+                g = own[:, j, None]
+                new = np.isnan(logs[:, j])
+                logs[new, j] = np.log1p(self.theta * self.gains[served[new]] / g[new]).sum(1)
+                weights = g / (g - own)
+                weights[:, j] = 1.0
+                terms[:, j] = weights.prod(axis=1) * np.exp(
+                    np.log1p(self.theta * own / g).sum(axis=1)
+                    - logs[:, j] - self.theta * self.noise_watts / own[:, j]
+                )
+        self.log_products[served[:, None], cluster] = logs
+        p = terms.sum(axis=1)
+        # NaN and infinite sums (tied gains) fail the test as well.
+        cancel = ~((np.abs(terms).sum(axis=1) <= self.cancellation_limit * p) & (p <= 1.0))
+        if cancel.any():
+            others = np.delete(self.gains[served[cancel]], cluster, axis=1)
+            p[cancel] = _phase_type_success(own[cancel], others, self.theta, self.noise_watts)
+        return p
 
 
-def successful_access_probability(
-    cluster,
-    topology: NetworkTopology,
-    budget: LinkBudget,
-    fue_positions,
-    mc_trials: int,
-    rng: np.random.Generator,
-    gamma_th_db: float | None = None,
-) -> float:
-    """Monte-Carlo probability that a cluster-served F-UE reaches the SINR
-    threshold under Rayleigh fading, with joint (summed-power) transmission
-    from all cluster F-APs and every out-of-cluster F-AP acting as an
-    interferer.
-
-    Averaged over the given served F-UE positions; 0.0 if none are served.
-    The positions form one group of a FadeTable, served by the cluster.
+def _phase_type_success(own, others, theta: float, noise: float) -> np.ndarray:
+    """AccessTable's p for each row of signal gains `own` and interferer
+    gains `others` in the bidiagonal-matrix (Opitz) form of the divided
+    difference the partial fractions expand, exact also for tied gains:
+    S runs through phases j = 0, 1, ... at rates 1/g_j (sub-generator
+    T[j, j] = -1/g_j, T[j, j + 1] = 1/g_j), p = e_0 expm(theta N T)
+    prod_k (I - theta g_k T)^-1 1. Each factor moves nonnegative mass along
+    the phases or out of the last (S fell short), so nothing cancels. p is
+    the mass kept where that is at most 1/2, else one minus the mass lost:
+    neither sum can round out of [0, 1].
     """
-    cluster = sorted(cluster)
-    if not cluster:
-        raise ValueError("cluster must be nonempty")
-    if mc_trials < 1:
-        raise ValueError("mc_trials must be at least 1")
-    fue_positions = np.asarray(fue_positions, dtype=float).reshape(-1, 2)
-    if fue_positions.shape[0] == 0:
-        return 0.0
-    gamma_lin = db_to_linear(
-        budget.sinr_threshold_db if gamma_th_db is None else gamma_th_db
-    )
-    table = FadeTable(
-        topology.faps.positions,
-        fue_positions,
-        budget,
-        mc_trials,
-        int(rng.integers(0, 2**63)),
-        serving=np.full(fue_positions.shape[0], cluster[0]),
-    )
-    return float(np.mean(table.success_counts(cluster, gamma_lin))) / mc_trials
+    mass = np.zeros_like(own)
+    mass[:, 0] = 1.0
+    lost = np.zeros(own.shape[0])
+    for gain in theta * others.T:  # an interferer's Exp(1) fade, averaged out
+        move = gain[:, None] / own
+        carry = 0.0
+        for j in range(own.shape[1]):
+            mass[:, j] = (mass[:, j] + carry) / (1.0 + move[:, j])
+            carry = mass[:, j] * move[:, j]
+        lost += carry
+    # The noise: time theta N, uniformized at rate q <= 500 per step (exp(-q)
+    # does not underflow), Poisson weights cut where the tail is below 1e-20.
+    rates = theta * noise / own
+    steps = max(1, math.ceil(rates.max() / 500.0))
+    q = rates.max() / steps
+    jump = rates / rates.max() if q > 0 else rates
+    count = math.ceil(q + 10.0 * math.sqrt(q) + 20.0)
+    weights = math.exp(-q) * np.cumprod(np.r_[1.0, q / np.arange(1.0, count)])
+    later = np.cumsum(weights[::-1])[::-1][1:]  # P(at least m events), m >= 1
+    for _ in range(steps):
+        term, mass = mass, weights[0] * mass
+        for weight, reached in zip(weights[1:], later):
+            moved = term * jump
+            lost += reached * moved[:, -1]
+            term = term - moved
+            term[:, 1:] += moved[:, :-1]
+            mass = mass + weight * term
+    kept = mass.sum(axis=1)
+    return np.where(kept <= 0.5, kept, 1.0 - lost)
 
 
 def cluster_power(cluster_size: int, params: ClusterUtilityParams) -> float:
@@ -174,19 +174,20 @@ def cluster_power(cluster_size: int, params: ClusterUtilityParams) -> float:
     )
 
 
-def served_fue_indices(cluster, table: FadeTable) -> np.ndarray:
+def served_fue_indices(cluster, table: AccessTable) -> np.ndarray:
     """F-UEs of the table whose serving F-AP lies in the cluster."""
     in_cluster = np.zeros(table.gains.shape[1], dtype=bool)
     in_cluster[list(cluster)] = True
     return np.flatnonzero(in_cluster[table.serving])
 
 
-def cluster_utility(cluster, params: ClusterUtilityParams, table: FadeTable) -> float:
-    """u(C) = R(C) / P(C)^tau with R = success prob x log2(1+gamma) x served,
-    scored on the table's common fades."""
-    gamma_lin = db_to_linear(params.gamma_th_db)
-    successes = int(np.sum(table.success_counts(cluster, gamma_lin)))
-    reward = successes / table.trials * math.log2(1.0 + gamma_lin)
+def cluster_utility(cluster, params: ClusterUtilityParams, table: AccessTable) -> float:
+    """u(C) = R(C) / P(C)^tau with R = log2(1 + theta) x the success
+    probabilities of the served F-UEs summed: the Monte-Carlo rate's limit
+    as the trials grow."""
+    if table.theta != db_to_linear(params.gamma_th_db):
+        raise ValueError("table threshold differs from params.gamma_th_db")
+    reward = float(np.sum(table.success_probabilities(cluster))) * math.log2(1.0 + table.theta)
     return reward / cluster_power(len(cluster), params) ** params.tau
 
 
@@ -208,7 +209,6 @@ def merge_and_split(
     topology: NetworkTopology,
     params: ClusterUtilityParams,
     budget: LinkBudget,
-    rng: np.random.Generator,
     utility_fn=None,
 ) -> CoalitionPartition:
     """Merge-and-split coalition formation over the F-AP set.
@@ -219,19 +219,17 @@ def merge_and_split(
     bipartitions are scanned in deterministic order. In tree topology only
     blocks inducing connected adjacency subgraphs are allowed.
 
-    utility_fn, when given, replaces the Monte-Carlo cluster utility; it is
-    called with a sorted tuple of F-AP indices and must be deterministic.
-    The default scores every block on one FadeTable drawn from rng, so all
-    utilities share common random numbers. Each distinct block is
-    evaluated once.
+    utility_fn, when given, replaces the cluster utility; it is called with
+    a sorted tuple of F-AP indices and must be deterministic. The default
+    scores every block on one AccessTable of the topology's F-UEs. Each
+    distinct block is evaluated once.
     """
     n = len(topology.faps)
     if n < 1:
         raise ValueError("at least one F-AP required")
     if utility_fn is None:
-        table = FadeTable(
-            topology.faps.positions, topology.fues.positions, budget,
-            params.mc_trials, int(rng.integers(0, 2**63)),
+        table = AccessTable.from_positions(
+            topology.faps.positions, topology.fues.positions, budget, params.gamma_th_db
         )
 
         def utility_fn(block: tuple) -> float:

@@ -140,7 +140,6 @@ class ScenarioConfig:
     p_hpn: float = 20.0
     sleep_power_fraction: float = 0.1
     mc_trials: int = 2000
-    cluster_mc_trials: int = 500
     # Traffic
     requests_per_fue: int = 5
     warmup_requests: int = 3  # per F-UE, primes caches before accounting
@@ -170,8 +169,16 @@ class ScenarioConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in (
+            "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
+            "noise_power_dbm", "gamma_th_db", "d2d_k_factor_db",  # None: Rayleigh
+        ):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must be finite")
+        if not self.p_static + self.p_tx > 0:  # a single F-AP's cluster power
+            raise ValueError("p_static + p_tx must be positive")
+        for name in (
             "catalog_items", "fue_cache_capacity", "fap_cache_capacity", "n_subchannels",
-            "mc_trials", "cluster_mc_trials", "iq_expansion_factor",
+            "mc_trials", "iq_expansion_factor",
         ):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -608,11 +615,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         p_static=config.p_static,
         p_tx=config.p_tx,
         p_coord=config.p_coord,
-        mc_trials=config.cluster_mc_trials,
     )
-    partition = merge_and_split(
-        topology, params, budget, derive_rng(config.master_seed, "clustering")
-    )
+    partition = merge_and_split(topology, params, budget)
     report.mean_cluster_size = float(np.mean(partition.block_sizes()))
 
     # D2D subchannel scheduling and the cellular victim's success.

@@ -8,8 +8,8 @@ script is the only writer of digests.json:
     PYTHONPATH=src python tests/golden/record.py
 
 A change meant to keep outputs byte-identical must leave digests.json as it
-is. A change that alters random streams reruns this script and lists every
-case whose digest moved.
+is. A change that alters random streams reruns this script, which prints
+every case whose digest moved (old -> new) and the count left unchanged.
 """
 
 from __future__ import annotations
@@ -44,9 +44,14 @@ def digest(report) -> str:
 
 
 def main() -> None:
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {name: digest(run_scenario(load_case(name))) for name in case_names()}
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(digests)} digests in {DIGESTS}")
+    moved = [name for name in digests if old.get(name) != digests[name]]
+    for name in moved:
+        print(f"moved {name}: {old.get(name, 'new case')} -> {digests[name]}")
+    print(f"recorded {len(digests)} digests in {DIGESTS}: {len(moved)} moved, "
+          f"{len(digests) - len(moved)} unchanged")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from frangine.coordination import (
     make_d2d_links,
     merge_and_split,
     sffr_allocate,
-    successful_access_probability,
 )
 from frangine.geometry import (
     FapTopology,
@@ -41,6 +40,7 @@ from frangine.geometry import (
 from frangine.metrics_sim import spatial_average_rate
 from frangine.mode_select import Mode, ModeThresholds, Qos, UeContext, select_mode
 from frangine.rng import derive_rng
+from mc_oracle import successful_access_probability
 
 Z99 = 2.5758293035489004
 BUDGET = LinkBudget()
@@ -329,7 +329,7 @@ def test_acceptance_4_merge_and_split(passline):
     t0 = time.perf_counter()
     # (a) Stability versus exhaustive partition enumeration (Bell numbers
     # stay tiny for n <= 6) on 50 random utility instances.
-    params = ClusterUtilityParams(mc_trials=10)
+    params = ClusterUtilityParams()
     rng = np.random.default_rng(101)
     for case in range(50):
         n = int(rng.integers(1, 7))
@@ -343,7 +343,7 @@ def test_acceptance_4_merge_and_split(passline):
                 table[key] = float(rng.uniform(0, 1)) * len(key)
             return table[key]
 
-        result = merge_and_split(topo, params, BUDGET, derive_rng(case), utility_fn=utility)
+        result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
         blocks = [list(b) for b in result.blocks]
         assert sorted(x for b in blocks for x in b) == list(range(n))
         assert _is_merge_split_stable(blocks, utility), (case, blocks)
@@ -357,10 +357,7 @@ def test_acceptance_4_merge_and_split(passline):
             if len(topo.faps) == 0:
                 continue
             result = merge_and_split(
-                topo,
-                ClusterUtilityParams(tau=tau, gamma_th_db=0.0, mc_trials=300),
-                BUDGET,
-                derive_rng(seed, "tau-sweep"),
+                topo, ClusterUtilityParams(tau=tau, gamma_th_db=0.0), BUDGET
             )
             sizes.append(float(np.mean(result.block_sizes())))
         mean_sizes[tau] = float(np.mean(sizes))
@@ -515,7 +512,7 @@ def test_acceptance_7_determinism(tmp_path, passline):
     config.write_text(
         "[geometry]\nregion_width = 600.0\nregion_height = 600.0\n"
         "lambda_fap = 2e-5\nlambda_fue = 8e-5\n\n"
-        "[coordination]\nmc_trials = 500\ncluster_mc_trials = 100\n\n"
+        "[coordination]\nmc_trials = 500\n\n"
         "[run]\nmaster_seed = 7\n"
     )
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -23,7 +23,6 @@ lambda_fue = 8e-5
 
 [coordination]
 mc_trials = 300
-cluster_mc_trials = 50
 
 [traffic]
 requests_per_fue = 3
@@ -145,7 +144,16 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("mode", "fap_capacity", "-1"),
         ("traffic", "iq_expansion_factor", "nan"),
         ("coordination", "mc_trials", "0"),
-        ("coordination", "cluster_mc_trials", "0"),
+        ("channel", "noise_power_dbm", "nan"),
+        ("channel", "noise_power_dbm", "inf"),
+        ("geometry", "region_width", "inf"),
+        ("geometry", "region_height", "inf"),
+        ("geometry", "lambda_m", "inf"),
+        ("geometry", "lambda_fap", "inf"),
+        ("geometry", "lambda_fue", "inf"),
+        ("channel", "gamma_th_db", "nan"),
+        ("channel", "gamma_th_db", "inf"),
+        ("channel", "d2d_k_factor_db", "nan"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
@@ -162,6 +170,8 @@ def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
         ("mode", "high_qos_fraction", "1.01"),
         ("coordination", "eta", "0.5"),
         ("coordination", "n_resource_blocks", "16"),
+        ("coordination", "cluster_mc_trials", "0"),
+        ("coordination", "cluster_mc_trials", "100"),
     ],
 )
 def test_removed_key_exit_two(tmp_path, capsys, section, key, value):
@@ -169,6 +179,17 @@ def test_removed_key_exit_two(tmp_path, capsys, section, key, value):
     path.write_text(f"[{section}]\n{key} = {value}\n")
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_zero_single_fap_power_exit_two(tmp_path, capsys):
+    # A lone F-AP's cluster power is p_static + p_tx; zero would divide by 0.
+    path = tmp_path / "zero_power.ini"
+    path.write_text("[coordination]\np_static = 0\np_tx = 0\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "p_static" in err and "p_tx" in err
+    path.write_text("[coordination]\np_static = 0\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
 def test_zero_payload_and_speed_stay_legal(tmp_path):
@@ -254,4 +275,22 @@ def test_sweep_bad_grid_value_exit_two_before_any_point(
     assert code == EXIT_CONFIG
     assert param in capsys.readouterr().err
     assert runs == []
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--param", "bandwidth", "--grid", "1,2"],
+        ["sweep", "--param", "epsilon", "--grid", "0.5,x"],
+        ["sweep", "--param", "epsilon", "--grid", ","],
+        ["run", "--trials", "0"],
+        ["compare-arch", "--trials", "0"],
+    ],
+    ids=["unknown-param", "unparsable-grid", "empty-grid", "run-trials", "compare-arch-trials"],
+)
+def test_rejected_command_leaves_no_output_directory(tmp_path, fast_config, argv):
+    out = tmp_path / "out"
+    command, *rest = argv
+    assert main([command, "--config", fast_config, "--out", str(out), *rest]) == EXIT_CONFIG
+    assert not out.exists()

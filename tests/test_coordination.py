@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget, path_gain
+from frangine.channel import LinkBudget, db_to_linear, path_gain
 from frangine.coordination import (
+    AccessTable,
     ClusterUtilityParams,
-    FadeTable,
     SffrUe,
     cellular_success_probability,
     cluster_power,
@@ -19,7 +20,6 @@ from frangine.coordination import (
     round_half_away,
     served_fue_indices,
     sffr_allocate,
-    successful_access_probability,
 )
 from frangine.geometry import (
     FapTopology,
@@ -29,8 +29,10 @@ from frangine.geometry import (
     Region,
     adjacency_is_connected,
     build_fap_adjacency,
+    pairwise_distances,
 )
 from frangine.rng import derive_rng
+from mc_oracle import FadeTable, successful_access_probability
 
 
 def make_topology(fap_positions, fue_positions=(), hpn_positions=((500.0, 500.0),),
@@ -82,33 +84,55 @@ def test_success_probability_empty_served_set():
     assert successful_access_probability([0], topo, BUDGET, [], 10, derive_rng(3)) == 0.0
 
 
+def _reference_probability(mp, gains, cluster, theta, noise):
+    """p(C) by partial fractions in 120-digit arithmetic. Tied gains are
+    pulled apart by 1e-30 relative, which moves p by about as much; three
+    tied gains cancel about 60 digits."""
+    own = [mp.mpf(gains[j]) * (1 + mp.mpf(10) ** -30 * m) for m, j in enumerate(cluster)]
+    others = [mp.mpf(gains[k]) for k in range(len(gains)) if k not in cluster]
+    p = mp.mpf(0)
+    for j, gj in enumerate(own):
+        term = mp.exp(-mp.mpf(theta) * mp.mpf(noise) / gj)
+        for i, gi in enumerate(own):
+            if i != j:
+                term *= gj / (gj - gi)
+        for gk in others:
+            term /= 1 + mp.mpf(theta) * gk / gj
+        p += term
+    return float(p)
+
+
 def test_cluster_utility_recomputation_oracle():
+    mp = pytest.importorskip("mpmath")
     topo = make_topology(
         [[400, 500], [600, 500], [500, 700]],
         fue_positions=[[405, 500], [610, 500], [500, 710]],
     )
-    params = ClusterUtilityParams(tau=1.0, gamma_th_db=0.0, mc_trials=500)
+    params = ClusterUtilityParams(tau=1.0, gamma_th_db=0.0)
+    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET, 0.0)
     cluster = [0, 1]
-    served = topo.fues.positions[[0, 1]]
-    # The table successful_access_probability builds from derive_rng(4, "u"):
-    # the served positions as one group of the cluster's first F-AP.
-    seed = int(derive_rng(4, "u").integers(0, 2**63))
-    table = FadeTable(topo.faps.positions, served, BUDGET, 500, seed, serving=[0, 0])
     u = cluster_utility(cluster, params, table)
-    # Recompute from the pieces with an identically derived stream.
-    prob = successful_access_probability(
-        cluster, topo, BUDGET, served, 500, derive_rng(4, "u"), gamma_th_db=0.0,
-    )
-    expected = prob * math.log2(2.0) * 2 / cluster_power(2, params) ** 1.0
+    # Recompute from the pieces: F-UEs 0 and 1 are served by the cluster.
+    dists = pairwise_distances(topo.fues.positions, topo.faps.positions)
+    gains = BUDGET.tx_watts(NodeKind.FAP) * path_gain(dists, BUDGET)
+    with mp.workdps(120):
+        probs = [
+            _reference_probability(mp, gains[f], cluster, 1.0, BUDGET.noise_watts)
+            for f in (0, 1)
+        ]
+    assert table.success_probabilities(cluster) == pytest.approx(probs, rel=1e-12)
+    expected = sum(probs) * math.log2(2.0) / cluster_power(2, params) ** 1.0
     assert u == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match="threshold"):
+        cluster_utility(cluster, ClusterUtilityParams(gamma_th_db=3.0), table)
 
 
 def test_utility_decreasing_in_tau_for_power_above_one():
     topo = make_topology([[400, 500], [600, 500]], fue_positions=[[405, 500]])
-    table = FadeTable(topo.faps.positions, topo.fues.positions, BUDGET, 300, 5)
+    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET, 0.0)
     values = []
     for tau in (0.1, 1.0, 10.0):
-        params = ClusterUtilityParams(tau=tau, gamma_th_db=0.0, mc_trials=300)
+        params = ClusterUtilityParams(tau=tau, gamma_th_db=0.0)
         values.append(cluster_utility([0, 1], params, table))
     assert cluster_power(2, ClusterUtilityParams()) > 1.0
     assert values[0] > values[1] > values[2]
@@ -119,6 +143,71 @@ FOUR_FAPS = [[300, 300], [700, 300], [300, 700], [700, 700]]
 
 def _nonempty_blocks(n):
     return [b for r in range(1, n + 1) for b in itertools.combinations(range(n), r)]
+
+
+def test_success_probabilities_match_mpmath_reference():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    kinds = {"random": 0, "near tie": 0, "exact tie": 0}
+    for case in range(240):
+        n_faps = int(rng.integers(2, 10))
+        size = int(rng.integers(2, min(n_faps, 6) + 1))
+        gains = 10.0 ** rng.uniform(-14, -9, size=n_faps)
+        kind = list(kinds)[case % 3]
+        if kind == "near tie":
+            gains[1] = gains[0] * (1 + 1e-9)
+        elif kind == "exact tie":
+            gains[1:min(size, 3)] = gains[0]
+        theta = db_to_linear(float(rng.uniform(-10, 15)))
+        cluster = tuple(range(size))
+        table = AccessTable(gains[None, :], [0], BUDGET.noise_watts, theta)
+        (p,) = table.success_probabilities(cluster)
+        with mp.workdps(120):
+            expected = _reference_probability(mp, gains, cluster, theta, BUDGET.noise_watts)
+        assert 0.0 <= p <= 1.0
+        assert abs(p - expected) < 1e-9, (case, kind, p, expected)
+        kinds[kind] += 0.0 < expected < 1.0
+    assert min(kinds.values()) >= 60  # every kind met away from 0 and 1
+
+
+def test_success_probability_erlang_two_at_midpoint():
+    # The F-UE is 100 m from both cluster F-APs, so the signal is g times an
+    # Erlang(2, 1) variable: P(S > x) = exp(-x/g) (1 + x/g), averaged over
+    # the interference I: E[exp(-s I)] = prod 1/(1 + s g_k) and
+    # E[I exp(-s I)] = that product times sum g_k/(1 + s g_k), at s = theta/g.
+    faps = [[400, 500], [600, 500], [500, 800], [150, 250]]
+    fue = [[500, 500]]
+    gains = (BUDGET.tx_watts(NodeKind.FAP)
+             * path_gain(pairwise_distances(fue, faps), BUDGET))[0]
+    assert gains[0] == gains[1]
+    noise = BUDGET.noise_watts
+    for gamma_db in (-10.0, 0.0, 10.0):
+        theta = db_to_linear(gamma_db)
+        table = AccessTable.from_positions(faps, fue, BUDGET, gamma_db)
+        s = theta / gains[0]
+        laplace = 1.0 / ((1 + s * gains[2]) * (1 + s * gains[3]))
+        mean_term = gains[2] / (1 + s * gains[2]) + gains[3] / (1 + s * gains[3])
+        expected = math.exp(-s * noise) * laplace * (1 + s * noise + s * mean_term)
+        (p,) = table.success_probabilities((0, 1))
+        assert p == pytest.approx(expected, rel=1e-12)
+
+
+def test_success_probabilities_agree_with_monte_carlo_oracle():
+    fues = np.random.default_rng(22).uniform(100, 900, size=(16, 2))
+    trials = 20_000
+    oracle = FadeTable(FOUR_FAPS, fues, BUDGET, trials, 23)
+    worst = 0.0
+    for gamma_db in (-5.0, 5.0):
+        table = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET, gamma_db)
+        for block in _nonempty_blocks(4):
+            p = table.success_probabilities(block)
+            successes = oracle.success_counts(block, db_to_linear(gamma_db))
+            variance = trials * float(np.sum(p * (1 - p)))
+            assert variance > 0
+            z = (float(np.sum(successes)) - trials * float(np.sum(p))) / math.sqrt(variance)
+            worst = max(worst, abs(z))
+    # 30 z-scores; |z| > 4.5 has probability below 1e-4 for all of them.
+    assert worst < 4.5, worst
 
 
 def test_fade_table_matches_slice_sum_oracle():
@@ -159,42 +248,41 @@ def test_fade_table_matches_slice_sum_oracle():
 
 def test_cluster_utilities_do_not_depend_on_evaluation_order():
     fues = np.random.default_rng(13).uniform(100, 900, size=(20, 2))
-    params = ClusterUtilityParams(mc_trials=200)
+    params = ClusterUtilityParams()
     blocks = _nonempty_blocks(4)
-    first = FadeTable(FOUR_FAPS, fues, BUDGET, 200, 5)
+    first = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET, 0.0)
     forward = [cluster_utility(b, params, first) for b in blocks]
     again = [cluster_utility(b, params, first) for b in reversed(blocks)][::-1]
-    fresh = FadeTable(FOUR_FAPS, fues, BUDGET, 200, 5)
+    fresh = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET, 0.0)
     backward = [cluster_utility(b, params, fresh) for b in reversed(blocks)][::-1]
     assert forward == again == backward
     assert len(set(forward)) > 1
 
 
-def _held_bytes(value):
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return sum(_held_bytes(v) for v in value)
-    return 0
-
-
-def test_fade_table_holds_no_fade_tensor():
-    n_fues, n_faps, trials = 60, 12, 300
+def test_access_table_builds_no_gain_tensor():
+    n_fues, n_faps = 300, 60
     rng = np.random.default_rng(14)
-    faps = rng.uniform(0, 1000, size=(n_faps, 2))
-    fues = rng.uniform(0, 1000, size=(n_fues, 2))
-    table = FadeTable(faps, fues, BUDGET, trials, 7)
-    held = sum(_held_bytes(v) for v in vars(table).values())
-    # Totals and mean gains, plus the serving index and a little slack; the
-    # (U, T, F) fade tensor alone would be 8 * n_fues * trials * n_faps.
-    assert held <= 8 * n_fues * (trials + n_faps) + 8 * n_fues + 1024
+    faps = rng.uniform(0, 2000, size=(n_faps, 2))
+    fues = rng.uniform(0, 2000, size=(n_fues, 2))
+    tracemalloc.start()
+    try:
+        table = AccessTable.from_positions(faps, fues, BUDGET, 0.0)
+        for block in [tuple(range(n_faps))] + [(a,) for a in range(n_faps)]:
+            table.success_probabilities(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not np.isnan(table.log_products).any()  # every (F-UE, F-AP) pair filled
+    held = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+    assert held == 8 * n_fues * (2 * n_faps + 1)  # gains, log products, serving
+    # Temporaries stay a few U x F arrays; the (U, F, F) tensor alone would
+    # be 8 * n_fues * n_faps**2 = 8.6 MB.
+    assert peak < 8 * n_fues * n_faps * 16
 
 
 def test_merge_and_split_single_fap():
     topo = make_topology([[500, 500]])
-    result = merge_and_split(topo, ClusterUtilityParams(mc_trials=10), BUDGET, derive_rng(6))
+    result = merge_and_split(topo, ClusterUtilityParams(), BUDGET)
     assert result.blocks == [(0,)]
 
 
@@ -237,21 +325,17 @@ def _is_stable(blocks, utility, allowed):
 
 def test_two_faps_merge_iff_union_improves():
     topo = make_topology([[400, 500], [600, 500]])
-    params = ClusterUtilityParams(mc_trials=10)
+    params = ClusterUtilityParams()
     merging = {(0,): 1.0, (1,): 1.0, (0, 1): 2.5}
-    result = merge_and_split(
-        topo, params, BUDGET, derive_rng(7), utility_fn=lambda b: merging[b]
-    )
+    result = merge_and_split(topo, params, BUDGET, utility_fn=lambda b: merging[b])
     assert result.blocks == [(0, 1)]
     staying = {(0,): 1.0, (1,): 1.0, (0, 1): 1.9}
-    result = merge_and_split(
-        topo, params, BUDGET, derive_rng(7), utility_fn=lambda b: staying[b]
-    )
+    result = merge_and_split(topo, params, BUDGET, utility_fn=lambda b: staying[b])
     assert result.blocks == [(0,), (1,)]
 
 
 def test_merge_and_split_stable_against_bell_enumeration():
-    params = ClusterUtilityParams(mc_trials=10)
+    params = ClusterUtilityParams()
     rng = np.random.default_rng(101)
     for case in range(50):
         n = int(rng.integers(1, 7))
@@ -265,7 +349,7 @@ def test_merge_and_split_stable_against_bell_enumeration():
                 table[key] = float(rng.uniform(0, 1)) * len(key)
             return table[key]
 
-        result = merge_and_split(topo, params, BUDGET, derive_rng(case), utility_fn=utility)
+        result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
         blocks = [list(b) for b in result.blocks]
         # Valid partition.
         flat = sorted(x for b in blocks for x in b)
@@ -278,7 +362,7 @@ def test_merge_and_split_stable_against_bell_enumeration():
 
 
 def test_tree_topology_blocks_stay_connected():
-    params = ClusterUtilityParams(mc_trials=10)
+    params = ClusterUtilityParams()
     rng = np.random.default_rng(55)
     for case in range(10):
         n = int(rng.integers(2, 7))
@@ -292,7 +376,7 @@ def test_tree_topology_blocks_stay_connected():
                 table[key] = float(rng.uniform(0, 2)) * len(key)
             return table[key]
 
-        result = merge_and_split(topo, params, BUDGET, derive_rng(case), utility_fn=utility)
+        result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
         for block in result.blocks:
             assert adjacency_is_connected(topo.fap_adjacency, list(block))
 

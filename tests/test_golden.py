@@ -133,7 +133,6 @@ BITES = {
     "p_hpn": ("default", 40.0),
     "sleep_power_fraction": ("sparse_fues", 0.5),
     "mc_trials": ("default", 300),
-    "cluster_mc_trials": ("sparse_fues", 100),
     "requests_per_fue": ("default", 6),
     "warmup_requests": ("default", 0),
     "payload_bits": ("default", 2e6),

@@ -30,7 +30,6 @@ FAST = ScenarioConfig(
     lambda_fap=2e-5,
     lambda_fue=8e-5,
     mc_trials=300,
-    cluster_mc_trials=50,
     requests_per_fue=3,
     warmup_requests=2,
     master_seed=11,
