@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class ContentCatalog:
         ranks = np.arange(1, self.n_items + 1, dtype=float)
         weights = ranks ** (-self.zipf_exponent)
         return weights / weights.sum()
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative popularity, normalized as `Generator.choice` does."""
+        cdf = self.popularity().cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
 
 class EdgeCache:
@@ -98,12 +106,13 @@ class EdgeCache:
 def zipf_stream(
     catalog: ContentCatalog, length: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """i.i.d. content ids drawn from the catalog's Zipf popularity."""
+    """i.i.d. content ids drawn from the catalog's Zipf popularity: by
+    inverse CDF, the same draws as `rng.choice(n_items, length, p=...)`."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
         return np.empty(0, dtype=np.int64)
-    return rng.choice(catalog.n_items, size=length, p=catalog.popularity())
+    return catalog.cdf.searchsorted(rng.random(length), side="right")
 
 
 def content_available(

@@ -205,6 +205,34 @@ def _bipartitions(block):
             yield tuple(left), tuple(right)
 
 
+def _tree_cuts(block, neighbors):
+    """The two-part splits of `block` into connected parts, when `block`
+    induces a subtree of a tree whose adjacency lists are `neighbors`: one
+    split per edge of the subtree, as `_bipartitions` yields them and in
+    its order."""
+    block = sorted(block)
+    inside = set(block)
+    bit = {v: 1 << i for i, v in enumerate(block[1:])}
+    # Walk the subtree from its smallest F-AP; the edge into v cuts off
+    # v's subtree, so the left part's mask is all of `bit` but that subtree.
+    parent = {block[0]: None}
+    order = [block[0]]
+    for v in order:
+        for w in neighbors[v]:
+            if w in inside and w not in parent:
+                parent[w] = v
+                order.append(w)
+    below = {v: bit.get(v, 0) for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    full = (1 << (len(block) - 1)) - 1
+    cuts = []
+    for mask in sorted(full ^ below[v] for v in order[1:]):
+        left = (block[0],) + tuple(v for v in block[1:] if mask & bit[v])
+        cuts.append((left, tuple(v for v in block[1:] if not mask & bit[v])))
+    return cuts
+
+
 def merge_and_split(
     topology: NetworkTopology,
     params: ClusterUtilityParams,
@@ -217,7 +245,9 @@ def merge_and_split(
     strictly exceeds the sum of their utilities; split a block into a
     bipartition when the part utilities strictly beat the whole. Pairs and
     bipartitions are scanned in deterministic order. In tree topology only
-    blocks inducing connected adjacency subgraphs are allowed.
+    blocks inducing connected adjacency subgraphs are allowed, so a block's
+    split candidates are its subtree's edge cuts (`_tree_cuts`), scanned in
+    the order of the full bipartition scan that they are filtered from.
 
     utility_fn, when given, replaces the cluster utility; it is called with
     a sorted tuple of F-AP indices and must be deterministic. The default
@@ -243,10 +273,11 @@ def merge_and_split(
             cache[key] = utility_fn(tuple(sorted(block)))
         return cache[key]
 
-    def allowed(block) -> bool:
-        if topology.fap_link_topology is FapTopology.TREE:
-            return adjacency_is_connected(topology.fap_adjacency, list(block))
-        return True
+    tree = topology.fap_link_topology is FapTopology.TREE
+    neighbors = {i: [] for i in range(n)}
+    for i, j in topology.fap_adjacency:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
 
     blocks = [(i,) for i in range(n)]
     changed = True
@@ -258,7 +289,7 @@ def merge_and_split(
         for a in range(len(blocks)):
             for b in range(a + 1, len(blocks)):
                 union = tuple(sorted(blocks[a] + blocks[b]))
-                if not allowed(union):
+                if tree and not adjacency_is_connected(topology.fap_adjacency, union):
                     continue
                 if utility(union) > utility(blocks[a]) + utility(blocks[b]):
                     merged = (a, b, union)
@@ -276,9 +307,8 @@ def merge_and_split(
         for k, block in enumerate(blocks):
             if len(block) < 2:
                 continue
-            for left, right in _bipartitions(block):
-                if not (allowed(left) and allowed(right)):
-                    continue
+            candidates = _tree_cuts(block, neighbors) if tree else _bipartitions(block)
+            for left, right in candidates:
                 if utility(left) + utility(right) > utility(block):
                     split = (k, left, right)
                     break

@@ -159,6 +159,21 @@ def test_zipf_s1_rank_ratio():
     assert abs(counts[0] / counts[1] - 2.0) < 0.1  # p(1)/p(2) = 2 within 5%
 
 
+def test_zipf_stream_equals_generator_choice():
+    """The cached-CDF draw is `Generator.choice` with p, bit for bit and
+    dtype included, and leaves the generator in the same state."""
+    for n_items, s in ((1, 0.8), (10, 0.0), (100, 0.8), (200, 1.0)):
+        catalog = ContentCatalog(n_items, zipf_exponent=s)
+        for seed in range(50):
+            for length in (1, 7, 1000):
+                ours, theirs = derive_rng(seed, "zipf"), derive_rng(seed, "zipf")
+                draws = zipf_stream(catalog, length, ours)
+                expected = theirs.choice(n_items, size=length, p=catalog.popularity())
+                assert draws.dtype == expected.dtype
+                assert np.array_equal(draws, expected)
+                assert ours.random() == theirs.random()
+
+
 def test_zipf_empty_stream():
     catalog = ContentCatalog(10)
     assert zipf_stream(catalog, 0, derive_rng(7)).size == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from frangine.coordination import (
     AccessTable,
     ClusterUtilityParams,
     SffrUe,
+    _bipartitions,
+    _tree_cuts,
     cellular_success_probability,
     cluster_power,
     cluster_utility,
@@ -31,6 +34,7 @@ from frangine.geometry import (
     build_fap_adjacency,
     pairwise_distances,
 )
+from frangine.metrics_sim import ScenarioConfig, run_scenario
 from frangine.rng import derive_rng
 from mc_oracle import FadeTable, successful_access_probability
 
@@ -379,6 +383,49 @@ def test_tree_topology_blocks_stay_connected():
         result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
         for block in result.blocks:
             assert adjacency_is_connected(topo.fap_adjacency, list(block))
+
+
+def test_tree_cuts_equal_connected_bipartitions():
+    """Oracle: a subtree's edge cuts are exactly the bipartitions into two
+    connected parts, in the full scan's order."""
+    rng = np.random.default_rng(77)
+    for case in range(300):
+        n = int(rng.integers(2, 13))
+        label = rng.permutation(n)
+        edges = {
+            tuple(sorted((int(label[i]), int(label[rng.integers(i)])))) for i in range(1, n)
+        }
+        neighbors = {i: [] for i in range(n)}
+        for i, j in edges:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        # A random connected block of 2..n F-APs, grown from a random F-AP.
+        block = {int(rng.integers(n))}
+        for _ in range(int(rng.integers(1, n))):
+            block.add(int(rng.choice(sorted({w for v in block for w in neighbors[v]}))))
+        expected = [
+            (left, right) for left, right in _bipartitions(block)
+            if adjacency_is_connected(edges, left) and adjacency_is_connected(edges, right)
+        ]
+        assert _tree_cuts(block, neighbors) == expected
+        assert len(expected) == len(block) - 1
+
+
+def test_small_tau_tree_run_finishes():
+    """tau -> 0 favours the grand coalition of a 2 km tree's 41 F-APs; its
+    split scan must not walk all 2^40 bipartitions."""
+
+    def expire(signum, frame):
+        raise TimeoutError("2 km tree at tau = 0.01 ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        report = run_scenario(ScenarioConfig(region_width=2000.0, region_height=2000.0, tau=0.01))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report.mean_cluster_size == report.n_faps == 41
 
 
 def test_round_half_away():
