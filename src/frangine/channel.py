@@ -1,9 +1,12 @@
 """Link budget and small-scale fading.
 
 All fading sample distributions are normalized to unit mean power, so the
-link budget alone sets mean received power. Rayleigh is realized as the
-K = 0 special case of Rician (same underlying Gaussian draws), which keeps
-matched-seed comparisons across K factors tightly paired.
+link budget alone sets mean received power. A signal fade realizes Rayleigh
+as the K = 0 special case of Rician (same underlying Gaussian draws), which
+keeps matched-seed comparisons across K factors tightly paired. The
+interferer field of `metrics_sim.spatial_average_rate` does not call
+`fading_sample`: its Rayleigh power fades are Exp(1) by inverse CDF,
+-log1p(-u), from the uniforms that place the interferers.
 """
 
 from __future__ import annotations

@@ -69,6 +69,11 @@ from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
+# Most interferers `spatial_average_rate` draws at once. It bounds memory and
+# changes no output bit: interferer k always reads doubles 3k..3k+2 of the
+# stream, and each trial's interference is summed in draw order.
+CHUNK = 65536
+
 # Draws shared by the points of one `sweep` call, one per draw site (see
 # `_shared_draw`); None outside a sweep. A context variable, so concurrent
 # or nested sweeps never see each other's draws.
@@ -341,6 +346,10 @@ def spatial_average_rate(
 
     Per trial: the signal link fades per `fading`; co-channel interferers
     are a fresh PPP of D2D transmitters (Rayleigh faded) over the region.
+    The field is drawn in chunks of whole trials holding at most `CHUNK`
+    interferers (a larger trial is a chunk of its own), each from one
+    uniform draw of three columns: x, y, and the Rayleigh power fade
+    -log1p(-u), Exp(1) by inverse CDF.
     Returns (mean rate, 99% CI half-width).
     """
     if mc_trials < 1:
@@ -358,13 +367,20 @@ def spatial_average_rate(
 
     def draw_interference(rng):
         counts = rng.poisson(interferer_density * region.area, size=mc_trials)
-        total = int(counts.sum())
-        xs = rng.uniform(0.0, region.width, size=total)
-        ys = rng.uniform(0.0, region.height, size=total)
-        d = np.hypot(xs - center[0], ys - center[1])
-        gains = p_fue * path_gain(d, budget) * fading_sample(RAYLEIGH, rng, size=total)
-        trial_of = np.repeat(np.arange(mc_trials), counts)
-        return np.bincount(trial_of, weights=gains, minlength=mc_trials)
+        ends = np.cumsum(counts)
+        interference = np.empty(mc_trials)
+        lo = 0
+        while lo < mc_trials:
+            start = ends[lo] - counts[lo]
+            hi = max(int(ends.searchsorted(start + CHUNK, side="right")), lo + 1)
+            u = rng.random((int(ends[hi - 1] - start), 3))
+            dx = region.width * u[:, 0] - center[0]
+            dy = region.height * u[:, 1] - center[1]
+            gains = p_fue * path_gain(np.sqrt(dx * dx + dy * dy), budget) * -np.log1p(-u[:, 2])
+            trial_of = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            interference[lo:hi] = np.bincount(trial_of, weights=gains, minlength=hi - lo)
+            lo = hi
+        return interference
 
     inputs = (
         interferer_density, region.width, region.height, p_fue,
