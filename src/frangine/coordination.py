@@ -247,7 +247,7 @@ def merge_and_split(
     bipartitions are scanned in deterministic order. In tree topology only
     blocks inducing connected adjacency subgraphs are allowed, so a block's
     split candidates are its subtree's edge cuts (`_tree_cuts`), scanned in
-    the order of the full bipartition scan that they are filtered from.
+    `_bipartitions`' order.
 
     utility_fn, when given, replaces the cluster utility; it is called with
     a sorted tuple of F-AP indices and must be deterministic. The default

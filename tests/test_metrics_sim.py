@@ -251,7 +251,7 @@ def test_spatial_average_rate_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # About 5M interferers; drawn whole, the field peaked above 300 MiB.
+    # About 5M interferers, whose uniforms alone take 120 MB if drawn at once.
     assert peak < 16 * 2**20
 
 
