@@ -69,9 +69,6 @@ class EdgeCache:
     def __contains__(self, item: int) -> bool:
         return item in self._last_use
 
-    def contents(self) -> set[int]:
-        return set(self._last_use)
-
     def _victim(self) -> int:
         if self.policy is EvictionPolicy.FIFO:
             return self._insert_order[0]

@@ -23,7 +23,6 @@ from .geometry import (
     FapTopology,
     NetworkTopology,
     NodeKind,
-    adjacency_is_connected,
     pairwise_distances,
 )
 
@@ -244,10 +243,11 @@ def merge_and_split(
     Starting from singletons: merge two blocks when the merged utility
     strictly exceeds the sum of their utilities; split a block into a
     bipartition when the part utilities strictly beat the whole. Pairs and
-    bipartitions are scanned in deterministic order. In tree topology only
-    blocks inducing connected adjacency subgraphs are allowed, so a block's
-    split candidates are its subtree's edge cuts (`_tree_cuts`), scanned in
-    `_bipartitions`' order.
+    bipartitions are scanned in deterministic order. Two blocks are a merge
+    candidate only if an F-AP link joins them (in a mesh, every pair is
+    linked), scanned as pairs of the blocks sorted by first F-AP. So tree
+    blocks stay connected, and a block's split candidates are its
+    subtree's edge cuts (`_tree_cuts`), scanned in `_bipartitions`' order.
 
     utility_fn, when given, replaces the cluster utility; it is called with
     a sorted tuple of F-AP indices and must be deterministic. The default
@@ -265,36 +265,30 @@ def merge_and_split(
         def utility_fn(block: tuple) -> float:
             return cluster_utility(block, params, table)
 
-    cache: dict[frozenset, float] = {}
+    cache: dict[tuple, float] = {}
 
     def utility(block: tuple) -> float:
-        key = frozenset(block)
-        if key not in cache:
-            cache[key] = utility_fn(tuple(sorted(block)))
-        return cache[key]
+        if block not in cache:
+            cache[block] = utility_fn(block)
+        return cache[block]
 
     tree = topology.fap_link_topology is FapTopology.TREE
-    neighbors = {i: [] for i in range(n)}
-    for i, j in topology.fap_adjacency:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
+    neighbors = topology.fap_neighbors()
 
     blocks = [(i,) for i in range(n)]
     changed = True
     while changed:
         changed = False
-        # Merge pass.
+        # Merge pass; blocks stay sorted through the split pass below.
         blocks.sort(key=lambda b: b[0])
+        owner = {v: k for k, block in enumerate(blocks) for v in block}
+        pairs = sorted({(min(owner[i], owner[j]), max(owner[i], owner[j]))
+                        for i, j in topology.fap_adjacency if owner[i] != owner[j]})
         merged = None
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                union = tuple(sorted(blocks[a] + blocks[b]))
-                if tree and not adjacency_is_connected(topology.fap_adjacency, union):
-                    continue
-                if utility(union) > utility(blocks[a]) + utility(blocks[b]):
-                    merged = (a, b, union)
-                    break
-            if merged:
+        for a, b in pairs:
+            union = tuple(sorted(blocks[a] + blocks[b]))
+            if utility(union) > utility(blocks[a]) + utility(blocks[b]):
+                merged = (a, b, union)
                 break
         if merged:
             a, b, union = merged
@@ -302,7 +296,6 @@ def merge_and_split(
             changed = True
             continue
         # Split pass.
-        blocks.sort(key=lambda b: b[0])
         split = None
         for k, block in enumerate(blocks):
             if len(block) < 2:
@@ -318,7 +311,6 @@ def merge_and_split(
             k, left, right = split
             blocks = [blk for i, blk in enumerate(blocks) if i != k] + [left, right]
             changed = True
-    blocks.sort(key=lambda b: b[0])
     return CoalitionPartition(blocks)
 
 

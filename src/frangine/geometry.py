@@ -56,6 +56,14 @@ class NetworkTopology:
     fap_link_topology: FapTopology = FapTopology.TREE
     fap_adjacency: set = field(default_factory=set)  # frozenset of (i, j), i < j
 
+    def fap_neighbors(self) -> list[list[int]]:
+        """Each F-AP's linked F-APs, ascending."""
+        neighbors = [[] for _ in range(len(self.faps))]
+        for i, j in sorted(self.fap_adjacency):
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        return neighbors
+
 
 def sample_ppp(
     density: float,

@@ -545,10 +545,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         EdgeCache(config.fap_cache_capacity, config.cache_policy)
         for _ in range(len(topology.faps))
     ]
-    neighbors = {i: set() for i in range(len(topology.faps))}
-    for a, b in topology.fap_adjacency:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    neighbors = topology.fap_neighbors()
 
     relays = [u for u in ues if u.relay_willing and u.d2d_capable]
     gamma_lin = budget.gamma_th_linear
@@ -585,7 +582,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
             lc_feasible = False
         dst = ues[partner[i]] if i in partner else None
         peer_caches = (
-            [fap_caches[j] for j in sorted(neighbors[s])]
+            [fap_caches[j] for j in neighbors[s]]
             if (config.cooperative_caching and s is not None)
             else ()
         )

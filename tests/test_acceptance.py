@@ -439,7 +439,7 @@ def test_acceptance_5_cache_correctness(passline):
             ref = _ReferenceCache(capacity, policy)
             for item in trace:
                 assert cache.request(int(item)) == ref.request(int(item)), (policy, case)
-            assert cache.contents() == set(ref.items)
+            assert {i for i in range(n_items) if i in cache} == set(ref.items)
             traces += 1
     # LRU inclusion: the capacity-k cache content is always a subset of the
     # capacity-(k+1) content over the same trace.
@@ -449,7 +449,7 @@ def test_acceptance_5_cache_correctness(passline):
         for item in trace:
             small.request(int(item))
             large.request(int(item))
-            assert small.contents() <= large.contents()
+            assert {i for i in range(25) if i in small} <= {i for i in range(25) if i in large}
     # Zipf(0.8) workload with cache capacity at 5% of the catalog.
     catalog = ContentCatalog(200, zipf_exponent=0.8)
     stream = zipf_stream(catalog, 100_000, derive_rng(29, "zipf-band"))

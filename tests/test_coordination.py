@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import signal
@@ -34,7 +35,7 @@ from frangine.geometry import (
     build_fap_adjacency,
     pairwise_distances,
 )
-from frangine.metrics_sim import ScenarioConfig, run_scenario
+from frangine.metrics_sim import ScenarioConfig, _build_topology, run_scenario
 from frangine.rng import derive_rng
 from mc_oracle import FadeTable, successful_access_probability
 
@@ -411,21 +412,137 @@ def test_tree_cuts_equal_connected_bipartitions():
         assert len(expected) == len(block) - 1
 
 
-def test_small_tau_tree_run_finishes():
-    """tau -> 0 favours the grand coalition of a 2 km tree's 41 F-APs; its
-    split scan must not walk all 2^40 bipartitions."""
+def _full_rescan(topology, utility_fn):
+    """Oracle: merge-and-split as it ran before merge candidates were read
+    from the F-AP links. Every merge pass rescans all pairs of blocks, and
+    in tree topology tests each union for connectivity."""
+    cache = {}
+
+    def utility(block):
+        key = frozenset(block)
+        if key not in cache:
+            cache[key] = utility_fn(tuple(sorted(block)))
+        return cache[key]
+
+    tree = topology.fap_link_topology is FapTopology.TREE
+    neighbors = {i: [] for i in range(len(topology.faps))}
+    for i, j in topology.fap_adjacency:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    blocks = [(i,) for i in range(len(topology.faps))]
+    changed = True
+    while changed:
+        changed = False
+        blocks.sort(key=lambda b: b[0])
+        merged = None
+        for a, b in itertools.combinations(range(len(blocks)), 2):
+            union = tuple(sorted(blocks[a] + blocks[b]))
+            if tree and not adjacency_is_connected(topology.fap_adjacency, union):
+                continue
+            if utility(union) > utility(blocks[a]) + utility(blocks[b]):
+                merged = (a, b, union)
+                break
+        if merged:
+            a, b, union = merged
+            blocks = [blk for k, blk in enumerate(blocks) if k not in (a, b)] + [union]
+            changed = True
+            continue
+        blocks.sort(key=lambda b: b[0])
+        split = None
+        for k, block in enumerate(blocks):
+            if len(block) < 2:
+                continue
+            candidates = _tree_cuts(block, neighbors) if tree else _bipartitions(block)
+            for left, right in candidates:
+                if utility(left) + utility(right) > utility(block):
+                    split = (k, left, right)
+                    break
+            if split:
+                break
+        if split:
+            k, left, right = split
+            blocks = [blk for i, blk in enumerate(blocks) if i != k] + [left, right]
+            changed = True
+    blocks.sort(key=lambda b: b[0])
+    return blocks
+
+
+@pytest.mark.parametrize("topo", list(FapTopology))
+@pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
+def test_merge_candidates_match_full_rescan(topo, tau):
+    """Merging only blocks that an F-AP link joins gives the full rescan's
+    partition, and passes it the same blocks to score in the same order."""
+    # A 30 dB threshold and F-APs in tight clumps make merges pay at every
+    # tau: a lone F-AP's F-UEs then see their clump's other F-APs as
+    # interference. Low noise keeps the tied-gain fallback's steps few.
+    params = ClusterUtilityParams(tau=tau, gamma_th_db=30.0)
+    budget = LinkBudget(noise_power_dbm=-150.0)
+    rng = np.random.default_rng(int(tau * 10) + 7 * (topo is FapTopology.TREE))
+    for case in range(6):
+        n = int(rng.integers(2, 41))
+        side = 1000.0 * math.sqrt(n / 10.0)  # about 10 F-APs per km^2, 5 F-UEs each
+        clumps = rng.uniform(0, side, size=(max(1, n // 4), 2))
+        faps = clumps[rng.integers(len(clumps), size=n)] + rng.normal(0, 10, size=(n, 2))
+        fues = clumps[rng.integers(len(clumps), size=5 * n)] + rng.normal(0, 10, size=(5 * n, 2))
+        topology = make_topology(faps, fues, topo=topo)
+        table = AccessTable.from_positions(faps, fues, budget, params.gamma_th_db)
+        calls = {"change": [], "oracle": []}
+        scores = {}
+
+        def scorer(log):
+            def utility(block):
+                log.append(block)
+                if block not in scores:
+                    scores[block] = cluster_utility(block, params, table)
+                return scores[block]
+            return utility
+
+        result = merge_and_split(topology, params, budget, utility_fn=scorer(calls["change"]))
+        assert result.blocks == _full_rescan(topology, scorer(calls["oracle"])), (n, case)
+        assert calls["change"] == calls["oracle"], (n, case)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds, what):
+    """Raise TimeoutError in the body once `seconds` of wall time pass."""
 
     def expire(signum, frame):
-        raise TimeoutError("2 km tree at tau = 0.01 ran past 10 s")
+        raise TimeoutError(f"{what} ran past {seconds:g} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        report = run_scenario(ScenarioConfig(region_width=2000.0, region_height=2000.0, tau=0.01))
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_small_tau_tree_run_finishes():
+    """tau -> 0 favours the grand coalition of a 2 km tree's 41 F-APs; its
+    split scan must not walk all 2^40 bipartitions."""
+    with _time_limit(10.0, "2 km tree at tau = 0.01"):
+        report = run_scenario(ScenarioConfig(region_width=2000.0, region_height=2000.0, tau=0.01))
     assert report.mean_cluster_size == report.n_faps == 41
+
+
+def test_seven_km_tree_merge_and_split_finishes():
+    """A 7 km tree has 493 F-APs. A merge pass that rescans every pair of
+    blocks and tests each union for connectivity took 11-16 s on a 2 vCPU
+    host; reading the candidates from the F-AP links takes about 0.2 s."""
+    config = ScenarioConfig(region_width=7000.0, region_height=7000.0)
+    topology = _build_topology(config)
+    params = ClusterUtilityParams(
+        tau=config.tau,
+        gamma_th_db=config.gamma_th_db,
+        p_static=config.p_static,
+        p_tx=config.p_tx,
+        p_coord=config.p_coord,
+    )
+    with _time_limit(5.0, "merge_and_split on the 7 km tree"):
+        partition = merge_and_split(topology, params, config.budget())
+    assert len(topology.faps) == 493
+    assert sorted(v for block in partition.blocks for v in block) == list(range(493))
 
 
 def test_round_half_away():
