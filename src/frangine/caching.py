@@ -1,8 +1,8 @@
 """Bounded edge caches (FIFO/LRU/LFU), Zipf workloads, and hit accounting.
 
 Caches are cache-on-miss: a missed item is always inserted, evicting a
-policy-chosen victim when full. LFU ties break by least-recent use, then
-lower id; FIFO evicts in insertion order regardless of re-access.
+policy-chosen victim when full. LFU ties break by least-recent use; FIFO
+evicts in insertion order regardless of re-access.
 """
 
 from __future__ import annotations
@@ -52,7 +52,12 @@ class ContentCatalog:
 
 
 class EdgeCache:
-    """Single-owner bounded cache; |store| <= capacity after every request."""
+    """Single-owner bounded cache; |store| <= capacity after every request.
+
+    One dict maps each held item to (use count, last use). FIFO and LRU
+    evict its first key (LRU re-inserts an item on each hit); last uses are
+    unique, so LFU's (count, last use) minimum has no ties.
+    """
 
     def __init__(self, capacity: int, policy: EvictionPolicy):
         if capacity < 1:
@@ -62,42 +67,32 @@ class EdgeCache:
         self.hits = 0
         self.misses = 0
         self._clock = 0
-        self._insert_order: list[int] = []  # FIFO queue
-        self._last_use: dict[int, int] = {}
-        self._freq: dict[int, int] = {}
+        self._store: dict[int, tuple[int, int]] = {}
 
     def __contains__(self, item: int) -> bool:
-        return item in self._last_use
-
-    def _victim(self) -> int:
-        if self.policy is EvictionPolicy.FIFO:
-            return self._insert_order[0]
-        if self.policy is EvictionPolicy.LRU:
-            return min(self._last_use, key=lambda i: (self._last_use[i], i))
-        # LFU: least frequency, then least recent use, then lower id.
-        return min(self._freq, key=lambda i: (self._freq[i], self._last_use[i], i))
+        return item in self._store
 
     def request(self, item: int) -> tuple[bool, int | None]:
         """Serve one request; returns (hit, evicted id or None)."""
         self._clock += 1
-        evicted = None
-        if item in self._last_use:
+        store = self._store
+        use = store.get(item)
+        if use is not None:
             self.hits += 1
-            self._last_use[item] = self._clock
-            self._freq[item] += 1
-            hit = True
-        else:
-            self.misses += 1
-            if len(self._last_use) >= self.capacity:
-                evicted = self._victim()
-                del self._last_use[evicted]
-                del self._freq[evicted]
-                self._insert_order.remove(evicted)
-            self._last_use[item] = self._clock
-            self._freq[item] = 1
-            self._insert_order.append(item)
-            hit = False
-        return hit, evicted
+            if self.policy is EvictionPolicy.LRU:
+                del store[item]
+            store[item] = (use[0] + 1, self._clock)
+            return True, None
+        self.misses += 1
+        evicted = None
+        if len(store) >= self.capacity:
+            if self.policy is EvictionPolicy.LFU:
+                evicted = min(store, key=store.__getitem__)
+            else:
+                evicted = next(iter(store))
+            del store[evicted]
+        store[item] = (1, self._clock)
+        return False, evicted
 
 
 def zipf_stream(

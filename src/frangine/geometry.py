@@ -6,6 +6,7 @@ accepted (experiments read interior statistics).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -142,26 +143,37 @@ def pair_d2d(fues: NodeSet, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
     """Greedy nearest-neighbor D2D pairing over capable F-UEs.
 
     Candidate pairs are taken in ascending distance order (ties by index);
-    each F-UE joins at most one pair.
+    each F-UE joins at most one pair. A heap holds each unpaired F-UE's
+    nearest unpaired neighbor, keyed (d, lo, hi); an entry whose neighbor was
+    paired is refreshed when popped. Keys only grow, so a fresh entry popped
+    is the least remaining candidate: no candidate list is sorted.
     """
     idx = np.flatnonzero(np.asarray(d2d_capable, dtype=bool))
-    if idx.size < 2:
-        return []
     dist = pairwise_distances(fues.positions[idx], fues.positions[idx])
-    a, b = np.triu_indices(idx.size, 1)
-    order = np.lexsort((b, a, dist[a, b]))
-    ids = idx.tolist()
-    paired = [False] * len(ids)
+    np.fill_diagonal(dist, np.inf)
+
+    def nearest(u):
+        # The first index wins a distance tie: it has the least (lo, hi).
+        v = int(dist[u].argmin())
+        return (float(dist[u, v]), min(u, v), max(u, v), u)
+
+    # Each unpaired F-UE has exactly one entry in the heap.
+    heap = [nearest(u) for u in range(idx.size)]
+    heapq.heapify(heap)
+    paired = [False] * idx.size
     pairs = []
-    left = len(ids)
-    for i, j in zip(a[order].tolist(), b[order].tolist()):
-        if paired[i] or paired[j]:
+    left = idx.size
+    while left > 1:
+        _, lo, hi, u = heapq.heappop(heap)
+        if paired[u]:
             continue
-        pairs.append((ids[i], ids[j]))
-        paired[i] = paired[j] = True
+        if paired[lo + hi - u]:
+            heapq.heappush(heap, nearest(u))
+            continue
+        pairs.append((int(idx[lo]), int(idx[hi])))
+        paired[lo] = paired[hi] = True
+        dist[:, [lo, hi]] = np.inf
         left -= 2
-        if left < 2:
-            break
     return pairs
 
 

@@ -50,14 +50,12 @@ from .geometry import (
     NodeKind,
     NodeSet,
     build_fap_adjacency,
-    distance,
     pair_d2d,
     pairwise_distances,
     sample_ppp,
     Region,
 )
 from .mode_select import (
-    AllFapsBlocked,
     Mode,
     ModeThresholds,
     Qos,
@@ -156,6 +154,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
+        for f in dataclasses.fields(self):
+            kind = type(f.default)
+            if issubclass(kind, Enum) and not isinstance(getattr(self, f.name), kind):
+                raise ValueError(f"{f.name} must be one of {[m.value for m in kind]}")
         # Comparisons are written so that NaN fails too.
         for name in (
             "epsilon", "d2d_fraction", "relay_fraction", "voice_fraction",
@@ -214,7 +216,7 @@ class ScenarioConfig:
         return Region(self.region_width, self.region_height)
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerRow:
     request_index: int
     fue_id: int
@@ -266,38 +268,38 @@ class MetricsReport:
 def fronthaul_load(decisions, tiers, payload_bits: float, iq_expansion_factor: float):
     """Per-request fronthaul/backhaul accounting; one auditable ledger row
     per request. Payload is always served by exactly one of {bbu, edge, hpn},
-    so payload conservation holds by construction.
+    so payload conservation holds by construction. Totals add in request order.
     """
     report = LoadReport()
     ledger = []
+    routes = {}  # (mode, tier) -> (fronthaul, backhaul, served by, processed)
+    fronthaul = backhaul = total = 0.0
+    payload = dict.fromkeys(("bbu", "edge", "hpn"), 0.0)
+    processed = dict(payload)
     for idx, ((fue_id, mode), tier) in enumerate(zip(decisions, tiers)):
-        fh = bh = 0.0
-        if mode is Mode.GLOBAL_CRAN:
-            fh = payload_bits * iq_expansion_factor
-            report.bbu_processed_bits += fh
-            report.payload_bbu_bits += payload_bits
-            served = "bbu"
-        elif mode is Mode.LOCAL_COORDINATION:
-            if tier is ContentTier.CLOUD_ONLY:
-                fh = payload_bits  # one catalog-item fetch, then edge-served
-            report.edge_processed_bits += payload_bits
-            report.payload_edge_bits += payload_bits
-            served = "edge"
-        elif mode in (Mode.D2D, Mode.FUE_RELAY):
-            report.edge_processed_bits += payload_bits
-            report.payload_edge_bits += payload_bits
-            served = "edge"
-        else:  # HPN
-            bh = payload_bits
-            report.payload_hpn_bits += payload_bits
-            served = "hpn"
-        report.fronthaul_bits += fh
-        report.backhaul_bits += bh
-        report.total_payload_bits += payload_bits
+        route = routes.get((mode, tier))
+        if route is None:
+            if mode is Mode.GLOBAL_CRAN:
+                fh = payload_bits * iq_expansion_factor
+                route = (fh, 0.0, "bbu", fh)
+            elif mode is Mode.HPN:
+                route = (0.0, payload_bits, "hpn", 0.0)
+            else:  # edge-served; local coordination fetches cloud-only items once
+                fetch = mode is Mode.LOCAL_COORDINATION and tier is ContentTier.CLOUD_ONLY
+                route = (payload_bits if fetch else 0.0, 0.0, "edge", payload_bits)
+            routes[mode, tier] = route
+        fh, bh, served, work = route
+        fronthaul += fh
+        backhaul += bh
+        total += payload_bits
+        payload[served] += payload_bits
+        processed[served] += work
         report.mode_counts[mode.value] = report.mode_counts.get(mode.value, 0) + 1
-        ledger.append(
-            LedgerRow(idx, fue_id, mode, tier, payload_bits, fh, bh, served)
-        )
+        ledger.append(LedgerRow(idx, fue_id, mode, tier, payload_bits, fh, bh, served))
+    report.fronthaul_bits, report.backhaul_bits = fronthaul, backhaul
+    report.total_payload_bits = total
+    report.payload_bbu_bits, report.payload_edge_bits, report.payload_hpn_bits = payload.values()
+    report.bbu_processed_bits, report.edge_processed_bits = processed["bbu"], processed["edge"]
     return report, ledger
 
 
@@ -490,6 +492,20 @@ def _architecture_mode(config, src, dst, thresholds, relays, cloud_only, lc_feas
     return decision.mode
 
 
+def _pair_relays(xy, pairs, relays, th: ModeThresholds) -> dict:
+    """F-UE id -> the relays within D1 of both ends of its pair, for the
+    pairs whose ends lie in (D1, D2]: all that `select_mode` rule (3) can
+    pick, by the same distance arithmetic. No other F-UE reaches that rule."""
+    pos = np.array([c.position for c in relays], dtype=float).reshape(-1, 2)
+    found = {}
+    for i, j in pairs:
+        if not th.d1 < np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) <= th.d2:
+            continue
+        near = (pairwise_distances(xy[[i, j]], pos) <= th.d1).all(axis=0)
+        found[i] = found[j] = [relays[k] for k in np.flatnonzero(near).tolist()]
+    return found
+
+
 def run_scenario(config: ScenarioConfig) -> MetricsReport:
     """One full deterministic scenario run: place, pair, associate, decide
     modes, serve caches, coordinate, and aggregate metrics."""
@@ -527,15 +543,15 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         partner[j] = i
     report.n_d2d_pairs = len(pairs)
 
-    capacity = np.full(len(topology.faps), config.fap_capacity, dtype=int)
-    serving: list[int | None] = []
-    for ue in ues:
-        try:
-            f = associate_fap(ue, topology.faps, budget, config.interference_limit, capacity)
-            capacity[f] -= 1
-            serving.append(f)
-        except AllFapsBlocked:
-            serving.append(None)
+    serving = associate_fap(
+        topology.fues.positions, topology.faps, budget, config.interference_limit,
+        [config.fap_capacity] * len(topology.faps),
+    )
+    # Local coordination needs the serving F-AP's mean SNR to reach gamma.
+    served = [i for i, s in enumerate(serving) if s is not None]
+    gap = topology.fues.positions[served] - topology.faps.positions[[serving[i] for i in served]]
+    snr = budget.tx_watts(NodeKind.FAP) * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
+    lc_feasible = dict(zip(served, (snr / budget.noise_watts >= budget.gamma_th_linear).tolist()))
 
     catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
     fue_caches = [
@@ -547,9 +563,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     ]
     neighbors = topology.fap_neighbors()
 
-    relays = [u for u in ues if u.relay_willing and u.d2d_capable]
-    gamma_lin = budget.gamma_th_linear
-    p_fap = budget.tx_watts(NodeKind.FAP)
+    willing = [u for u in ues if u.relay_willing and u.d2d_capable]
+    relays = _pair_relays(topology.fues.positions, pairs, willing, thresholds)
 
     # Warm-up: prime caches (no accounting) so steady-state hit behavior
     # drives the accounted requests.
@@ -575,11 +590,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
             catalog, config.requests_per_fue, derive_rng(config.master_seed, "traffic", i)
         )
         s = serving[i]
-        if s is not None:
-            d_fap = distance(ue.position, topology.faps.positions[s])
-            lc_feasible = p_fap * path_gain(d_fap, budget) / budget.noise_watts >= gamma_lin
-        else:
-            lc_feasible = False
         dst = ues[partner[i]] if i in partner else None
         peer_caches = (
             [fap_caches[j] for j in neighbors[s]]
@@ -597,7 +607,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
             cloud_only = tier is ContentTier.CLOUD_ONLY
             if cloud_only not in modes:
                 modes[cloud_only] = _architecture_mode(
-                    config, ue, dst, thresholds, relays, cloud_only, lc_feasible
+                    config, ue, dst, thresholds, relays.get(i, ()), cloud_only,
+                    lc_feasible.get(i, False),
                 )
             mode = modes[cloud_only]
             fue_caches[i].request(int(item))

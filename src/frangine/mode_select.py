@@ -63,10 +63,6 @@ class ModeDecision:
     relay_id: int | None = None
 
 
-class AllFapsBlocked(Exception):
-    """No F-AP can admit the F-UE; caller falls back to HPN mode."""
-
-
 def _slow_pair(src: UeContext, dst: UeContext, th: ModeThresholds) -> bool:
     # "Slow relative movement": both endpoints below the speed threshold and
     # a small speed difference between them.
@@ -133,35 +129,41 @@ def select_mode(
 
 
 def associate_fap(
-    ue: UeContext,
+    positions: np.ndarray,
     faps: NodeSet,
     budget: LinkBudget,
     interference_limit: float = float("inf"),
     capacity=None,
-) -> int:
-    """Pick the serving F-AP: strongest mean received power first, falling
-    back through the power-ordered list past full or interference-blocked
-    F-APs. Exactly one F-AP is returned.
+) -> list[int | None]:
+    """Pick each F-UE's serving F-AP, in F-UE order: strongest mean received
+    power first, falling back through the power-ordered list past full or
+    interference-blocked F-APs; None when no F-AP admits the F-UE.
 
-    capacity: per-F-AP free resource blocks (None means unconstrained).
-    Admission is blocked when the F-UE's estimated uplink interference to
-    the nearest other F-AP exceeds interference_limit.
+    capacity: per-F-AP free resource blocks (None means unconstrained), one
+    taken per admitted F-UE. Admission is blocked when the F-UE's estimated
+    uplink interference to the nearest other F-AP exceeds interference_limit.
     """
     n = len(faps)
     if n < 1:
         raise ValueError("at least one F-AP required")
-    dists = pairwise_distances([ue.position], faps.positions)[0]
-    rx_power = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
-    # Descending power, ties by lower index (lexsort is stable).
-    order = np.lexsort((-rx_power,))
-    ue_tx = budget.tx_watts(NodeKind.FUE)
-    for i in order.tolist():
-        if capacity is not None and capacity[i] <= 0:
-            continue
-        others = np.delete(dists, i)
-        if others.size:
-            leak = ue_tx * float(np.max(path_gain(others, budget)))
-            if leak > interference_limit:
-                continue
-        return i
-    raise AllFapsBlocked(f"no F-AP admits F-UE {ue.id}")
+    gains = path_gain(pairwise_distances(positions, faps.positions), budget)
+    # Descending power, ties by lower index (a stable sort).
+    order = np.argsort(-(budget.tx_watts(NodeKind.FAP) * gains), axis=1, kind="stable")
+    # Admission to F-AP i leaks at the strongest gain to the other F-APs: the
+    # row maximum, or for the F-AP holding it the rest's maximum (-inf if none).
+    rows = np.arange(len(gains))
+    top = gains.argmax(axis=1)
+    rest = gains.copy()
+    rest[rows, top] = -np.inf
+    leak = np.where(
+        np.arange(n) == top[:, None], rest.max(axis=1, keepdims=True), gains[rows, top, None]
+    )
+    blocked = budget.tx_watts(NodeKind.FUE) * leak > interference_limit
+    free = [float("inf")] * n if capacity is None else list(capacity)
+    serving = []
+    for row, stop in zip(order, blocked):
+        f = next((i for i in row.tolist() if free[i] > 0 and not stop[i]), None)
+        if f is not None:
+            free[f] -= 1
+        serving.append(f)
+    return serving

@@ -210,6 +210,20 @@ def test_lru_zipf_matches_reference_exactly():
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("policy", list(EvictionPolicy))
+def test_large_cache_zipf_matches_reference(policy):
+    """Capacity 50 of a 200-item catalog: LFU picks its victim among many
+    held items with equal counts, and every policy evicts on most misses."""
+    catalog = ContentCatalog(200, zipf_exponent=1.0)
+    trace = zipf_stream(catalog, 5000, derive_rng(31, "ref", policy.value))
+    cache = EdgeCache(50, policy)
+    ref = ReferenceCache(50, policy)
+    results = [cache.request(int(i)) for i in trace]
+    assert results == [ref.request(int(i)) for i in trace]
+    assert sum(evicted is not None for _, evicted in results) > 500
+    assert {i for i in range(200) if i in cache} == set(ref.items)
+
+
 def test_content_available_tiers():
     fue = EdgeCache(2, EvictionPolicy.LRU)
     fap = EdgeCache(2, EvictionPolicy.LRU)

@@ -17,6 +17,7 @@ from frangine.geometry import (
     sample_ppp,
 )
 from frangine.rng import derive_rng
+from test_coordination import _time_limit
 
 
 def test_region_rejects_nonpositive_dimensions():
@@ -216,3 +217,61 @@ def test_pair_d2d_matches_tuple_sort_oracle():
         fues = NodeSet(NodeKind.FUE, points, 0.0)
         for capable in (np.ones(len(points), dtype=bool), rng.random(len(points)) < 0.6):
             assert pair_d2d(fues, capable) == _pair_oracle(points, capable)
+
+
+def _pair_oracle_within(points, limit):
+    """`_pair_oracle` over all-capable points, sorting only the candidates no
+    longer than `limit`. Those are a prefix of the sorted list, and greedy
+    accepts nothing after its longest pair, so with `limit` at least that
+    long the result is the full greedy pairing; with a shorter one it is a
+    prefix of it, which leaves more than one point unpaired."""
+    dist = pairwise_distances(points, points)
+    a, b = np.nonzero(np.triu(dist <= limit, 1))
+    candidates = sorted(zip(dist[a, b].tolist(), a.tolist(), b.tolist()))
+    paired, pairs = set(), []
+    for _, i, j in candidates:
+        if i in paired or j in paired:
+            continue
+        pairs.append((i, j))
+        paired.update((i, j))
+    return pairs
+
+
+def _chain_of_growing_gaps(n):
+    """Points on a line whose gaps grow left to right: every point but the
+    first has its nearest neighbour on its left, so pairs form one at a time
+    from the left end and half the heap entries go stale before use."""
+    x = np.concatenate([[0.0], np.cumsum(1.0 + 0.01 * np.arange(n - 1))])
+    return np.column_stack([x, np.zeros(n)])
+
+
+def _cluster_and_ring(n_cluster, n_twins):
+    """A dense disc of radius 10 m inside a ring of radius 1 km that holds
+    evenly spaced twins 1 m apart: near ties in the disc, ties up to
+    rounding along the ring. Greedy pairs the twins, so its longest pair is
+    in the disc and the oracle sorts few candidates."""
+    rng = derive_rng(3, "cluster-ring")
+    r = 10.0 * np.sqrt(rng.random(n_cluster))
+    theta = 2 * np.pi * rng.random(n_cluster)
+    phi = np.repeat(2 * np.pi * np.arange(n_twins) / n_twins, 2)
+    phi[1::2] += 1.0 / 1000.0
+    disc = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    ring = 1000.0 * np.column_stack([np.cos(phi), np.sin(phi)])
+    return np.concatenate([disc, ring]) + 1000.0
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [
+        ("chain", _chain_of_growing_gaps(3000)),
+        ("cluster-ring", _cluster_and_ring(600, 1200)),
+    ],
+)
+def test_pair_d2d_large_layouts_match_oracle_in_time(name, points):
+    fues = NodeSet(NodeKind.FUE, points, 0.0)
+    with _time_limit(3.0, f"pair_d2d on the {len(points)}-point {name}"):
+        pairs = pair_d2d(fues, np.ones(len(points), dtype=bool))
+    assert 2 * len(pairs) == len(points)
+    dist = pairwise_distances(points, points)
+    longest = max(dist[i, j] for i, j in pairs)
+    assert pairs == _pair_oracle_within(points, longest)

@@ -22,7 +22,7 @@ from frangine.metrics_sim import (
     sweep,
 )
 from frangine.caching import ContentTier
-from frangine.mode_select import Mode
+from frangine.mode_select import Mode, UeContext, select_mode
 from frangine.rng import derive_rng
 
 FAST = ScenarioConfig(
@@ -286,6 +286,77 @@ def test_config_validation():
         ScenarioConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(mc_trials=0)
+
+
+@pytest.mark.parametrize(
+    "key", ["fap_topology", "cache_policy", "scheduler", "architecture"]
+)
+def test_config_rejects_non_enum_values(key):
+    member = getattr(ScenarioConfig(), key)
+    for value in (member.value, "bogus", None):
+        with pytest.raises(ValueError, match=key):
+            ScenarioConfig(**{key: value})
+
+
+def _relay_layouts():
+    """Random layouts, then 10 m integer grids where hops tie D1 exactly."""
+    for seed in range(6):
+        rng = derive_rng(seed, "pair-relays", "random")
+        yield rng, rng.uniform(0.0, 300.0, size=(int(rng.integers(10, 80)), 2))
+    for seed in range(6):
+        rng = derive_rng(seed, "pair-relays", "grid")
+        yield rng, 10.0 * rng.integers(0, 20, size=(int(rng.integers(10, 80)), 2))
+
+
+def test_pair_relays_give_select_mode_decisions_of_full_list():
+    th = ScenarioConfig().thresholds()
+    bridged = 0
+    for rng, points in _relay_layouts():
+        willing = rng.random(len(points)) < 0.5
+        ues = [
+            UeContext(id=i, position=tuple(p), relay_willing=bool(w))
+            for i, (p, w) in enumerate(zip(points, willing))
+        ]
+        relays = [u for u in ues if u.relay_willing]
+        for _ in range(5):
+            order = rng.permutation(len(ues)).tolist()
+            pairs = list(zip(order[0::2], order[1::2]))
+            found = metrics_sim._pair_relays(points, pairs, relays, th)
+            for i, j in pairs + [(j, i) for i, j in pairs]:
+                want = select_mode(ues[i], ues[j], th, relay_candidates=relays)
+                got = select_mode(ues[i], ues[j], th, relay_candidates=found.get(i, ()))
+                assert (got.mode, got.relay_id) == (want.mode, want.relay_id)
+                bridged += want.mode is Mode.FUE_RELAY
+    assert bridged > 50
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_relay_decisions_equal_full_relay_list(monkeypatch, seed):
+    config = ScenarioConfig(
+        region_width=500.0, region_height=500.0, lambda_fue=4e-4,
+        d2d_fraction=1.0, relay_fraction=0.5, mc_trials=50, master_seed=seed,
+    )
+    full = []
+    pair_relays = metrics_sim._pair_relays
+    select = metrics_sim.select_mode
+
+    def recording(xy, pairs, relays, th):
+        full[:] = relays
+        return pair_relays(xy, pairs, relays, th)
+
+    decisions = []
+
+    def checking(src, dst, thresholds, relay_candidates=(), **kwargs):
+        got = select(src, dst, thresholds, relay_candidates, **kwargs)
+        want = select(src, dst, thresholds, full, **kwargs)
+        assert (got.mode, got.relay_id) == (want.mode, want.relay_id)
+        decisions.append(got.mode)
+        return got
+
+    monkeypatch.setattr(metrics_sim, "_pair_relays", recording)
+    monkeypatch.setattr(metrics_sim, "select_mode", checking)
+    run_scenario(config)
+    assert full and Mode.FUE_RELAY in decisions
 
 
 def test_mode_decided_once_per_fue_and_content_case(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from frangine.channel import LinkBudget, path_gain
 from frangine.geometry import NodeKind, NodeSet, distance, pairwise_distances
 from frangine.mode_select import (
-    AllFapsBlocked,
     Mode,
     ModeThresholds,
     Qos,
@@ -166,34 +165,36 @@ def _faps(xs):
     return NodeSet(NodeKind.FAP, np.array([[x, 0.0] for x in xs]), 0.0)
 
 
+def _at(*xs):
+    return np.array([[x, 0.0] for x in xs])
+
+
 def test_associate_single_fap_with_capacity():
-    ue = _ue(0, 0.0)
-    assert associate_fap(ue, _faps([10.0]), LinkBudget(), capacity=[1]) == 0
+    assert associate_fap(_at(0.0), _faps([10.0]), LinkBudget(), capacity=[1]) == [0]
 
 
 def test_associate_falls_back_when_nearest_full():
-    ue = _ue(0, 0.0)
-    assert associate_fap(ue, _faps([10.0, 50.0]), LinkBudget(), capacity=[0, 1]) == 1
+    faps = _faps([10.0, 50.0])
+    assert associate_fap(_at(0.0), faps, LinkBudget(), capacity=[0, 1]) == [1]
+    # The first F-UE takes F-AP 0's last block; the second falls back.
+    assert associate_fap(_at(0.0, 0.0), faps, LinkBudget(), capacity=[1, 1]) == [0, 1]
 
 
-def test_associate_all_full_raises():
-    ue = _ue(0, 0.0)
-    with pytest.raises(AllFapsBlocked):
-        associate_fap(ue, _faps([10.0, 50.0]), LinkBudget(), capacity=[0, 0])
+def test_associate_all_full_returns_none():
+    faps = _faps([10.0, 50.0])
+    assert associate_fap(_at(0.0), faps, LinkBudget(), capacity=[0, 0]) == [None]
+    assert associate_fap(_at(0.0, 0.0, 0.0), faps, LinkBudget(), capacity=[1, 1]) == [0, 1, None]
 
 
 def test_associate_prefers_strongest_power():
-    ue = _ue(0, 30.0)
-    assert associate_fap(ue, _faps([0.0, 35.0, 100.0]), LinkBudget()) == 1
+    assert associate_fap(_at(30.0), _faps([0.0, 35.0, 100.0]), LinkBudget()) == [1]
 
 
 def test_associate_interference_limit_blocks_admission():
     # Admission to F-AP 0 leaks into F-AP 1 at 20 m; a tight limit blocks it.
-    ue = _ue(0, 0.0)
     faps = _faps([5.0, 20.0])
     budget = LinkBudget()
-    with pytest.raises(AllFapsBlocked):
-        associate_fap(ue, faps, budget, interference_limit=1e-30)
+    assert associate_fap(_at(0.0), faps, budget, interference_limit=1e-30) == [None]
 
 
 def _relay_oracle(src, dst, th, candidates):
@@ -261,23 +262,28 @@ def test_associate_matches_scalar_distance_oracle():
     budget = LinkBudget()
     outcomes = set()
     for rng, points in _oracle_layouts("associate", 5):
-        ue = UeContext(id=0, position=tuple(points[0]))
-        faps = NodeSet(NodeKind.FAP, points[1:], 0.0)
-        strongest = _associate_oracle(ue, faps, budget, float("inf"), None)
+        n_ues = max(1, len(points) // 3)
+        ues = [UeContext(id=k, position=tuple(p)) for k, p in enumerate(points[:n_ues])]
+        faps = NodeSet(NodeKind.FAP, points[n_ues:], 0.0)
+        strongest = [_associate_oracle(ue, faps, budget, float("inf"), None) for ue in ues]
         # Limits at the leak levels the layout produces block some F-APs.
         leaks = budget.tx_watts(NodeKind.FUE) * path_gain(
-            pairwise_distances([ue.position], faps.positions)[0], budget
+            pairwise_distances(points[:n_ues], faps.positions), budget
         )
-        for limit in (float("inf"), *rng.choice(leaks, size=3)):
-            for capacity in (None, rng.integers(0, 2, size=len(faps))):
-                want = _associate_oracle(ue, faps, budget, limit, capacity)
-                try:
-                    got = associate_fap(ue, faps, budget, limit, capacity)
-                except AllFapsBlocked:
-                    got = None
+        for limit in (float("inf"), *rng.choice(leaks.ravel(), size=3)):
+            for capacity in (None, rng.integers(0, 3, size=len(faps))):
+                # The oracle F-UE by F-UE, each admission taking one block.
+                free = None if capacity is None else list(capacity)
+                want = []
+                for ue in ues:
+                    f = _associate_oracle(ue, faps, budget, limit, free)
+                    if f is not None and free is not None:
+                        free[f] -= 1
+                    want.append(f)
+                got = associate_fap(points[:n_ues], faps, budget, limit, capacity)
                 assert got == want
-                outcomes.add(
-                    "blocked" if want is None else "strongest" if want == strongest
-                    else "fallback"
+                outcomes.update(
+                    "blocked" if f is None else "strongest" if f == s else "fallback"
+                    for f, s in zip(want, strongest)
                 )
     assert outcomes == {"blocked", "strongest", "fallback"}
