@@ -98,4 +98,12 @@ def fading_sample(model: FadingModel, rng: np.random.Generator, size=None):
     g2 = rng.standard_normal(size)
     los = np.sqrt(k / (k + 1.0))
     scatter = np.sqrt(1.0 / (2.0 * (k + 1.0)))
-    return (los + scatter * g1) ** 2 + (scatter * g2) ** 2
+    # (los + scatter * g1) ** 2 + (scatter * g2) ** 2, in place: two arrays of
+    # `size` at most, where the expression would hold five.
+    g1 *= scatter
+    g1 += los
+    g1 **= 2
+    g2 *= scatter
+    g2 **= 2
+    g1 += g2
+    return g1

@@ -15,11 +15,10 @@ import dataclasses
 import os
 import sys
 import tempfile
+from enum import Enum
 
-from .caching import EvictionPolicy
-from .coordination import SchedulerKind
-from .geometry import FapTopology
 from .metrics_sim import (
+    CONFIG_TYPES,
     Architecture,
     InvalidGridValue,
     LEDGER_COLUMNS,
@@ -45,29 +44,8 @@ class ValidationError(Exception):
     pass
 
 
-def _parse_optional_float(text: str):
-    if text.strip().lower() in ("none", "rayleigh"):
-        return None
-    return float(text)
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-_ENUM_PARSERS = {
-    "fap_topology": lambda t: FapTopology(t.strip().lower()),
-    "cache_policy": lambda t: EvictionPolicy(t.strip().lower()),
-    "scheduler": lambda t: SchedulerKind(t.strip().lower()),
-    "architecture": lambda t: Architecture(t.strip().lower()),
-}
-
-# (section, key) -> ScenarioConfig field; the field type drives parsing.
+# The INI layout: each section and its keys, in canonical order. A key's
+# type (`metrics_sim.CONFIG_TYPES`) drives its parsing.
 CONFIG_SCHEMA = {
     "geometry": [
         "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
@@ -96,26 +74,18 @@ CONFIG_SCHEMA = {
     "run": ["architecture", "master_seed"],
 }
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
-_INT_FIELDS = {
-    f.name
-    for f in dataclasses.fields(ScenarioConfig)
-    if f.type == "int" or isinstance(f.default, int) and not isinstance(f.default, bool)
-}
-_BOOL_FIELDS = {"cooperative_caching"}
-_OPTIONAL_FLOAT_FIELDS = {"d2d_k_factor_db"}
-
-
-def _parse_value(field_name: str, text: str):
-    if field_name in _ENUM_PARSERS:
-        return _ENUM_PARSERS[field_name](text)
-    if field_name in _BOOL_FIELDS:
-        return _parse_bool(text)
-    if field_name in _OPTIONAL_FLOAT_FIELDS:
-        return _parse_optional_float(text)
-    if field_name in _INT_FIELDS:
-        return int(text)
-    return float(text)
+def _parse_value(key: str, text: str):
+    kind, optional = CONFIG_TYPES[key]
+    word = text.strip().lower()
+    if optional and word in ("none", "rayleigh"):
+        return None
+    if issubclass(kind, Enum):
+        return kind(word)
+    if kind is not bool:
+        return kind(text)
+    if word not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("true", "yes", "on", "1")
 
 
 def parse_config(path: str) -> ScenarioConfig:

@@ -92,8 +92,9 @@ def pairwise_distances(positions_a: np.ndarray, positions_b: np.ndarray) -> np.n
     """(len(a), len(b)) Euclidean distance matrix."""
     a = np.asarray(positions_a, dtype=float).reshape(-1, 2)
     b = np.asarray(positions_b, dtype=float).reshape(-1, 2)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+    dx = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    return np.hypot(dx, dy, out=dx)
 
 
 def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
@@ -153,11 +155,17 @@ class ScenarioConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        for name, (kind, optional) in CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if issubclass(kind, Enum):
+                if not isinstance(value, kind):
+                    raise ValueError(f"{name} must be one of {[m.value for m in kind]}")
+            elif not (
+                isinstance(value, _ACCEPTS[kind]) and isinstance(value, bool) == (kind is bool)
+                or optional and value is None
+            ):
+                raise ValueError(f"{name} must be of type {kind.__name__}")
         ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
-        for f in dataclasses.fields(self):
-            kind = type(f.default)
-            if issubclass(kind, Enum) and not isinstance(getattr(self, f.name), kind):
-                raise ValueError(f"{f.name} must be one of {[m.value for m in kind]}")
         # Comparisons are written so that NaN fails too.
         for name in (
             "epsilon", "d2d_fraction", "relay_fraction", "voice_fraction",
@@ -214,6 +222,18 @@ class ScenarioConfig:
 
     def region(self) -> Region:
         return Region(self.region_width, self.region_height)
+
+
+# Each config key's type, read from its default, and whether its annotation
+# also allows None (d2d_k_factor_db: None is Rayleigh). The CLI parses each
+# key by this table and `ScenarioConfig` checks each value against it.
+CONFIG_TYPES = {
+    f.name: (type(f.default), f.type.endswith("| None"))
+    for f in dataclasses.fields(ScenarioConfig)
+}
+# What a key of each non-enum type takes. bool is an int to Python, so the
+# check above also keeps it out of the numeric keys.
+_ACCEPTS = {bool: bool, int: numbers.Integral, float: numbers.Real}
 
 
 @dataclass(slots=True)
@@ -752,9 +772,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
     field_name = _SWEEPABLE[parameter]
     points = []
     for value in grid:
-        if field_name == "fue_cache_capacity":
-            if not float(value).is_integer():
-                raise InvalidGridValue(f"{parameter} grid value {value!r} is not an integer")
+        if CONFIG_TYPES[field_name][0] is int and isinstance(value, float) and value.is_integer():
             value = int(value)
         try:
             points.append((value, dataclasses.replace(config, **{field_name: value})))
@@ -793,53 +811,16 @@ METRICS_COLUMNS = [
     "total_payload_bits",
 ]
 
-LEDGER_COLUMNS = [
-    "request_index",
-    "fue_id",
-    "mode",
-    "tier",
-    "payload_bits",
-    "fronthaul_bits",
-    "backhaul_bits",
-    "served_by",
-]
+LEDGER_COLUMNS = [f.name for f in dataclasses.fields(LedgerRow)]
 
 
 def metrics_row(report: MetricsReport) -> list:
-    return [
-        report.spatial_average_rate,
-        report.rate_ci,
-        report.cellular_success_probability,
-        report.cellular_ci,
-        report.d2d_success_probability,
-        report.d2d_ci,
-        report.fue_hit_ratio,
-        report.fap_hit_ratio,
-        report.energy_efficiency,
-        report.mean_cluster_size,
-        report.n_hpns,
-        report.n_faps,
-        report.n_fues,
-        report.n_d2d_pairs,
-        report.load.fronthaul_bits,
-        report.load.backhaul_bits,
-        report.load.bbu_processed_bits,
-        report.load.edge_processed_bits,
-        report.load.total_payload_bits,
-    ]
+    values = vars(report) | vars(report.load)
+    return [values[name] for name in METRICS_COLUMNS]
 
 
 def ledger_rows(report: MetricsReport) -> list:
+    values = operator.attrgetter(*LEDGER_COLUMNS)
     return [
-        [
-            row.request_index,
-            row.fue_id,
-            row.mode.value,
-            row.tier.value,
-            row.payload_bits,
-            row.fronthaul_bits,
-            row.backhaul_bits,
-            row.served_by,
-        ]
-        for row in report.ledger
+        [v.value if isinstance(v, Enum) else v for v in values(row)] for row in report.ledger
     ]

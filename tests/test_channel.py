@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_rician_degenerate_k_matches_rayleigh():
     rician = fading_sample(model, derive_rng(4, "a"), size=100_000)
     rayleigh = fading_sample(RAYLEIGH, derive_rng(4, "b"), size=100_000)
     assert stats.ks_2samp(rician, rayleigh).pvalue > 0.01
+
+
+@pytest.mark.parametrize("size", [None, 7, (300, 40)], ids=["scalar", "vector", "matrix"])
+def test_fading_sample_bit_equal_to_expression_in_two_arrays(size):
+    for model in (RAYLEIGH, FadingModel(FadingKind.RICIAN, 6.0)):
+        rng = derive_rng(5, "fade-form")
+        g1, g2 = rng.standard_normal(size), rng.standard_normal(size)
+        k = model.k_linear()
+        los, scatter = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (2.0 * (k + 1.0)))
+        expected = np.asarray((los + scatter * g1) ** 2 + (scatter * g2) ** 2)
+        tracemalloc.start()
+        try:
+            got = np.asarray(fading_sample(model, derive_rng(5, "fade-form"), size=size))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expected.tobytes()
+        assert peak < 2.5 * expected.nbytes + 4096  # g1 and g2, no temporaries
 
 
 def test_rician_requires_k_factor():

@@ -1,8 +1,10 @@
+import dataclasses
 import os
 
 import pytest
 
 from frangine.cli import (
+    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_OK,
     ParseError,
@@ -51,6 +53,11 @@ def test_invalid_thresholds_name_the_invariant(tmp_path):
     path.write_text("[mode]\nd1 = 200.0\nd2 = 100.0\n")
     with pytest.raises(ValidationError, match="thresholds"):
         parse_config(str(path))
+
+
+def test_schema_names_every_config_field_once_in_field_order():
+    keys = [key for keys in CONFIG_SCHEMA.values() for key in keys]
+    assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -154,6 +161,13 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("channel", "gamma_th_db", "nan"),
         ("channel", "gamma_th_db", "inf"),
         ("channel", "d2d_k_factor_db", "nan"),
+        ("traffic", "requests_per_fue", "2.5"),
+        ("coordination", "n_subchannels", "16.5"),
+        ("coordination", "mc_trials", "100.5"),
+        ("caching", "catalog_items", "100.5"),
+        ("mode", "fap_capacity", "2.5"),
+        ("run", "master_seed", "1.5"),
+        ("caching", "cooperative_caching", "2"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,29 @@ def test_distance_double_evaluation_oracle():
         expected = math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
         assert math.isclose(distance(a, b), expected, rel_tol=1e-12)
         assert math.isclose(distance(a, b), distance(b, a), rel_tol=0)
+
+
+def test_pairwise_distances_bit_equal_to_stacked_difference():
+    """The two (m, n) coordinate differences give every bit of the
+    hypot over one (m, n, 2) difference array, ties on a grid included."""
+    rng = np.random.default_rng(5)
+    for k in range(50):
+        a, b = (rng.uniform(0.0, 3000.0, size=(int(rng.integers(0, 60)), 2)) for _ in "ab")
+        if k % 3 == 0:
+            a, b = 10.0 * np.round(a / 10.0), 10.0 * np.round(b / 10.0)
+        diff = a[:, None, :] - b[None, :, :]
+        expected = np.hypot(diff[..., 0], diff[..., 1])
+        got = pairwise_distances(a, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    a, b = rng.uniform(size=(600, 2)), rng.uniform(size=(500, 2))
+    tracemalloc.start()
+    try:
+        got = pairwise_distances(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * got.nbytes  # dx and dy, not an (m, n, 2) difference too
 
 
 def test_pair_d2d_greedy_nearest_first():

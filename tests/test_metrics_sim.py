@@ -9,6 +9,8 @@ from frangine.channel import RAYLEIGH, FadingKind, FadingModel, LinkBudget, path
 from frangine.geometry import NetworkTopology, NodeKind, NodeSet, Region
 from frangine import metrics_sim
 from frangine.metrics_sim import (
+    LEDGER_COLUMNS,
+    METRICS_COLUMNS,
     Architecture,
     ScenarioConfig,
     UnknownParameter,
@@ -288,14 +290,50 @@ def test_config_validation():
         ScenarioConfig(mc_trials=0)
 
 
+_WRONG_TYPES = [
+    (key, (getattr(ScenarioConfig(), key).value, "bogus", None))
+    for key in ("fap_topology", "cache_policy", "scheduler", "architecture")
+] + [
+    ("requests_per_fue", (2.5,)),
+    ("n_subchannels", (16.5,)),
+    ("mc_trials", (100.5,)),
+    ("catalog_items", (100.5,)),
+    ("fap_capacity", (2.5, True)),
+    ("master_seed", (1.5,)),
+    ("cooperative_caching", ("no", 1)),
+    ("region_width", ("1000", False)),
+]
+
+
 @pytest.mark.parametrize(
-    "key", ["fap_topology", "cache_policy", "scheduler", "architecture"]
+    "key,values", [pytest.param(key, values, id=key) for key, values in _WRONG_TYPES]
 )
-def test_config_rejects_non_enum_values(key):
-    member = getattr(ScenarioConfig(), key)
-    for value in (member.value, "bogus", None):
+def test_config_rejects_values_of_the_wrong_type(key, values):
+    for value in values:
         with pytest.raises(ValueError, match=key):
             ScenarioConfig(**{key: value})
+
+
+def test_config_accepts_ints_numpy_scalars_and_none():
+    config = ScenarioConfig(
+        region_width=1000, fap_capacity=np.int64(3), tau=np.float32(0.5),
+        cooperative_caching=True, d2d_k_factor_db=None,
+    )
+    assert (config.region_width, config.fap_capacity) == (1000, 3)
+
+
+def test_csv_headers_are_pinned():
+    assert METRICS_COLUMNS == [
+        "spatial_average_rate", "rate_ci", "cellular_success_probability",
+        "cellular_ci", "d2d_success_probability", "d2d_ci", "fue_hit_ratio",
+        "fap_hit_ratio", "energy_efficiency", "mean_cluster_size", "n_hpns", "n_faps",
+        "n_fues", "n_d2d_pairs", "fronthaul_bits", "backhaul_bits",
+        "bbu_processed_bits", "edge_processed_bits", "total_payload_bits",
+    ]
+    assert LEDGER_COLUMNS == [
+        "request_index", "fue_id", "mode", "tier", "payload_bits", "fronthaul_bits",
+        "backhaul_bits", "served_by",
+    ]
 
 
 def _relay_layouts():
