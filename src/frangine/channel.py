@@ -3,10 +3,10 @@
 All fading sample distributions are normalized to unit mean power, so the
 link budget alone sets mean received power. A signal fade realizes Rayleigh
 as the K = 0 special case of Rician (same underlying Gaussian draws), which
-keeps matched-seed comparisons across K factors tightly paired. The
-interferer field of `metrics_sim.spatial_average_rate` does not call
-`fading_sample`: its Rayleigh power fades are Exp(1) by inverse CDF,
--log1p(-u), from the uniforms that place the interferers.
+keeps matched-seed comparisons across K factors tightly paired. The D2D and
+cellular success checks of `metrics_sim` sample fades here;
+`metrics_sim.spatial_average_rate` draws none, since it integrates the
+Rician moment generating function exactly.
 """
 
 from __future__ import annotations
@@ -83,8 +83,11 @@ def path_gain(d: float, budget: LinkBudget) -> float:
     """Power-law path gain, clamped at 1 m to avoid the d -> 0 singularity."""
     if np.any(np.asarray(d) < 0):
         raise ValueError("distance must be nonnegative")
-    d_eff = np.maximum(d, 1.0)
-    return db_to_linear(budget.reference_gain_db) * d_eff ** (-budget.path_loss_exponent)
+    # In place on one new array: a distance matrix needs no second copy.
+    gain = np.maximum(d, 1.0)
+    gain **= -budget.path_loss_exponent
+    gain *= db_to_linear(budget.reference_gain_db)
+    return gain
 
 
 def fading_sample(model: FadingModel, rng: np.random.Generator, size=None):

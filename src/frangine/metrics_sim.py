@@ -10,6 +10,7 @@ randomness never perturbs another one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import operator
@@ -69,14 +70,10 @@ from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
-# Most interferers `spatial_average_rate` draws at once. It bounds memory and
-# changes no output bit: interferer k always reads doubles 3k..3k+2 of the
-# stream, and each trial's interference is summed in draw order.
-CHUNK = 65536
-
 # Draws shared by the points of one `sweep` call, one per draw site (see
-# `_shared_draw`); None outside a sweep. A context variable, so concurrent
-# or nested sweeps never see each other's draws.
+# `_shared_draw`; the one site is the D2D interferer fades); None outside a
+# sweep. A context variable, so concurrent or nested sweeps never see each
+# other's draws.
 _shared: ContextVar[dict | None] = ContextVar("frangine_shared_draws", default=None)
 
 
@@ -144,7 +141,7 @@ class ScenarioConfig:
     p_coord: float = 0.5
     p_hpn: float = 20.0
     sleep_power_fraction: float = 0.1
-    mc_trials: int = 2000
+    mc_trials: int = 2000  # D2D and cellular success; the rate is exact
     # Traffic
     requests_per_fue: int = 5
     warmup_requests: int = 3  # per F-UE, primes caches before accounting
@@ -185,6 +182,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         for name in (
             "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
+            "reference_gain_db", "tx_power_fap_dbm", "tx_power_fue_dbm",
             "noise_power_dbm", "gamma_th_db", "d2d_k_factor_db",  # None: Rayleigh
         ):
             if not math.isfinite(getattr(self, name) or 0.0):
@@ -333,7 +331,8 @@ def energy_efficiency(rate_sum: float, total_power: float) -> float:
 def _shared_draw(site: str, rng: np.random.Generator, inputs: tuple, draw):
     """`draw(rng)`, or inside a `sweep` the array the last grid point drew at
     this `site` when it started from the same generator state with the same
-    non-random `inputs`.
+    non-random `inputs`. `d2d_success_probability` shares its interferer
+    fades through the site "d2d"; the rate is exact and draws nothing.
 
     A hit also moves `rng` to the state it would have after drawing, so the
     reuse is exact: the result and every later draw are byte-identical to a
@@ -355,65 +354,118 @@ def _shared_draw(site: str, rng: np.random.Generator, inputs: tuple, draw):
     return held[1]
 
 
+@functools.cache
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1], made on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    nodes = ((x + 1.0) / 2.0, w / 2.0)
+    for a in nodes:
+        a.flags.writeable = False  # shared by every call
+    return nodes
+
+
+# Quadrature of `spatial_average_rate`: Gauss-Legendre nodes per panel of
+# the radial area integral and of the log z integral, and the widest panel
+# in log r and in log z.
+AREA_NODES = 16
+Z_NODES = 16
+LOG_R_PANEL = 2.0
+LOG_Z_PANEL = 2.0
+
+
+def _region_area_nodes(half_width: float, half_height: float):
+    """Radii r and weights w with sum w f(r) = the integral of f(|x|) over
+    the rectangle of these half sides, centred on the origin.
+
+    At radius r the rectangle holds the arc angle 2 pi - 4 acos(a/r)[r > a]
+    - 4 acos(b/r)[r > b] out to the corner. The panels break at the 1 m path
+    gain clamp and at both half sides. A panel from a half side takes r =
+    lo + (hi - lo) u^2, which smooths the arc angle's square-root kink there;
+    the panel from 0 is linear in r; the others are panels in log r. No
+    panel spans more than LOG_R_PANEL in log r, except the one from 0."""
+    a, b = half_width, half_height
+    corner = math.hypot(a, b)
+    spread = math.exp(LOG_R_PANEL)  # also the widest panel from a half side
+    cuts = (1.0, a, b, a * spread, b * spread)
+    edges = sorted({0.0, corner, *(e for e in cuts if e < corner)})
+    x, w = _gauss_legendre(AREA_NODES)
+    radii, weights = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        if lo in (a, b):
+            radii.append(lo + (hi - lo) * x * x)
+            weights.append(2.0 * (hi - lo) * x * w)
+        elif lo == 0.0:
+            radii.append(hi * x)
+            weights.append(hi * w)
+        else:
+            panels = math.ceil(math.log(hi / lo) / LOG_R_PANEL)
+            logs = np.linspace(math.log(lo), math.log(hi), panels + 1)
+            for v_lo, v_hi in zip(logs, logs[1:]):
+                r = np.exp(v_lo + (v_hi - v_lo) * x)
+                radii.append(r)
+                weights.append((v_hi - v_lo) * w * r)
+    r = np.concatenate(radii)
+    outside = np.arccos(np.minimum(a / r, 1.0)) + np.arccos(np.minimum(b / r, 1.0))
+    angle = 2.0 * math.pi - 4.0 * outside
+    return r, np.concatenate(weights) * angle * r
+
+
 def spatial_average_rate(
     topology: NetworkTopology,
     fading: FadingModel,
     budget: LinkBudget,
-    mc_trials: int,
-    rng: np.random.Generator,
     link_distance: float = 20.0,
     interferer_density: float | None = None,
-):
-    """Mean Shannon rate of the typical D2D link at the region center.
+) -> float:
+    """Mean Shannon rate E log2(1 + S/(I + N)) of the typical D2D link at the
+    region centre, in bit/s/Hz, computed exactly by quadrature.
 
-    Per trial: the signal link fades per `fading`; co-channel interferers
-    are a fresh PPP of D2D transmitters (Rayleigh faded) over the region.
-    The field is drawn in chunks of whole trials holding at most `CHUNK`
-    interferers (a larger trial is a chunk of its own), each from one
-    uniform draw of three columns: x, y, and the Rayleigh power fade
-    -log1p(-u), Exp(1) by inverse CDF.
-    Returns (mean rate, 99% CI half-width).
+    The signal S fades per `fading` (unit mean, mean S_bar); the interferers
+    are a PPP of D2D transmitters over the region, Rayleigh faded, with path
+    gains clamped at 1 m. Hamdi's lemma (IEEE TCOM 2010) gives
+
+        E ln(1 + S/(I + N)) = int_0^inf (1 - M_S(z)) M_I(z) exp(-zN) dz / z,
+
+    with the Rician moment generating function M_S(z) = (1+K)/(1+K+z S_bar)
+    exp(-K z S_bar/(1+K+z S_bar)) (K = 0 is Rayleigh) and the PPP Laplace
+    functional log M_I(z) = -density * int_region z P g/(1 + z P g) dA
+    (Andrews, Baccelli & Ganti, IEEE TCOM 2011). The z integral runs in log z
+    from z S_bar = 1e-18 to z N = 800, beyond which the integrand is below
+    double precision, in Gauss-Legendre panels; the area integral is radial
+    (`_region_area_nodes`).
     """
-    if mc_trials < 1:
-        raise ValueError("mc_trials must be at least 1")
     if interferer_density is None:
         interferer_density = topology.fues.density
-    region = topology.region
-    center = np.array([region.width / 2.0, region.height / 2.0])
     p_fue = budget.tx_watts(NodeKind.FUE)
     signal_mean = p_fue * float(path_gain(link_distance, budget))
-    # Signal fading first: the draw count is K-independent (two normals per
-    # trial), so matched seeds stay paired across fading models and the
-    # interferer field below starts from the same generator state for every K.
-    sig_fades = fading_sample(fading, rng, size=mc_trials)
-
-    def draw_interference(rng):
-        counts = rng.poisson(interferer_density * region.area, size=mc_trials)
-        ends = np.cumsum(counts)
-        interference = np.empty(mc_trials)
-        lo = 0
-        while lo < mc_trials:
-            start = ends[lo] - counts[lo]
-            hi = max(int(ends.searchsorted(start + CHUNK, side="right")), lo + 1)
-            u = rng.random((int(ends[hi - 1] - start), 3))
-            dx = region.width * u[:, 0] - center[0]
-            dy = region.height * u[:, 1] - center[1]
-            gains = p_fue * path_gain(np.sqrt(dx * dx + dy * dy), budget) * -np.log1p(-u[:, 2])
-            trial_of = np.repeat(np.arange(hi - lo), counts[lo:hi])
-            interference[lo:hi] = np.bincount(trial_of, weights=gains, minlength=hi - lo)
-            lo = hi
-        return interference
-
-    inputs = (
-        interferer_density, region.width, region.height, p_fue,
-        budget.path_loss_exponent, budget.reference_gain_db, mc_trials,
-    )
-    interference = _shared_draw("rate", rng, inputs, draw_interference)
-    trial_sinr = signal_mean * sig_fades / (interference + budget.noise_watts)
-    rates = np.log2(1.0 + trial_sinr)
-    mean = float(rates.mean())
-    ci = Z_99 * float(rates.std(ddof=1)) / math.sqrt(mc_trials) if mc_trials > 1 else 0.0
-    return mean, ci
+    noise = budget.noise_watts
+    if signal_mean == 0.0:
+        return 0.0
+    if noise == 0.0 or signal_mean == math.inf:  # I = 0 has P > 0 on a finite region
+        return math.inf
+    lo = math.log(1e-18) - math.log(signal_mean)
+    hi = math.log(800.0) - math.log(noise)
+    if hi <= lo:
+        return 0.0
+    x, w = _gauss_legendre(Z_NODES)
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / LOG_Z_PANEL) + 1)
+    width = edges[1] - edges[0]
+    z = np.exp(edges[:-1, None] + width * x).ravel()
+    # 1 - M_S(z), from log M_S(z) so that it keeps its digits at small z.
+    k = fading.k_linear()
+    zs = z * signal_mean
+    log_m_s = -np.log1p(zs / (1.0 + k)) - k * zs / (1.0 + k + zs)
+    log_integrand = -z * noise
+    if interferer_density > 0:
+        region = topology.region
+        r, area = _region_area_nodes(region.width / 2.0, region.height / 2.0)
+        zg = z[:, None] * (p_fue * path_gain(r, budget))
+        zg /= zg + 1.0  # in place: under 1 MiB per (z, r) array by default
+        log_integrand -= interferer_density * (zg @ area)
+    integrand = -np.expm1(log_m_s) * np.exp(log_integrand)
+    return float(integrand @ np.tile(width * w, len(edges) - 1)) / math.log(2.0)
 
 
 def _prob_ci(p: float, n: int) -> float:
@@ -692,16 +744,9 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
     report.cellular_ci = _prob_ci(report.cellular_success_probability, config.mc_trials)
 
-    # Rate before D2D success (their streams are independent): inside a
-    # sweep the D2D interferer fades stay held, and drawing them first
-    # would hold them through the first point's rate field, the peak memory.
-    report.spatial_average_rate, report.rate_ci = spatial_average_rate(
-        topology,
-        config.d2d_fading(),
-        budget,
-        config.mc_trials,
-        derive_rng(config.master_seed, "rate"),
-        link_distance=config.d2d_link_distance,
+    # Exact, so rate_ci stays 0.0: the rate has no Monte-Carlo error.
+    report.spatial_average_rate = spatial_average_rate(
+        topology, config.d2d_fading(), budget, link_distance=config.d2d_link_distance
     )
 
     report.d2d_success_probability, report.d2d_ci = d2d_success_probability(
@@ -746,17 +791,16 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
     Every point's config is built before any point runs, so a bad grid value
     fails with `InvalidGridValue`, naming the key, before any work is done.
 
-    Draws that do not depend on the swept value are made once per call and
-    reused by the later points: the interferer field of
-    `spatial_average_rate` and the interferer fades of
-    `d2d_success_probability`. Each is keyed on the generator's exact state
-    at the draw site plus every non-random input the draw reads, and a hit
-    moves the generator to its post-draw state, so every point's output is
-    byte-identical to a lone `run_scenario` of that point. A swept value
-    that feeds a draw (`lambda_d` sets the interferer density) changes the
-    key, and the draw is made again in place of the old one, so a sweep
-    holds at most one draw per site. The shared draws are dropped when the
-    call returns or raises.
+    The interferer fades of `d2d_success_probability`, which do not depend
+    on the swept value, are drawn once per call and reused by the later
+    points. They are keyed on the generator's exact state at the draw plus
+    the trial and pair counts, and a hit moves the generator to its
+    post-draw state, so every point's output is byte-identical to a lone
+    `run_scenario` of that point. A swept value that changes the pairs
+    (`lambda_d`) changes the key, and the fades are drawn again in place of
+    the old ones, so a sweep holds at most one draw. The shared draw is
+    dropped when the call returns or raises. `spatial_average_rate` is
+    exact and draws nothing.
 
     Each point still runs the whole of `run_scenario`, clustering included,
     even where the swept value cannot change the partition (`k_factor_db`):

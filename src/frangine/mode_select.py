@@ -147,22 +147,32 @@ def associate_fap(
     if n < 1:
         raise ValueError("at least one F-AP required")
     gains = path_gain(pairwise_distances(positions, faps.positions), budget)
-    # Descending power, ties by lower index (a stable sort).
-    order = np.argsort(-(budget.tx_watts(NodeKind.FAP) * gains), axis=1, kind="stable")
     # Admission to F-AP i leaks at the strongest gain to the other F-APs: the
-    # row maximum, or for the F-AP holding it the rest's maximum (-inf if none).
+    # row maximum, or for the F-AP holding it the second largest (-inf if
+    # none), read with the maximum masked in place and then restored.
     rows = np.arange(len(gains))
     top = gains.argmax(axis=1)
-    rest = gains.copy()
-    rest[rows, top] = -np.inf
-    leak = np.where(
-        np.arange(n) == top[:, None], rest.max(axis=1, keepdims=True), gains[rows, top, None]
+    best = gains[rows, top]
+    gains[rows, top] = -np.inf
+    second = gains.max(axis=1)
+    gains[rows, top] = best
+    p_fue = budget.tx_watts(NodeKind.FUE)
+    stops = zip(
+        top.tolist(),
+        (p_fue * second > interference_limit).tolist(),  # blocks the top F-AP
+        (p_fue * best > interference_limit).tolist(),  # blocks every other
     )
-    blocked = budget.tx_watts(NodeKind.FUE) * leak > interference_limit
+    # Descending power, ties by lower index (a stable sort); -(p g) = g (-p)
+    # exactly, so the order is that of the received powers.
+    gains *= -budget.tx_watts(NodeKind.FAP)
+    order = np.argsort(gains, axis=1, kind="stable")
     free = [float("inf")] * n if capacity is None else list(capacity)
     serving = []
-    for row, stop in zip(order, blocked):
-        f = next((i for i in row.tolist() if free[i] > 0 and not stop[i]), None)
+    for row, (t, stop_top, stop_rest) in zip(order, stops):
+        f = next(
+            (i for i in row.tolist() if free[i] > 0 and not (stop_top if i == t else stop_rest)),
+            None,
+        )
         if f is not None:
             free[f] -= 1
         serving.append(f)

@@ -1,15 +1,17 @@
 """Record the output digest of every golden case in digests.json.
 
 Each `<case>.ini` in this directory is run through `cli.parse_config` and
-`run_scenario`; its digest is the sha256 of the CSV bytes of `metrics_row`
-and then `ledger_rows`, as `scenbench/workloads.digest` computes it. This
-script is the only writer of digests.json:
+`run_scenario`. Its record holds two digests: "metrics", the sha256 of the
+CSV bytes of its `metrics_row`, and "ledger", the sha256 of the CSV bytes
+of its `ledger_rows`. Kept apart, they show whether a change moved the
+per-request ledger or only the metrics. This script is the only writer of
+digests.json:
 
     PYTHONPATH=src python tests/golden/record.py
 
 A change meant to keep outputs byte-identical must leave digests.json as it
-is. A change that alters random streams reruns this script, which prints
-every case whose digest moved (old -> new) and the count left unchanged.
+is. A change that alters outputs reruns this script, which prints every
+digest that moved (old -> new) and the count of cases left unchanged.
 """
 
 from __future__ import annotations
@@ -35,23 +37,34 @@ def load_case(name: str):
     return parse_config(str(HERE / f"{name}.ini"))
 
 
-def digest(report) -> str:
+def _sha256_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(metrics_row(report))
-    writer.writerows(ledger_rows(report))
+    csv.writer(buf).writerows(rows)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def digest(report) -> dict:
+    """{"metrics": sha256 of the metrics row, "ledger": sha256 of the ledger}."""
+    return {
+        "metrics": _sha256_csv([metrics_row(report)]),
+        "ledger": _sha256_csv(ledger_rows(report)),
+    }
 
 
 def main() -> None:
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {name: digest(run_scenario(load_case(name))) for name in case_names()}
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    moved = [name for name in digests if old.get(name) != digests[name]]
-    for name in moved:
-        print(f"moved {name}: {old.get(name, 'new case')} -> {digests[name]}")
-    print(f"recorded {len(digests)} digests in {DIGESTS}: {len(moved)} moved, "
-          f"{len(digests) - len(moved)} unchanged")
+    counts = []
+    for part in ("metrics", "ledger"):
+        moved = 0
+        for name, new in digests.items():
+            before = old.get(name, {}).get(part)
+            if before != new[part]:
+                print(f"moved {name} {part}: {before or 'new'} -> {new[part]}")
+                moved += 1
+        counts.append(f"{part} {moved} moved, {len(digests) - moved} unchanged")
+    print(f"recorded {len(digests)} cases in {DIGESTS}: {'; '.join(counts)}")
 
 
 if __name__ == "__main__":

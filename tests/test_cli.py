@@ -161,6 +161,9 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("channel", "gamma_th_db", "nan"),
         ("channel", "gamma_th_db", "inf"),
         ("channel", "d2d_k_factor_db", "nan"),
+        ("channel", "tx_power_fue_dbm", "nan"),
+        ("channel", "tx_power_fap_dbm", "inf"),
+        ("channel", "reference_gain_db", "nan"),
         ("traffic", "requests_per_fue", "2.5"),
         ("coordination", "n_subchannels", "16.5"),
         ("coordination", "mc_trials", "100.5"),

@@ -1,5 +1,6 @@
 """Golden output digests: every case in tests/golden/ reproduces its
-recorded metrics and ledger bytes, and shows the feature it is there for.
+recorded metrics bytes and ledger bytes, each against its own digest, and
+shows the feature it is there for.
 Every config key changes some case's output.
 
 digests.json is written only by tests/golden/record.py.
@@ -83,7 +84,9 @@ def test_every_case_is_recorded_and_checked():
 @pytest.mark.parametrize("name", record.case_names())
 def test_golden_digest(name):
     report = run_scenario(record.load_case(name))
-    assert record.digest(report) == DIGESTS[name]
+    got = record.digest(report)
+    assert got["ledger"] == DIGESTS[name]["ledger"], f"{name}: ledger moved"
+    assert got["metrics"] == DIGESTS[name]["metrics"], f"{name}: metrics moved"
     feature, shows = FEATURES[name]
     assert shows(report), f"{name} no longer shows {feature}"
 
@@ -132,7 +135,7 @@ BITES = {
     "p_coord": ("rayleigh_fifo_tau01", 100.0),
     "p_hpn": ("default", 40.0),
     "sleep_power_fraction": ("sparse_fues", 0.5),
-    "mc_trials": ("default", 300),
+    "mc_trials": ("drac_seed2", 300),  # the D2D and cellular Monte-Carlo
     "requests_per_fue": ("default", 6),
     "warmup_requests": ("default", 0),
     "payload_bits": ("default", 2e6),

@@ -26,6 +26,8 @@ from frangine.metrics_sim import (
 from frangine.caching import ContentTier
 from frangine.mode_select import Mode, UeContext, select_mode
 from frangine.rng import derive_rng
+import mc_oracle
+from mc_oracle import mc_spatial_average_rate
 
 FAST = ScenarioConfig(
     region_width=600.0,
@@ -150,6 +152,10 @@ def _bare_topology():
     )
 
 
+def _region_topology(width=1000.0, height=1000.0):
+    return dataclasses.replace(_bare_topology(), region=Region(width, height))
+
+
 def test_spatial_average_rate_no_fading_snr_one():
     # Huge-K Rician is effectively unfaded; tx power equal to noise at the
     # 1 m reference distance gives SNR = 1 and rate log2(2) = 1.
@@ -158,37 +164,132 @@ def test_spatial_average_rate_no_fading_snr_one():
         noise_power_dbm=-100.0,
     )
     fading = FadingModel(FadingKind.RICIAN, 80.0)
-    mean, ci = spatial_average_rate(
-        _bare_topology(), fading, budget, 20_000, derive_rng(5),
-        link_distance=1.0, interferer_density=0.0,
+    rate = spatial_average_rate(
+        _bare_topology(), fading, budget, link_distance=1.0, interferer_density=0.0
     )
-    assert mean == pytest.approx(1.0, abs=1e-3)
+    assert rate == pytest.approx(1.0, abs=1e-6)
 
 
 def test_spatial_average_rate_degrades_with_interferer_density():
     budget = LinkBudget()
     fading = FadingModel(FadingKind.RICIAN, 6.0)
-    low, _ = spatial_average_rate(
-        _bare_topology(), fading, budget, 3000, derive_rng(6), interferer_density=1e-5
-    )
-    high, _ = spatial_average_rate(
-        _bare_topology(), fading, budget, 3000, derive_rng(6), interferer_density=1e-3
-    )
+    low = spatial_average_rate(_bare_topology(), fading, budget, interferer_density=1e-5)
+    high = spatial_average_rate(_bare_topology(), fading, budget, interferer_density=1e-3)
     assert high < low
 
 
+@pytest.mark.parametrize("snr_db", [-20.0, 0.0, 30.0, 68.0])
+def test_spatial_average_rate_without_interferers_is_the_rayleigh_closed_form(snr_db):
+    # E log2(1 + snr X), X ~ Exp(1), is exp(1/snr) E1(1/snr) / ln 2. The
+    # signal is 20 dBm at 1 m with unit gain.
+    exp1 = pytest.importorskip("scipy.special").exp1
+    budget = LinkBudget(noise_power_dbm=20.0 - snr_db)
+    snr = budget.tx_watts(NodeKind.FUE) * float(path_gain(1.0, budget)) / budget.noise_watts
+    rate = spatial_average_rate(
+        _bare_topology(), RAYLEIGH, budget, link_distance=1.0, interferer_density=0.0
+    )
+    exact = math.exp(1.0 / snr) * exp1(1.0 / snr) / math.log(2.0)
+    assert rate == pytest.approx(exact, rel=1e-12)
+
+
+RATE_CASES = {
+    "1 km, Rayleigh": ((1000.0, 1000.0), RAYLEIGH, 5e-5),
+    "1 km, K = 10 dB": ((1000.0, 1000.0), FadingModel(FadingKind.RICIAN, 10.0), 5e-5),
+    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), FadingModel(FadingKind.RICIAN, 6.0), 2.5e-4),
+    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), FadingModel(FadingKind.RICIAN, 3.0), 5e-5),
+    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), FadingModel(FadingKind.RICIAN, 0.0), 1e-5),
+    "1.6 x 1 m": ((1.6, 1.0), RAYLEIGH, 0.3),
+}
+
+
+@pytest.mark.parametrize("half_sides", [(500.0, 500.0), (1500.0, 500.0), (500.0, 1500.0),
+                                        (0.75, 0.25), (0.5, 0.5), (1.0, 700.0)])
+def test_region_area_nodes_integrate_the_rectangle(half_sides):
+    a, b = half_sides
+    r, area = metrics_sim._region_area_nodes(a, b)
+    assert area.sum() == pytest.approx(4.0 * a * b, rel=1e-13)
+    assert r.max() < math.hypot(a, b) and (area > 0).all()
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
+    (width, height), fading, density = RATE_CASES[case]
+    budget = LinkBudget()
+
+    def rate():
+        return spatial_average_rate(
+            _region_topology(width, height), fading, budget, interferer_density=density
+        )
+
+    coarse = rate()
+    monkeypatch.setattr(metrics_sim, "AREA_NODES", 4 * metrics_sim.AREA_NODES)
+    monkeypatch.setattr(metrics_sim, "Z_NODES", 4 * metrics_sim.Z_NODES)
+    assert coarse == pytest.approx(rate(), rel=1e-10)
+
+
+def test_spatial_average_rate_is_finite_at_extremes():
+    rates = [
+        spatial_average_rate(
+            _region_topology(1.5, 0.5), RAYLEIGH, LinkBudget(), interferer_density=1.0
+        ),
+        spatial_average_rate(_region_topology(3000.0, 1000.0), RAYLEIGH, LinkBudget()),
+    ]
+    for tx, noise in ((-150.0, -100.0), (150.0, -250.0), (20.0, 100.0), (-300.0, -300.0)):
+        budget = LinkBudget(
+            tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: tx}, noise_power_dbm=noise
+        )
+        for density in (0.0, 5e-5):
+            rates.append(spatial_average_rate(
+                _bare_topology(), FadingModel(FadingKind.RICIAN, 6.0), budget,
+                interferer_density=density,
+            ))
+    assert all(math.isfinite(r) and r >= 0.0 for r in rates), rates
+
+
+def test_spatial_average_rate_memory_is_bounded():
+    # The (z, r) arrays of the default case: 512 z nodes by 96 radii,
+    # 384 KiB each, and two of them at once.
+    config = ScenarioConfig()
+    spatial_average_rate(_bare_topology(), config.d2d_fading(), config.budget())  # node tables
+    tracemalloc.start()
+    try:
+        spatial_average_rate(
+            _bare_topology(), config.d2d_fading(), config.budget(),
+            interferer_density=config.lambda_fue,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("density", [5e-5, 1e-6])  # default; most trials empty
-def test_spatial_average_rate_does_not_depend_on_chunk_size(monkeypatch, density):
+def test_mc_spatial_average_rate_does_not_depend_on_chunk_size(monkeypatch, density):
     budget = ScenarioConfig().budget()
     fading = ScenarioConfig().d2d_fading()
     rates = []
-    for chunk in (1, 7, metrics_sim.CHUNK, 10**9):
-        monkeypatch.setattr(metrics_sim, "CHUNK", chunk)
-        rates.append(spatial_average_rate(
+    for chunk in (1, 7, mc_oracle.CHUNK, 10**9):
+        monkeypatch.setattr(mc_oracle, "CHUNK", chunk)
+        rates.append(mc_spatial_average_rate(
             _bare_topology(), fading, budget, 400, derive_rng(9, "rate"),
             interferer_density=density,
         ))
     assert rates[1:] == rates[:-1]
+
+
+def test_mc_spatial_average_rate_memory_is_bounded():
+    config = ScenarioConfig()
+    tracemalloc.start()
+    try:
+        mc_spatial_average_rate(
+            _bare_topology(), config.d2d_fading(), config.budget(), 100_000,
+            derive_rng(1, "rate"), interferer_density=config.lambda_fue,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 5M interferers, whose uniforms alone take 120 MB if drawn at once.
+    assert peak < 16 * 2**20
 
 
 def _gauss_legendre(lo, hi, n):
@@ -230,31 +331,39 @@ def _rayleigh_rate(budget, density, half_side, link_distance):
 
 
 def test_spatial_average_rate_matches_rayleigh_laplace_oracle():
-    # The infinite-plane formula of the same paper is about 0.03 bit low on
-    # the 1 km square (3-6 standard errors), so the oracle integrates the
-    # Laplace functional over the finite square.
+    # The oracle's own accuracy is about 1e-5 relative at the densest case.
     config = ScenarioConfig(d2d_k_factor_db=None)
-    mean, ci = spatial_average_rate(
-        _bare_topology(), RAYLEIGH, config.budget(), 200_000, derive_rng(1, "rate"),
-        link_distance=config.d2d_link_distance, interferer_density=config.lambda_fue,
-    )
-    exact = _rayleigh_rate(config.budget(), config.lambda_fue, 500.0, config.d2d_link_distance)
-    assert abs(mean - exact) < 4.0 * ci / metrics_sim.Z_99
-
-
-def test_spatial_average_rate_memory_is_bounded():
-    config = ScenarioConfig()
-    tracemalloc.start()
-    try:
-        spatial_average_rate(
-            _bare_topology(), config.d2d_fading(), config.budget(), 100_000,
-            derive_rng(1, "rate"), interferer_density=config.lambda_fue,
+    for density, half_side in ((5e-5, 500.0), (2.5e-4, 1000.0), (1e-3, 500.0)):
+        rate = spatial_average_rate(
+            _region_topology(2 * half_side, 2 * half_side), RAYLEIGH, config.budget(),
+            link_distance=config.d2d_link_distance, interferer_density=density,
         )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # About 5M interferers, whose uniforms alone take 120 MB if drawn at once.
-    assert peak < 16 * 2**20
+        exact = _rayleigh_rate(config.budget(), density, half_side, config.d2d_link_distance)
+        assert rate == pytest.approx(exact, rel=2e-5), (density, half_side)
+
+
+# (region, fading, interferer density, trials); seeds derive_rng(27,
+# "rate-oracle", i) for case i, fixed before the cases were first run.
+MC_RATE_CASES = [
+    ((1000.0, 1000.0), RAYLEIGH, 5e-5, 200_000),
+    ((1000.0, 1000.0), FadingModel(FadingKind.RICIAN, 6.0), 5e-5, 200_000),
+    ((1000.0, 1000.0), FadingModel(FadingKind.RICIAN, 10.0), 1e-3, 10_000),
+    ((2000.0, 2000.0), FadingModel(FadingKind.RICIAN, 0.0), 2.5e-4, 10_000),
+    ((3000.0, 1000.0), FadingModel(FadingKind.RICIAN, 3.0), 5e-5, 50_000),
+    ((1000.0, 1000.0), RAYLEIGH, 1e-6, 200_000),
+]
+
+
+@pytest.mark.parametrize("i", range(len(MC_RATE_CASES)))
+def test_spatial_average_rate_matches_monte_carlo_oracle(i):
+    (width, height), fading, density, trials = MC_RATE_CASES[i]
+    topology, budget = _region_topology(width, height), LinkBudget()
+    mean, ci = mc_spatial_average_rate(
+        topology, fading, budget, trials, derive_rng(27, "rate-oracle", i),
+        interferer_density=density,
+    )
+    exact = spatial_average_rate(topology, fading, budget, interferer_density=density)
+    assert abs(mean - exact) < 4.0 * ci / metrics_sim.Z_99
 
 
 def test_sweep_single_point_equals_plain_run():
@@ -482,7 +591,7 @@ def test_sweep_holds_one_draw_per_site(monkeypatch):
 
     monkeypatch.setattr(metrics_sim, "run_scenario", recording)
     sweep(FAST, "lambda_d", [5e-5, 8e-5, 1e-4])  # every point misses
-    assert held == [["d2d", "rate"]] * 3
+    assert held == [["d2d"]] * 3
 
 
 def test_sweep_grid_values_of_an_integer_key(monkeypatch):

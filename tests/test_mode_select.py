@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,3 +288,20 @@ def test_associate_matches_scalar_distance_oracle():
                     for f, s in zip(want, strongest)
                 )
     assert outcomes == {"blocked", "strongest", "fallback"}
+
+
+def test_associate_memory_is_bounded():
+    # About two U x F arrays at once (the distances and the gains, then the
+    # gains and their stable order), never a copy of either: 5,054 x 1,005
+    # on a 10 km tree, 39 MiB each.
+    rng = derive_rng(3, "associate", "memory")
+    ues = rng.uniform(0.0, 3000.0, size=(2000, 2))
+    faps = NodeSet(NodeKind.FAP, rng.uniform(0.0, 3000.0, size=(300, 2)), 0.0)
+    budget = LinkBudget()
+    tracemalloc.start()
+    try:
+        associate_fap(ues, faps, budget, 1e-9, [5] * len(faps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 8 * ues.shape[0] * len(faps)
