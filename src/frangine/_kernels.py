@@ -1,8 +1,11 @@
-"""The Monte-Carlo SINR kernels of the D2D and cellular success estimates.
+"""The Monte-Carlo SINR kernels, kept in a module of their own under these
+names because the scenario benchmark (`scenbench/tracer.py`) hooks
+`_kernels.sinr_trials` and `_kernels.success_fraction` by name for its
+`kernels.*` per-layer metrics.
 
-They are kept in a module of their own, under these names, because the
-scenario benchmark (`scenbench/tracer.py`) hooks `_kernels.sinr_trials` and
-`_kernels.success_fraction` by name for its `kernels.*` per-layer metrics.
+The cellular success estimate calls `success_fraction`. Nothing in the
+package calls `sinr_trials` any more (D2D success is exact); it stays only
+so that the benchmark's hook still binds, and reports zero work.
 """
 
 from __future__ import annotations

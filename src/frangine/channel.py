@@ -3,10 +3,11 @@
 All fading sample distributions are normalized to unit mean power, so the
 link budget alone sets mean received power. A signal fade realizes Rayleigh
 as the K = 0 special case of Rician (same underlying Gaussian draws), which
-keeps matched-seed comparisons across K factors tightly paired. The D2D and
-cellular success checks of `metrics_sim` sample fades here;
-`metrics_sim.spatial_average_rate` draws none, since it integrates the
-Rician moment generating function exactly.
+keeps matched-seed comparisons across K factors tightly paired. Only the
+cellular success check (`coordination.cellular_success_probability`)
+samples fades here at run time. `metrics_sim.spatial_average_rate` and
+`metrics_sim.d2d_success_probability` draw none: they are exact, from the
+Rician moment generating function and its Poisson-mixture form.
 """
 
 from __future__ import annotations

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
             "--trials", type=int, default=None,
-            help="Monte-Carlo trials of the D2D and cellular success checks (mc_trials)",
+            help="Monte-Carlo trials of the cellular success check (mc_trials)",
         )
 
     p_run = sub.add_parser("run", help="run one scenario")

@@ -14,13 +14,11 @@ import functools
 import math
 import numbers
 import operator
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .caching import (
     ContentCatalog,
     ContentTier,
@@ -35,7 +33,6 @@ from .channel import (
     FadingModel,
     LinkBudget,
     db_to_linear,
-    fading_sample,
     path_gain,
 )
 from .coordination import (
@@ -70,11 +67,13 @@ from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
-# Draws shared by the points of one `sweep` call, one per draw site (see
-# `_shared_draw`; the one site is the D2D interferer fades); None outside a
-# sweep. A context variable, so concurrent or nested sweeps never see each
-# other's draws.
-_shared: ContextVar[dict | None] = ContextVar("frangine_shared_draws", default=None)
+# The widest powers, reference gain and SINR threshold a config takes, in
+# dB(m): 10^(x/10) of each, and their products in a link budget, stay
+# normal doubles.
+DB_LIMIT = 300.0
+# The largest D2D K-factor a config takes, in dB. The exact D2D success sums
+# under K + 12 sqrt(K) + 60 terms (1,281 at 30 dB) in a Python loop.
+K_FACTOR_DB_MAX = 30.0
 
 
 class Architecture(Enum):
@@ -141,7 +140,7 @@ class ScenarioConfig:
     p_coord: float = 0.5
     p_hpn: float = 20.0
     sleep_power_fraction: float = 0.1
-    mc_trials: int = 2000  # D2D and cellular success; the rate is exact
+    mc_trials: int = 2000  # cellular success; the rate and D2D success are exact
     # Traffic
     requests_per_fue: int = 5
     warmup_requests: int = 3  # per F-UE, primes caches before accounting
@@ -182,11 +181,18 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         for name in (
             "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
-            "reference_gain_db", "tx_power_fap_dbm", "tx_power_fue_dbm",
-            "noise_power_dbm", "gamma_th_db", "d2d_k_factor_db",  # None: Rayleigh
+            "d2d_k_factor_db",  # None: Rayleigh
         ):
             if not math.isfinite(getattr(self, name) or 0.0):
                 raise ValueError(f"{name} must be finite")
+        for name in (
+            "reference_gain_db", "tx_power_fap_dbm", "tx_power_fue_dbm", "noise_power_dbm",
+            "gamma_th_db",
+        ):
+            if not -DB_LIMIT <= getattr(self, name) <= DB_LIMIT:
+                raise ValueError(f"{name} must lie in [-{DB_LIMIT:g}, {DB_LIMIT:g}]")
+        if not (self.d2d_k_factor_db or 0.0) <= K_FACTOR_DB_MAX:
+            raise ValueError(f"d2d_k_factor_db must be at most {K_FACTOR_DB_MAX:g} (or none)")
         if not self.p_static + self.p_tx > 0:  # a single F-AP's cluster power
             raise ValueError("p_static + p_tx must be positive")
         for name in (
@@ -328,32 +334,6 @@ def energy_efficiency(rate_sum: float, total_power: float) -> float:
     return rate_sum / total_power
 
 
-def _shared_draw(site: str, rng: np.random.Generator, inputs: tuple, draw):
-    """`draw(rng)`, or inside a `sweep` the array the last grid point drew at
-    this `site` when it started from the same generator state with the same
-    non-random `inputs`. `d2d_success_probability` shares its interferer
-    fades through the site "d2d"; the rate is exact and draws nothing.
-
-    A hit also moves `rng` to the state it would have after drawing, so the
-    reuse is exact: the result and every later draw are byte-identical to a
-    fresh draw. A miss drops the site's old draw before drawing, so a sweep
-    holds at most one draw per site."""
-    shared = _shared.get()
-    if shared is None:
-        return draw(rng)
-    key = (repr(rng.bit_generator.state), inputs)
-    held = shared.pop(site, None)
-    if held is not None and held[0] == key:
-        rng.bit_generator.state = held[2]
-    else:
-        held = None  # free the old draw before making the new one
-        value = draw(rng)
-        value.flags.writeable = False
-        held = (key, value, rng.bit_generator.state)
-    shared[site] = held
-    return held[1]
-
-
 @functools.cache
 def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [0, 1], made on first use."""
@@ -472,43 +452,94 @@ def _prob_ci(p: float, n: int) -> float:
     return Z_99 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
+# Truncation of `d2d_success_probability`'s Poisson mixture: terms whose
+# weight P(Poisson(K) >= m) is below POISSON_TAIL are dropped, which loses
+# at most that much probability.
+POISSON_TAIL = 1e-17
+# Its recursion divides its running terms by _RESCALE whenever one passes
+# it, and keeps the log of the scale apart, so no term under- or overflows.
+_RESCALE = 1e250
+
+
+def _poisson_tail(k: float) -> np.ndarray:
+    """Q(m) = P(Poisson(k) >= m) for m = 0, 1, ... while Q(m) >= POISSON_TAIL.
+
+    Each tail is summed from its small end over the pmf, taken from its log:
+    1 - cdf would floor at about 1e-16. The pmf past k + 12 sqrt(k) + 60
+    adds less than 1e-32 to any tail."""
+    last = int(k + 12.0 * math.sqrt(k) + 60.0)
+    log_k = math.log(k)
+    log_pmf = np.array([j * log_k - k - math.lgamma(j + 1.0) for j in range(last + 1)])
+    tail = np.cumsum(np.exp(log_pmf)[::-1])[::-1]
+    return tail[: np.count_nonzero(tail >= POISSON_TAIL)]
+
+
 def d2d_success_probability(
     topology: NetworkTopology,
     pairs,
     fading: FadingModel,
     budget: LinkBudget,
     gamma_th_db: float,
-    mc_trials: int,
-    rng: np.random.Generator,
     link_distance: float = 20.0,
-):
-    """Success probability of the typical D2D link against the co-channel
-    D2D transmitters of the scenario. Returns (probability, CI half-width)."""
+) -> float:
+    """Probability that the typical D2D link at the region centre reaches
+    SINR theta against the co-channel D2D transmitters (the first F-UE of
+    each pair), computed exactly.
+
+    The signal S fades per `fading` (unit mean, mean S_bar); interferer k
+    has mean received power g_k and a Rayleigh fade. With a = (1 + K)
+    theta / S_bar, success is (1 + K) S / S_bar >= y = a (I + N), and
+    (1 + K) S / S_bar is a Poisson(K) mixture of Gamma(J + 1, 1) (Simon &
+    Alouini, the Rician case; K = 0 is Rayleigh). So
+
+        P = sum_m Q_K(m) T_m,  Q_K(m) = P(Poisson(K) >= m),
+
+    where T_m = E[exp(-y) y^m / m!] is the u^m coefficient of
+    G(u) = exp(-a N (1 - u)) prod_k 1 / (1 + b_k (1 - u)), b_k = a g_k (the
+    Rayleigh Laplace transform; Andrews, Baccelli & Ganti, IEEE TCOM 2011).
+    log G has the nonnegative coefficients H_1 = a N + sum_k rho_k and
+    H_j = sum_k rho_k^j / j, rho_k = b_k / (1 + b_k), so T_0 =
+    exp(-a N - sum_k log1p(b_k)) and m T_m = sum_j j H_j T_(m-j) sum only
+    nonnegative terms. Rayleigh is T_0 alone. The T_m sum to 1, so the
+    terms with Q_K(m) < POISSON_TAIL change P by at most that.
+    """
     region = topology.region
     center = (region.width / 2.0, region.height / 2.0)
     p_fue = budget.tx_watts(NodeKind.FUE)
     signal_mean = p_fue * float(path_gain(link_distance, budget))
-    tx_positions = np.array(
-        [topology.fues.positions[i] for i, _ in pairs], dtype=float
-    ).reshape(-1, 2)
-    if tx_positions.shape[0]:
-        dists = pairwise_distances(tx_positions, [center])[:, 0]
-        int_gains = p_fue * path_gain(dists, budget)
-        int_fades = _shared_draw(
-            "d2d",
-            rng,
-            (mc_trials, len(int_gains)),
-            lambda rng: fading_sample(RAYLEIGH, rng, size=(mc_trials, len(int_gains))),
-        )
-    else:
-        int_gains = np.empty(0)
-        int_fades = np.empty((mc_trials, 0))
-    sig_fades = fading_sample(fading, rng, size=(mc_trials, 1))
-    trial_sinr = _kernels.sinr_trials(
-        sig_fades, np.array([signal_mean]), int_fades, int_gains, budget.noise_watts
-    )
-    p = _kernels.success_fraction(trial_sinr, db_to_linear(gamma_th_db))
-    return p, _prob_ci(p, mc_trials)
+    noise = budget.noise_watts
+    tx_positions = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2)
+    gains = p_fue * path_gain(pairwise_distances(tx_positions, [center])[:, 0], budget)
+    if signal_mean == 0.0:
+        return 0.0
+    if noise == 0.0 and not gains.any():
+        return 1.0  # nothing to beat: the SINR is infinite
+    k = fading.k_linear()
+    a = (1.0 + k) * db_to_linear(gamma_th_db) / signal_mean
+    b = a * gains
+    # By Markov's inequality on each term of y alone, P <= (1 + K) / max(a N,
+    # b_k). Past that test every step of the recursion below grows its terms
+    # by at most a N + sum_k b_k <= (n + 1)(1 + K) / POISSON_TAIL.
+    if not max(a * noise, b.max(initial=0.0)) * POISSON_TAIL <= 1.0 + k:
+        return 0.0
+    log_scale = -a * noise - float(np.log1p(b).sum())  # log T_0
+    if k == 0.0:
+        return math.exp(log_scale)
+    tail = _poisson_tail(k)
+    rho = b / (1.0 + b)
+    power = np.ones_like(rho)
+    jh = np.zeros(len(tail))  # j H_j: the power sums of rho, plus a N at j = 1
+    t = np.zeros(len(tail))  # T_m / exp(log_scale)
+    t[0] = 1.0
+    for m in range(1, len(tail)):
+        power *= rho
+        jh[m] = power.sum() + (a * noise if m == 1 else 0.0)
+        t[m] = jh[1 : m + 1] @ t[m - 1 :: -1] / m
+        if t[m] > _RESCALE:
+            t[: m + 1] /= _RESCALE
+            log_scale += math.log(_RESCALE)
+    total = float(tail @ t)
+    return min(1.0, math.exp(math.log(total) + log_scale)) if total > 0.0 else 0.0
 
 
 def _build_topology(config: ScenarioConfig) -> NetworkTopology:
@@ -744,19 +775,13 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
     report.cellular_ci = _prob_ci(report.cellular_success_probability, config.mc_trials)
 
-    # Exact, so rate_ci stays 0.0: the rate has no Monte-Carlo error.
+    # Exact, so rate_ci and d2d_ci stay 0.0: neither has Monte-Carlo error.
     report.spatial_average_rate = spatial_average_rate(
         topology, config.d2d_fading(), budget, link_distance=config.d2d_link_distance
     )
 
-    report.d2d_success_probability, report.d2d_ci = d2d_success_probability(
-        topology,
-        pairs,
-        config.d2d_fading(),
-        budget,
-        config.gamma_th_db,
-        config.mc_trials,
-        derive_rng(config.master_seed, "d2d"),
+    report.d2d_success_probability = d2d_success_probability(
+        topology, pairs, config.d2d_fading(), budget, config.gamma_th_db,
         link_distance=config.d2d_link_distance,
     )
 
@@ -791,17 +816,6 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
     Every point's config is built before any point runs, so a bad grid value
     fails with `InvalidGridValue`, naming the key, before any work is done.
 
-    The interferer fades of `d2d_success_probability`, which do not depend
-    on the swept value, are drawn once per call and reused by the later
-    points. They are keyed on the generator's exact state at the draw plus
-    the trial and pair counts, and a hit moves the generator to its
-    post-draw state, so every point's output is byte-identical to a lone
-    `run_scenario` of that point. A swept value that changes the pairs
-    (`lambda_d`) changes the key, and the fades are drawn again in place of
-    the old ones, so a sweep holds at most one draw. The shared draw is
-    dropped when the call returns or raises. `spatial_average_rate` is
-    exact and draws nothing.
-
     Each point still runs the whole of `run_scenario`, clustering included,
     even where the swept value cannot change the partition (`k_factor_db`):
     the scenario benchmark checks one `merge_and_split` partition per point.
@@ -822,11 +836,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid):
             points.append((value, dataclasses.replace(config, **{field_name: value})))
         except ValueError as exc:
             raise InvalidGridValue(f"{parameter} grid value {value!r}: {exc}") from exc
-    token = _shared.set({})
-    try:
-        return [(value, run_scenario(point)) for value, point in points]
-    finally:
-        _shared.reset(token)
+    return [(value, run_scenario(point)) for value, point in points]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Monte-Carlo oracles for the exact metrics.
 
 `coordination.AccessTable` scores F-AP blocks with the exact Rayleigh
-success probability, and `metrics_sim.spatial_average_rate` computes the
-D2D rate by quadrature. This module keeps the Monte-Carlo estimators they
-replaced, so tests can check each exact value against an independent
-simulation of the same model:
+success probability, `metrics_sim.spatial_average_rate` computes the D2D
+rate by quadrature, and `metrics_sim.d2d_success_probability` the D2D
+success by a Poisson-mixture recursion. This module keeps the Monte-Carlo
+estimators they replaced, so tests can check each exact value against an
+independent simulation of the same model:
 
 - clusters: signal power summed over the block's F-APs, every other F-AP
   interfering, Exp(1) power fades;
 - rate: a fresh PPP of Rayleigh-faded interferers over the region in every
-  trial, against the faded signal of the typical D2D link at its centre.
+  trial, against the faded signal of the typical D2D link at its centre;
+- D2D success: the same typical link against the scenario's fixed D2D
+  transmitters, each Rayleigh faded afresh in every trial.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import math
 
 import numpy as np
 
-from frangine.channel import FadingModel, LinkBudget, db_to_linear, fading_sample, path_gain
+from frangine.channel import (
+    RAYLEIGH,
+    FadingModel,
+    LinkBudget,
+    db_to_linear,
+    fading_sample,
+    path_gain,
+)
 from frangine.coordination import served_fue_indices
 from frangine.geometry import NetworkTopology, NodeKind, pairwise_distances
 from frangine.metrics_sim import Z_99
@@ -188,3 +198,36 @@ def mc_spatial_average_rate(
     mean = float(rates.mean())
     ci = Z_99 * float(rates.std(ddof=1)) / math.sqrt(mc_trials) if mc_trials > 1 else 0.0
     return mean, ci
+
+
+def mc_d2d_success_probability(
+    topology: NetworkTopology,
+    pairs,
+    fading: FadingModel,
+    budget: LinkBudget,
+    gamma_th_db: float,
+    mc_trials: int,
+    rng: np.random.Generator,
+    link_distance: float = 20.0,
+):
+    """Monte-Carlo success probability of the typical D2D link at the region
+    centre against the first F-UE of each pair, Rayleigh faded per trial.
+
+    Draws the (mc_trials, pairs) interferer fades, then the (mc_trials, 1)
+    signal fades, from `rng`, in that order.
+    Returns (probability, 99% CI half-width).
+    """
+    if mc_trials < 1:
+        raise ValueError("mc_trials must be at least 1")
+    region = topology.region
+    center = (region.width / 2.0, region.height / 2.0)
+    p_fue = budget.tx_watts(NodeKind.FUE)
+    signal_mean = p_fue * float(path_gain(link_distance, budget))
+    tx_positions = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2)
+    int_gains = p_fue * path_gain(pairwise_distances(tx_positions, [center])[:, 0], budget)
+    int_fades = fading_sample(RAYLEIGH, rng, size=(mc_trials, int_gains.size))
+    sig_fades = fading_sample(fading, rng, size=(mc_trials, 1))
+    interference = int_fades @ int_gains if int_gains.size else 0.0
+    sinr = sig_fades @ np.array([signal_mean]) / (interference + budget.noise_watts)
+    p = float(np.count_nonzero(sinr >= db_to_linear(gamma_th_db))) / mc_trials
+    return p, Z_99 * math.sqrt(p * (1.0 - p) / mc_trials)

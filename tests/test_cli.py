@@ -171,6 +171,12 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("mode", "fap_capacity", "2.5"),
         ("run", "master_seed", "1.5"),
         ("caching", "cooperative_caching", "2"),
+        ("channel", "tx_power_fap_dbm", "301"),
+        ("channel", "tx_power_fue_dbm", "4000"),
+        ("channel", "noise_power_dbm", "-4000"),
+        ("channel", "reference_gain_db", "-300.5"),
+        ("channel", "gamma_th_db", "4000"),
+        ("channel", "d2d_k_factor_db", "1000"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
@@ -277,7 +283,7 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "param,grid",
-    [("epsilon", "0.5,2"), ("cache_capacity", "2,2.7"), ("tau", "1,0")],
+    [("epsilon", "0.5,2"), ("cache_capacity", "2,2.7"), ("tau", "1,0"), ("k_factor_db", "10,31")],
 )
 def test_sweep_bad_grid_value_exit_two_before_any_point(
     tmp_path, fast_config, capsys, monkeypatch, param, grid

@@ -5,8 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frangine.channel import RAYLEIGH, FadingKind, FadingModel, LinkBudget, path_gain
-from frangine.geometry import NetworkTopology, NodeKind, NodeSet, Region
+from frangine.channel import (
+    RAYLEIGH,
+    FadingKind,
+    FadingModel,
+    LinkBudget,
+    db_to_linear,
+    path_gain,
+)
+from frangine.geometry import NetworkTopology, NodeKind, NodeSet, Region, pair_d2d
 from frangine import metrics_sim
 from frangine.metrics_sim import (
     LEDGER_COLUMNS,
@@ -15,6 +22,7 @@ from frangine.metrics_sim import (
     ScenarioConfig,
     UnknownParameter,
     ZeroPower,
+    d2d_success_probability,
     energy_efficiency,
     fronthaul_load,
     ledger_rows,
@@ -27,7 +35,8 @@ from frangine.caching import ContentTier
 from frangine.mode_select import Mode, UeContext, select_mode
 from frangine.rng import derive_rng
 import mc_oracle
-from mc_oracle import mc_spatial_average_rate
+from mc_oracle import mc_d2d_success_probability, mc_spatial_average_rate
+from test_coordination import _time_limit
 
 FAST = ScenarioConfig(
     region_width=600.0,
@@ -399,6 +408,142 @@ def test_config_validation():
         ScenarioConfig(mc_trials=0)
 
 
+# dense-ue's 2 km layout: 12 F-APs, about 1,000 F-UEs.
+DENSE = dict(region_width=2000.0, region_height=2000.0, lambda_fap=3e-6, lambda_fue=2.5e-4)
+
+
+def _d2d_layout(config):
+    """A run's topology and D2D pairs; the capable F-UEs come from a stream
+    of this test's own."""
+    topology = metrics_sim._build_topology(config)
+    capable = derive_rng(config.master_seed, "test-capable").random(len(topology.fues))
+    return topology, pair_d2d(topology.fues, capable < config.d2d_fraction)
+
+
+def _d2d_gains(topology, pairs, budget, link_distance=20.0):
+    """(mean signal power, mean power of each interferer) at the centre."""
+    p_fue = budget.tx_watts(NodeKind.FUE)
+    centre = np.array([topology.region.width, topology.region.height]) / 2.0
+    gap = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2) - centre
+    gains = p_fue * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
+    return p_fue * float(path_gain(link_distance, budget)), gains
+
+
+# (config overrides, K in dB or None for Rayleigh, threshold in dB, trials);
+# each oracle stream is derive_rng(2028, "d2d-oracle", case).
+D2D_CASES = {
+    "1 km, Rayleigh, 20 dB": ({}, None, 20.0, 200_000),
+    "1 km, K = 0 dB, 30 dB": ({}, 0.0, 30.0, 200_000),
+    "1 km, K = 10 dB, 20 dB": ({}, 10.0, 20.0, 200_000),
+    "1 km, K = 30 dB, 25 dB": ({}, 30.0, 25.0, 200_000),
+    "2 km dense, K = 6 dB, 0 dB": (DENSE, 6.0, 0.0, 20_000),
+    "2 km dense, K = 3 dB, 10 dB": (DENSE, 3.0, 10.0, 20_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D2D_CASES))
+def test_d2d_success_matches_monte_carlo_oracle(case):
+    overrides, k_db, gamma_db, trials = D2D_CASES[case]
+    config = ScenarioConfig(**overrides, d2d_k_factor_db=k_db, gamma_th_db=gamma_db)
+    args = (*_d2d_layout(config), config.d2d_fading(), config.budget(), gamma_db)
+    exact = d2d_success_probability(*args)
+    estimate, _ = mc_d2d_success_probability(
+        *args, trials, derive_rng(2028, "d2d-oracle", case)
+    )
+    assert 0.001 < exact < 0.999
+    assert abs(estimate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+@pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 20.0])
+@pytest.mark.parametrize("overrides", [{}, DENSE], ids=["1 km", "2 km dense"])
+def test_d2d_success_rayleigh_is_the_closed_form(overrides, gamma_db):
+    # P = exp(-a N) prod_k 1 / (1 + a g_k), a = theta / S_bar.
+    config = ScenarioConfig(**overrides, d2d_k_factor_db=None)
+    topology, pairs = _d2d_layout(config)
+    budget = config.budget()
+    signal, gains = _d2d_gains(topology, pairs, budget)
+    a = db_to_linear(gamma_db) / signal
+    closed = math.exp(-a * budget.noise_watts) * float(np.prod(1.0 / (1.0 + a * gains)))
+    got = d2d_success_probability(topology, pairs, RAYLEIGH, budget, gamma_db)
+    assert got == pytest.approx(closed, rel=1e-12)
+
+
+def _noise_only_margins(budget, margins):
+    """Thresholds in dB at which theta N / S_bar takes each given value."""
+    signal, _ = _d2d_gains(_bare_topology(), [], budget)
+    return [10.0 * math.log10(x * signal / budget.noise_watts) for x in margins]
+
+
+@pytest.mark.parametrize("k_db", [0.0, 6.0, 20.0, 30.0])
+def test_d2d_success_without_interferers_is_the_rician_tail(k_db):
+    # P(X >= x) for unit-mean Rician X: 2 (1 + K) X is noncentral chi-square
+    # with 2 degrees of freedom and noncentrality 2K. At 30 dB and x = 0.9,
+    # T_0 = exp(-901) underflows, and only the rescaled recursion gets 0.989.
+    ncx2 = pytest.importorskip("scipy.stats").ncx2
+    budget = LinkBudget()
+    k = db_to_linear(k_db)
+    margins = [0.2, 0.5, 0.9, 0.99, 1.1, 1.5]
+    for x, gamma_db in zip(margins, _noise_only_margins(budget, margins)):
+        got = d2d_success_probability(
+            _bare_topology(), [], FadingModel(FadingKind.RICIAN, k_db), budget, gamma_db
+        )
+        assert got == pytest.approx(ncx2.sf(2.0 * (1.0 + k) * x, 2, 2.0 * k), abs=1e-12)
+
+
+def test_d2d_success_edge_cases():
+    config = ScenarioConfig()
+    topology, pairs = _d2d_layout(config)
+    rician = config.d2d_fading()
+    # No interferers, Rayleigh: exp(-theta N / S_bar).
+    budget = LinkBudget()
+    for x, gamma_db in zip((0.1, 2.0), _noise_only_margins(budget, (0.1, 2.0))):
+        got = d2d_success_probability(_bare_topology(), [], RAYLEIGH, budget, gamma_db)
+        assert got == pytest.approx(math.exp(-x), rel=1e-12)
+    # No noise: -4000 dBm is 0 W. Rayleigh is prod_k 1 / (1 + a g_k); with
+    # no interferers either, the SINR is infinite.
+    silent = LinkBudget(noise_power_dbm=-4000.0)
+    assert silent.noise_watts == 0.0
+    signal, gains = _d2d_gains(topology, pairs, silent)
+    a = db_to_linear(10.0) / signal
+    assert d2d_success_probability(topology, pairs, RAYLEIGH, silent, 10.0) == pytest.approx(
+        float(np.prod(1.0 / (1.0 + a * gains))), rel=1e-12
+    )
+    assert 0.0 < d2d_success_probability(topology, pairs, rician, silent, 10.0) < 1.0
+    assert d2d_success_probability(_bare_topology(), [], rician, silent, 10.0) == 1.0
+    # A signal power that underflows to 0 W never succeeds, with or without
+    # noise, interferers and fading; nothing is NaN.
+    for noise_dbm in (-100.0, -4000.0):
+        mute = LinkBudget(
+            tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -4000.0}, noise_power_dbm=noise_dbm
+        )
+        for fading in (RAYLEIGH, rician):
+            assert d2d_success_probability(topology, pairs, fading, mute, 0.0) == 0.0
+            assert d2d_success_probability(_bare_topology(), [], fading, mute, 0.0) == 0.0
+    # A K-factor that underflows to 0 is Rayleigh; an unreachable threshold
+    # gives 0, and one that underflows to 0 gives 1.
+    budget = config.budget()
+    tiny = FadingModel(FadingKind.RICIAN, -4000.0)
+    assert d2d_success_probability(topology, pairs, tiny, budget, 0.0) == (
+        d2d_success_probability(topology, pairs, RAYLEIGH, budget, 0.0)
+    )
+    for fading in (RAYLEIGH, rician):
+        assert d2d_success_probability(topology, pairs, fading, budget, 400.0) == 0.0
+        assert d2d_success_probability(topology, pairs, fading, budget, -4000.0) == 1.0
+
+
+def test_d2d_success_at_the_k_factor_ceiling_finishes():
+    config = ScenarioConfig(
+        **DENSE, fap_capacity=200, mc_trials=200,
+        d2d_k_factor_db=metrics_sim.K_FACTOR_DB_MAX,
+    )
+    with _time_limit(10.0, "a 1,000-F-UE run at the K-factor ceiling"):
+        report = run_scenario(config)
+    assert report.n_fues > 900 and report.n_d2d_pairs > 250
+    assert 0.0 < report.d2d_success_probability <= 1.0
+    with pytest.raises(ValueError, match="d2d_k_factor_db"):
+        dataclasses.replace(config, d2d_k_factor_db=metrics_sim.K_FACTOR_DB_MAX + 0.1)
+
+
 _WRONG_TYPES = [
     (key, (getattr(ScenarioConfig(), key).value, "bogus", None))
     for key in ("fap_topology", "cache_policy", "scheduler", "architecture")
@@ -543,57 +688,6 @@ def test_sweep_points_equal_lone_runs(parameter, grid):
         assert ledger_rows(report) == ledger_rows(lone)
 
 
-def test_sweep_shares_draws_only_within_one_call(monkeypatch):
-    calls = []
-    fading_sample = metrics_sim.fading_sample
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return fading_sample(*args, **kwargs)
-
-    monkeypatch.setattr(metrics_sim, "fading_sample", counting)
-    run_scenario(FAST)
-    lone = len(calls)
-    assert lone > 0
-
-    calls.clear()
-    sweep(FAST, "k_factor_db", [0.0, 10.0])
-    assert len(calls) < 2 * lone  # the second point reused the first's fields
-    assert metrics_sim._shared.get() is None
-
-    run_point = metrics_sim.run_scenario
-    points = []
-
-    def second_point_fails(config):
-        points.append(config)
-        if len(points) == 2:
-            raise RuntimeError("second point failed")
-        return run_point(config)
-
-    monkeypatch.setattr(metrics_sim, "run_scenario", second_point_fails)
-    with pytest.raises(RuntimeError, match="second point"):
-        sweep(FAST, "k_factor_db", [0.0, 10.0])
-    assert metrics_sim._shared.get() is None
-
-    calls.clear()
-    run_point(FAST)
-    assert len(calls) == lone
-
-
-def test_sweep_holds_one_draw_per_site(monkeypatch):
-    held = []
-    run_point = metrics_sim.run_scenario
-
-    def recording(config):
-        report = run_point(config)
-        held.append(sorted(metrics_sim._shared.get()))
-        return report
-
-    monkeypatch.setattr(metrics_sim, "run_scenario", recording)
-    sweep(FAST, "lambda_d", [5e-5, 8e-5, 1e-4])  # every point misses
-    assert held == [["d2d"]] * 3
-
-
 def test_sweep_grid_values_of_an_integer_key(monkeypatch):
     runs = []
     monkeypatch.setattr(metrics_sim, "run_scenario", runs.append)
@@ -603,3 +697,6 @@ def test_sweep_grid_values_of_an_integer_key(monkeypatch):
     assert runs == []
     assert [v for v, _ in sweep(FAST, "cache_capacity", [2.0, 3])] == [2, 3]
     assert [c.fue_cache_capacity for c in runs] == [2, 3]
+    with pytest.raises(metrics_sim.InvalidGridValue, match="d2d_k_factor_db must be at most"):
+        sweep(FAST, "k_factor_db", [0.0, 1000.0])
+    assert len(runs) == 2
