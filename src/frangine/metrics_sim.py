@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -24,7 +25,6 @@ from .caching import (
     ContentTier,
     EdgeCache,
     EvictionPolicy,
-    content_available,
     zipf_stream,
 )
 from .channel import (
@@ -63,7 +63,7 @@ from .mode_select import (
     associate_fap,
     select_mode,
 )
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -74,6 +74,11 @@ DB_LIMIT = 300.0
 # The largest D2D K-factor a config takes, in dB. The exact D2D success sums
 # under K + 12 sqrt(K) + 60 terms (1,281 at 30 dB) in a Python loop.
 K_FACTOR_DB_MAX = 30.0
+# The most elements a config may expect in one dense array: today's geometry
+# builds capable x capable, F-UE x F-AP and F-AP x F-AP matrices (2 GB of
+# float64 at this ceiling). The 20 km tree and dense 20k layouts expect
+# 1.44e8, pair_d2d's capable F-UEs squared.
+MAX_DENSE_ELEMENTS = 2.5e8
 
 
 class Architecture(Enum):
@@ -203,6 +208,21 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.path_loss_exponent > 2:
             raise ValueError("path_loss_exponent must exceed 2")
+        area = self.region_width * self.region_height
+        faps = max(self.lambda_fap * area, 1.0)  # a layout without F-APs gets one
+        fues = self.lambda_fue * area
+        capable = self.d2d_fraction * fues
+        for keys, elements, array in (
+            ("lambda_fue, d2d_fraction", capable * capable, "capable F-UE distances"),
+            ("lambda_fue, lambda_fap", fues * faps, "F-UE x F-AP gains"),
+            ("lambda_fap", faps * faps, "F-AP x F-AP distances"),
+            ("lambda_m", self.lambda_m * area, "HPN distances"),
+        ):
+            if not elements <= MAX_DENSE_ELEMENTS:  # NaN from 0 * inf area fails too
+                raise ValueError(
+                    f"{keys}, region_width and region_height expect {elements:.3g} {array}, "
+                    f"over the {MAX_DENSE_ELEMENTS:.3g} elements one dense array may hold"
+                )
 
     def thresholds(self) -> ModeThresholds:
         return ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
@@ -289,41 +309,69 @@ class MetricsReport:
     ledger: list = field(default_factory=list)
 
 
-def fronthaul_load(decisions, tiers, payload_bits: float, iq_expansion_factor: float):
+# A request's mode and content tier travel as codes: indices into these.
+MODES = list(Mode)
+TIERS = list(ContentTier)
+_AT_FUE, _AT_FAP, _CLOUD_ONLY = map(TIERS.index, ContentTier)
+_SERVERS = ("bbu", "edge", "hpn")
+
+
+def _ordered_sum(values) -> float:
+    """0.0 + v_0 + v_1 + ..., added left to right as a Python loop adds;
+    np.sum adds pairwise, which rounds differently."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def fronthaul_load(fue_ids, mode_codes, tier_codes, payload_bits: float,
+                   iq_expansion_factor: float):
     """Per-request fronthaul/backhaul accounting; one auditable ledger row
-    per request. Payload is always served by exactly one of {bbu, edge, hpn},
-    so payload conservation holds by construction. Totals add in request order.
+    per request. Request k is F-UE fue_ids[k] in mode MODES[mode_codes[k]]
+    fetching content of tier TIERS[tier_codes[k]] (integer arrays). Payload
+    is always served by exactly one of {bbu, edge, hpn}, so payload
+    conservation holds by construction. Each (mode, tier) route is worked
+    out once, and every total adds in request order.
     """
-    report = LoadReport()
-    ledger = []
-    routes = {}  # (mode, tier) -> (fronthaul, backhaul, served by, processed)
-    fronthaul = backhaul = total = 0.0
-    payload = dict.fromkeys(("bbu", "edge", "hpn"), 0.0)
-    processed = dict(payload)
-    for idx, ((fue_id, mode), tier) in enumerate(zip(decisions, tiers)):
-        route = routes.get((mode, tier))
-        if route is None:
+    routes = []  # (mode, tier, fronthaul, backhaul, served by, processed) by code
+    for mode in MODES:
+        for tier in TIERS:
             if mode is Mode.GLOBAL_CRAN:
                 fh = payload_bits * iq_expansion_factor
-                route = (fh, 0.0, "bbu", fh)
+                routes.append((mode, tier, fh, 0.0, "bbu", fh))
             elif mode is Mode.HPN:
-                route = (0.0, payload_bits, "hpn", 0.0)
+                routes.append((mode, tier, 0.0, payload_bits, "hpn", 0.0))
             else:  # edge-served; local coordination fetches cloud-only items once
                 fetch = mode is Mode.LOCAL_COORDINATION and tier is ContentTier.CLOUD_ONLY
-                route = (payload_bits if fetch else 0.0, 0.0, "edge", payload_bits)
-            routes[mode, tier] = route
-        fh, bh, served, work = route
-        fronthaul += fh
-        backhaul += bh
-        total += payload_bits
-        payload[served] += payload_bits
-        processed[served] += work
-        report.mode_counts[mode.value] = report.mode_counts.get(mode.value, 0) + 1
-        ledger.append(LedgerRow(idx, fue_id, mode, tier, payload_bits, fh, bh, served))
-    report.fronthaul_bits, report.backhaul_bits = fronthaul, backhaul
-    report.total_payload_bits = total
-    report.payload_bbu_bits, report.payload_edge_bits, report.payload_hpn_bits = payload.values()
-    report.bbu_processed_bits, report.edge_processed_bits = processed["bbu"], processed["edge"]
+                routes.append((mode, tier, payload_bits if fetch else 0.0, 0.0, "edge", payload_bits))
+    mode_codes = np.asarray(mode_codes, dtype=np.intp)
+    route_of = mode_codes * len(TIERS) + tier_codes
+    fronthaul, backhaul, processed = (
+        np.array([r[k] for r in routes], dtype=float)[route_of] for k in (2, 3, 5)
+    )
+    server = np.array([_SERVERS.index(r[4]) for r in routes])[route_of]
+    payload = np.full(len(route_of), float(payload_bits))
+    report = LoadReport(
+        fronthaul_bits=_ordered_sum(fronthaul),
+        backhaul_bits=_ordered_sum(backhaul),
+        total_payload_bits=_ordered_sum(payload),
+    )
+    report.payload_bbu_bits, report.payload_edge_bits, report.payload_hpn_bits = (
+        _ordered_sum(payload[server == k]) for k in range(3)
+    )
+    report.bbu_processed_bits, report.edge_processed_bits = (
+        _ordered_sum(processed[server == k]) for k in range(2)
+    )
+    # Modes in order of first request, as a request loop adds them.
+    counts = np.bincount(mode_codes, minlength=len(MODES)).tolist()
+    for code in dict.fromkeys(mode_codes.tolist()):
+        report.mode_counts[MODES[code].value] = counts[code]
+    # Object arrays hand every row of a route, or of an F-UE, the same objects.
+    mode, tier, fh, bh, served, _ = np.array(routes, dtype=object)[route_of].T.tolist()
+    ids = np.asarray(fue_ids, dtype=np.intp)
+    fue = np.arange(ids.max(initial=-1) + 1).astype(object)[ids].tolist()
+    ledger = list(map(
+        LedgerRow, range(len(route_of)), fue, mode, tier, itertools.repeat(payload_bits),
+        fh, bh, served,
+    ))
     return report, ledger
 
 
@@ -609,6 +657,62 @@ def _pair_relays(xy, pairs, relays, th: ModeThresholds) -> dict:
     return found
 
 
+def _content_tiers(config: ScenarioConfig, serving, neighbors):
+    """Replay every F-UE's warm-up and traffic requests through the caches.
+
+    Returns each traffic request's tier code as a (U, requests_per_fue)
+    array, and the F-UE and F-AP hit ratios of the traffic. All warm-ups
+    come first, in F-UE order, then all traffic; the warm-ups only prime the
+    caches. An F-UE's cache sees only its own requests, so each is replayed
+    over its own items; the F-AP caches are replayed in request order, which
+    cooperative lookups read. A request's tier is what `content_available`
+    gives just before it: the F-UE, then the F-AP hit flag of
+    `EdgeCache.request`, then whether a linked F-AP holds the item (no
+    request touches a linked F-AP's cache).
+    """
+    catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
+    n_fues = len(serving)
+    warm, traffic = (
+        zipf_stream(catalog, length, derive_rngs(config.master_seed, n_fues, tag)).tolist()
+        if length else [[]] * n_fues
+        for tag, length in (("warmup", config.warmup_requests), ("traffic", config.requests_per_fue))
+    )
+    fue_hits = []
+    for warm_items, items in zip(warm, traffic):
+        request = EdgeCache(config.fue_cache_capacity, config.cache_policy).request
+        for item in warm_items:
+            request(item)
+        fue_hits.append([request(item)[0] for item in items])
+
+    fap_caches = [EdgeCache(config.fap_cache_capacity, config.cache_policy) for _ in neighbors]
+    for s, items in zip(serving, warm):
+        if s is not None:
+            request = fap_caches[s].request
+            for item in items:
+                request(item)
+    for cache in fap_caches:
+        cache.hits = cache.misses = 0
+    tiers = []
+    for s, items, hits in zip(serving, traffic, fue_hits):
+        if s is None:
+            tiers.append([_AT_FUE if hit else _CLOUD_ONLY for hit in hits])
+            continue
+        request = fap_caches[s].request
+        peers = [fap_caches[j] for j in neighbors[s]] if config.cooperative_caching else ()
+        tiers.append([
+            _AT_FUE if hit else _AT_FAP if fap_hit or any(item in p for p in peers)
+            else _CLOUD_ONLY
+            for item, hit, (fap_hit, _) in zip(items, hits, map(request, items))
+        ])
+    fue_requests = n_fues * config.requests_per_fue
+    fap_requests = sum(c.hits + c.misses for c in fap_caches)
+    return (
+        np.array(tiers, dtype=np.int64).reshape(n_fues, config.requests_per_fue),
+        sum(map(sum, fue_hits)) / fue_requests if fue_requests else 0.0,
+        sum(c.hits for c in fap_caches) / fap_requests if fap_requests else 0.0,
+    )
+
+
 def run_scenario(config: ScenarioConfig) -> MetricsReport:
     """One full deterministic scenario run: place, pair, associate, decide
     modes, serve caches, coordinate, and aggregate metrics."""
@@ -656,83 +760,27 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     snr = budget.tx_watts(NodeKind.FAP) * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
     lc_feasible = dict(zip(served, (snr / budget.noise_watts >= budget.gamma_th_linear).tolist()))
 
-    catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
-    fue_caches = [
-        EdgeCache(config.fue_cache_capacity, config.cache_policy) for _ in range(n_fues)
-    ]
-    fap_caches = [
-        EdgeCache(config.fap_cache_capacity, config.cache_policy)
-        for _ in range(len(topology.faps))
-    ]
-    neighbors = topology.fap_neighbors()
-
     willing = [u for u in ues if u.relay_willing and u.d2d_capable]
     relays = _pair_relays(topology.fues.positions, pairs, willing, thresholds)
 
-    # Warm-up: prime caches (no accounting) so steady-state hit behavior
-    # drives the accounted requests.
-    if config.warmup_requests > 0:
-        for i in range(n_fues):
-            warm = zipf_stream(
-                catalog,
-                config.warmup_requests,
-                derive_rng(config.master_seed, "warmup", i),
-            )
-            s = serving[i]
-            for item in warm:
-                fue_caches[i].request(int(item))
-                if s is not None:
-                    fap_caches[s].request(int(item))
-        for c in fue_caches + fap_caches:
-            c.hits = c.misses = 0
-
-    decisions = []
-    tiers = []
-    for i, ue in enumerate(ues):
-        stream = zipf_stream(
-            catalog, config.requests_per_fue, derive_rng(config.master_seed, "traffic", i)
-        )
-        s = serving[i]
+    tiers, report.fue_hit_ratio, report.fap_hit_ratio = _content_tiers(
+        config, serving, topology.fap_neighbors()
+    )
+    # Each F-UE's mode depends on a request only through whether its content
+    # is cloud-only: decide it once per value that occurs, in request order.
+    cloud = (tiers == _CLOUD_ONLY).astype(np.intp)
+    decided = np.zeros((n_fues, 2), dtype=np.int64)  # [F-UE, cloud-only] -> mode code
+    for i, row in enumerate(cloud.tolist()):
         dst = ues[partner[i]] if i in partner else None
-        peer_caches = (
-            [fap_caches[j] for j in neighbors[s]]
-            if (config.cooperative_caching and s is not None)
-            else ()
-        )
-        modes = {}  # cloud-only content -> mode
-        for item in stream:
-            tier = content_available(
-                int(item),
-                fue_caches[i],
-                fap_caches[s] if s is not None else None,
-                peer_caches,
-            )
-            cloud_only = tier is ContentTier.CLOUD_ONLY
-            if cloud_only not in modes:
-                modes[cloud_only] = _architecture_mode(
-                    config, ue, dst, thresholds, relays.get(i, ()), cloud_only,
-                    lc_feasible.get(i, False),
-                )
-            mode = modes[cloud_only]
-            fue_caches[i].request(int(item))
-            if s is not None:
-                fap_caches[s].request(int(item))
-            decisions.append((i, mode))
-            tiers.append(tier)
-
-    load, ledger = fronthaul_load(
-        decisions, tiers, config.payload_bits, config.iq_expansion_factor
-    )
-    report.load = load
-    report.ledger = ledger
-
-    fue_requests = sum(c.hits + c.misses for c in fue_caches)
-    fap_requests = sum(c.hits + c.misses for c in fap_caches)
-    report.fue_hit_ratio = (
-        sum(c.hits for c in fue_caches) / fue_requests if fue_requests else 0.0
-    )
-    report.fap_hit_ratio = (
-        sum(c.hits for c in fap_caches) / fap_requests if fap_requests else 0.0
+        for cloud_only in dict.fromkeys(row):
+            decided[i, cloud_only] = MODES.index(_architecture_mode(
+                config, ues[i], dst, thresholds, relays.get(i, ()), bool(cloud_only),
+                lc_feasible.get(i, False),
+            ))
+    fue_ids = np.repeat(np.arange(n_fues), config.requests_per_fue)
+    report.load, report.ledger = fronthaul_load(
+        fue_ids, decided[fue_ids, cloud.ravel()], tiers.ravel(), config.payload_bits,
+        config.iq_expansion_factor,
     )
 
     # Coalitional clustering of F-APs.

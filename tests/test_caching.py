@@ -179,6 +179,16 @@ def test_zipf_empty_stream():
     assert zipf_stream(catalog, 0, derive_rng(7)).size == 0
 
 
+def test_zipf_stream_of_generators_stacks_their_streams():
+    catalog = ContentCatalog(60, zipf_exponent=0.9)
+    for length in (0, 1, 9):
+        rows = zipf_stream(catalog, length, [derive_rng(3, "row", k) for k in range(4)])
+        assert rows.shape == (4, length)
+        for k, row in enumerate(rows):
+            assert np.array_equal(row, zipf_stream(catalog, length, derive_rng(3, "row", k)))
+    assert zipf_stream(catalog, 5, []).shape == (0, 5)
+
+
 def test_zipf_deterministic_per_seed():
     catalog = ContentCatalog(50, zipf_exponent=0.8)
     a = zipf_stream(catalog, 1000, derive_rng(8, "det"))

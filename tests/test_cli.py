@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import pytest
@@ -177,6 +178,11 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("channel", "reference_gain_db", "-300.5"),
         ("channel", "gamma_th_db", "4000"),
         ("channel", "d2d_k_factor_db", "1000"),
+        ("geometry", "lambda_fue", "1e9"),
+        ("geometry", "region_width", "1e7"),
+        ("geometry", "region_height", "1e7"),
+        ("geometry", "lambda_fap", "1e3"),
+        ("geometry", "lambda_m", "1e3"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
@@ -184,6 +190,37 @@ def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
     path.write_text(f"[{section}]\n{key} = {value}\n")
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+DENSE = {"region_width": 2000.0, "region_height": 2000.0, "lambda_fap": 3e-6,
+         "fap_capacity": 100_000}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"region_width": 10_000.0, "region_height": 10_000.0},  # 10 km tree
+        {"region_width": 20_000.0, "region_height": 20_000.0},  # 20 km tree
+        DENSE | {"lambda_fue": 1.25e-3},  # dense 5k
+        DENSE | {"lambda_fue": 5e-3},  # dense 20k
+    ],
+)
+def test_size_ceiling_accepts_the_ladder(overrides):
+    ScenarioConfig(**overrides)
+
+
+def test_size_ceiling_bounds_the_largest_dense_array():
+    # Dense at 2 km: 0.6 * lambda_fue * 4e6 capable F-UEs, squared.
+    edge = math.sqrt(metrics_sim.MAX_DENSE_ELEMENTS) / (0.6 * 4e6)
+    ScenarioConfig(**DENSE, lambda_fue=edge * 0.99)
+    with pytest.raises(ValueError, match="lambda_fue, d2d_fraction"):
+        ScenarioConfig(**DENSE, lambda_fue=edge * 1.01)
+    # Without D2D-capable F-UEs the F-UE x F-AP gains bound lambda_fue.
+    ScenarioConfig(**DENSE, lambda_fue=edge * 1.01, d2d_fraction=0.0)
+    # 0 * an infinite area is NaN, which is not under the ceiling.
+    with pytest.raises(ValueError, match="region_width"):
+        ScenarioConfig(region_width=1e300, region_height=1e300, lambda_m=0.0, lambda_fap=0.0,
+                       lambda_fue=0.0)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from frangine.channel import (
     db_to_linear,
     path_gain,
 )
-from frangine.geometry import NetworkTopology, NodeKind, NodeSet, Region, pair_d2d
+from frangine.geometry import FapTopology, NetworkTopology, NodeKind, NodeSet, Region, pair_d2d
 from frangine import metrics_sim
 from frangine.metrics_sim import (
     LEDGER_COLUMNS,
@@ -31,11 +31,12 @@ from frangine.metrics_sim import (
     spatial_average_rate,
     sweep,
 )
-from frangine.caching import ContentTier
-from frangine.mode_select import Mode, UeContext, select_mode
+from frangine.caching import ContentTier, EvictionPolicy
+from frangine.mode_select import Mode, UeContext, associate_fap, select_mode
 from frangine.rng import derive_rng
 import mc_oracle
 from mc_oracle import mc_d2d_success_probability, mc_spatial_average_rate
+from request_oracle import request_loop
 from test_coordination import _time_limit
 
 FAST = ScenarioConfig(
@@ -120,27 +121,135 @@ def test_architecture_fronthaul_ordering():
     assert loads[Architecture.FRAN] <= loads[Architecture.HCRAN] <= loads[Architecture.CRAN]
 
 
+def _codes(modes, tiers):
+    """fronthaul_load's code arrays for lists of modes and tiers."""
+    return (
+        np.array([metrics_sim.MODES.index(m) for m in modes]),
+        np.array([metrics_sim.TIERS.index(t) for t in tiers]),
+    )
+
+
 def test_fronthaul_load_single_rule_cases():
-    decisions = [(0, Mode.GLOBAL_CRAN)] * 4
-    tiers = [ContentTier.CLOUD_ONLY] * 4
-    report, ledger = fronthaul_load(decisions, tiers, 100.0, 16.0)
+    modes, tiers = _codes([Mode.GLOBAL_CRAN] * 4, [ContentTier.CLOUD_ONLY] * 4)
+    report, ledger = fronthaul_load(np.zeros(4, int), modes, tiers, 100.0, 16.0)
     assert report.fronthaul_bits == pytest.approx(4 * 100.0 * 16.0)
     assert report.conserved()
-    decisions = [(0, Mode.D2D)] * 3
-    report, _ = fronthaul_load(decisions, tiers[:3], 100.0, 16.0)
+    modes, tiers = _codes([Mode.D2D] * 3, [ContentTier.CLOUD_ONLY] * 3)
+    report, _ = fronthaul_load(np.zeros(3, int), modes, tiers, 100.0, 16.0)
     assert report.fronthaul_bits == 0.0
     assert report.edge_processed_bits == pytest.approx(300.0)
 
 
 def test_fronthaul_local_coordination_miss_fetches_once():
     report, _ = fronthaul_load(
-        [(0, Mode.LOCAL_COORDINATION)], [ContentTier.CLOUD_ONLY], 100.0, 16.0
+        [0], *_codes([Mode.LOCAL_COORDINATION], [ContentTier.CLOUD_ONLY]), 100.0, 16.0
     )
     assert report.fronthaul_bits == pytest.approx(100.0)
     report, _ = fronthaul_load(
-        [(0, Mode.LOCAL_COORDINATION)], [ContentTier.AT_FAP], 100.0, 16.0
+        [0], *_codes([Mode.LOCAL_COORDINATION], [ContentTier.AT_FAP]), 100.0, 16.0
     )
     assert report.fronthaul_bits == 0.0
+
+
+def test_fronthaul_load_totals_add_left_to_right():
+    # 0.1-bit payloads over 10^4 requests: numpy's pairwise np.sum rounds
+    # these totals differently from a left-to-right loop.
+    n = 10_000
+    rng = np.random.default_rng(4)
+    modes = rng.choice([Mode.GLOBAL_CRAN, Mode.HPN, Mode.LOCAL_COORDINATION, Mode.D2D], n)
+    tiers = rng.choice(list(ContentTier), n)
+    report, ledger = fronthaul_load(np.arange(n), *_codes(modes, tiers), 0.1, 16.0)
+
+    def loop_sum(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    assert loop_sum([0.1] * n) != float(np.sum(np.full(n, 0.1)))
+    assert report.total_payload_bits == loop_sum(r.payload_bits for r in ledger)
+    assert report.fronthaul_bits == loop_sum(r.fronthaul_bits for r in ledger)
+    assert report.backhaul_bits == loop_sum(r.backhaul_bits for r in ledger)
+    for served in ("bbu", "edge", "hpn"):
+        assert getattr(report, f"payload_{served}_bits") == loop_sum(
+            r.payload_bits for r in ledger if r.served_by == served
+        )
+    assert report.edge_processed_bits == loop_sum(
+        r.payload_bits for r in ledger if r.served_by == "edge"
+    )
+    assert report.bbu_processed_bits == loop_sum(
+        r.fronthaul_bits for r in ledger if r.served_by == "bbu"
+    )
+    assert report.fronthaul_bits != float(np.sum([r.fronthaul_bits for r in ledger]))
+
+
+def _pipeline_config(case: int) -> ScenarioConfig:
+    """Small random configs; the case number walks the cache policies,
+    cooperative lookups and architectures."""
+    rng = np.random.default_rng([2029, case])
+    side = float(rng.choice([300.0, 500.0, 700.0]))
+    return ScenarioConfig(
+        region_width=side,
+        region_height=float(rng.choice([side, 400.0])),
+        lambda_fap=float(rng.uniform(1e-5, 4e-5)),
+        lambda_fue=float(rng.uniform(5e-5, 3e-4)),
+        fap_topology=list(FapTopology)[int(rng.integers(2))],
+        fap_capacity=int(rng.integers(1, 12)),
+        interference_limit=float(rng.choice([math.inf, 1e-9, 1e-10])),
+        catalog_items=int(rng.integers(3, 40)),
+        zipf_exponent=float(rng.uniform(0.3, 1.5)),
+        cache_policy=list(EvictionPolicy)[case % 3],
+        cooperative_caching=bool(case // 3 % 2),
+        architecture=list(Architecture)[case // 6 % 3],
+        fue_cache_capacity=int(rng.integers(1, 4)),
+        fap_cache_capacity=int(rng.integers(1, 8)),
+        warmup_requests=int(rng.choice([0, 1, 4])),
+        requests_per_fue=int(rng.choice([1, 3, 6])) if case % 7 else 0,
+        payload_bits=float(rng.choice([0.1, 1e6, 3.0])) if case % 4 else 3,
+        iq_expansion_factor=float(rng.choice([16.0, 1.0])) if case % 5 else 2,
+        master_seed=case,
+        mc_trials=10,
+    )
+
+
+@pytest.mark.parametrize("case", range(18))
+def test_request_pipeline_equals_the_request_loop(case, monkeypatch):
+    config = _pipeline_config(case)
+    calls = []
+    decide = metrics_sim._architecture_mode
+
+    def logged(config, src, dst, thresholds, relays, cloud_only, lc_feasible):
+        calls.append((src.id, cloud_only))
+        return decide(config, src, dst, thresholds, relays, cloud_only, lc_feasible)
+
+    monkeypatch.setattr(metrics_sim, "_architecture_mode", logged)
+    report = run_scenario(config)
+    oracle = request_loop(config)
+    assert report.n_fues > 0
+    assert report.fue_hit_ratio == oracle.fue_hit_ratio
+    assert report.fap_hit_ratio == oracle.fap_hit_ratio
+    # repr also tells -0.0 from 0.0, an int payload from a float one, and
+    # the mode_counts key order.
+    assert repr(vars(report.load)) == repr(vars(oracle.load))
+    assert repr(report.ledger) == repr(oracle.ledger)
+    assert calls == oracle.decisions
+
+
+def test_request_pipeline_covers_unadmitted_fues_and_no_warmup():
+    configs = [_pipeline_config(case) for case in range(18)]
+    assert any(c.warmup_requests == 0 for c in configs)
+    assert any(c.requests_per_fue == 0 for c in configs)
+    assert any(c.interference_limit < math.inf for c in configs)
+    unadmitted = 0
+    for config in configs:
+        budget = config.budget()
+        topology = metrics_sim._build_topology(config)
+        serving = associate_fap(
+            topology.fues.positions, topology.faps, budget, config.interference_limit,
+            [config.fap_capacity] * len(topology.faps),
+        )
+        unadmitted += serving.count(None)
+    assert unadmitted > 0
 
 
 def test_energy_efficiency_linear_and_zero_power():
