@@ -95,20 +95,13 @@ class EdgeCache:
         return False, evicted
 
 
-def zipf_stream(catalog: ContentCatalog, length: int, rng) -> np.ndarray:
+def zipf_stream(catalog: ContentCatalog, length, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. content ids drawn from the catalog's Zipf popularity: by
     inverse CDF, the same draws as `rng.choice(n_items, length, p=...)`.
 
-    `rng` may also be a list of generators: row k of the (len(rng), length)
-    result is then rng[k]'s stream, and one searchsorted maps every row."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    single = isinstance(rng, np.random.Generator)
-    uniforms = np.empty((1 if single else len(rng), length))
-    for row, generator in zip(uniforms, [rng] if single else rng):
-        generator.random(out=row)
-    items = catalog.cdf.searchsorted(uniforms, side="right")
-    return items[0] if single else items
+    `length` is an int or a shape. A (rows, n) shape fills row by row from
+    the one stream, so the first k rows do not depend on how many follow."""
+    return catalog.cdf.searchsorted(rng.random(length), side="right")
 
 
 def content_available(

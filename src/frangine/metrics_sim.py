@@ -2,9 +2,9 @@
 coordination procedures, and fronthaul/backhaul load accounting.
 
 A scenario is fully determined by its config (including the master seed):
-every random stream is derived as a pure function of (seed, purpose tag,
-index), so runs are reproducible byte for byte and adding a consumer of
-randomness never perturbs another one.
+every random stream is derived as a pure function of (seed, purpose tag),
+one stream per purpose, so runs are reproducible byte for byte and adding a
+consumer of randomness never perturbs another one.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .mode_select import (
     associate_fap,
     select_mode,
 )
-from .rng import derive_rng, derive_rngs
+from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -660,21 +660,23 @@ def _pair_relays(xy, pairs, relays, th: ModeThresholds) -> dict:
 def _content_tiers(config: ScenarioConfig, serving, neighbors):
     """Replay every F-UE's warm-up and traffic requests through the caches.
 
-    Returns each traffic request's tier code as a (U, requests_per_fue)
-    array, and the F-UE and F-AP hit ratios of the traffic. All warm-ups
-    come first, in F-UE order, then all traffic; the warm-ups only prime the
-    caches. An F-UE's cache sees only its own requests, so each is replayed
-    over its own items; the F-AP caches are replayed in request order, which
-    cooperative lookups read. A request's tier is what `content_available`
-    gives just before it: the F-UE, then the F-AP hit flag of
-    `EdgeCache.request`, then whether a linked F-AP holds the item (no
-    request touches a linked F-AP's cache).
+    The warm-up requests are one (U, warmup_requests) draw from the
+    "warmup" stream and the traffic one (U, requests_per_fue) draw from the
+    "traffic" stream; row i is F-UE i's requests. Returns each traffic
+    request's tier code as a (U, requests_per_fue) array, and the F-UE and
+    F-AP hit ratios of the traffic. All warm-ups come first, in F-UE order,
+    then all traffic; the warm-ups only prime the caches. An F-UE's cache
+    sees only its own requests, so each is replayed over its own items; the
+    F-AP caches are replayed in request order, which cooperative lookups
+    read. A request's tier is what `content_available` gives just before
+    it: the F-UE, then the F-AP hit flag of `EdgeCache.request`, then
+    whether a linked F-AP holds the item (no request touches a linked F-AP's
+    cache).
     """
     catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
     n_fues = len(serving)
     warm, traffic = (
-        zipf_stream(catalog, length, derive_rngs(config.master_seed, n_fues, tag)).tolist()
-        if length else [[]] * n_fues
+        zipf_stream(catalog, (n_fues, length), derive_rng(config.master_seed, tag)).tolist()
         for tag, length in (("warmup", config.warmup_requests), ("traffic", config.requests_per_fue))
     )
     fue_hits = []

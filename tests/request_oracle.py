@@ -1,12 +1,12 @@
 """Per-request oracle for the warm-up, traffic and load stage of a run.
 
-`metrics_sim.run_scenario` derives every F-UE's warm-up and traffic stream
-in one batch, replays the caches from request arrays and accounts the load
-from code arrays. This module keeps the loop it replaced: one request at a
-time, in request order, with `content_available` asked for each request's
-tier before the request reaches the caches, the mode decided on first use
-of each cloud-only value, and the load added up row by row. Tests compare
-the two on random configs.
+`metrics_sim.run_scenario` replays the caches from request arrays and
+accounts the load from code arrays. This module keeps the loop it replaced:
+one request at a time, in request order, with `content_available` asked for
+each request's tier before the request reaches the caches, the mode decided
+on first use of each cloud-only value, and the load added up row by row.
+F-UE i's requests are row i of one (U, n) draw from the "warmup" stream and
+one from the "traffic" stream. Tests compare the two on random configs.
 """
 
 from __future__ import annotations
@@ -115,10 +115,13 @@ def request_loop(config) -> LoopResult:
         EdgeCache(config.fap_cache_capacity, config.cache_policy) for _ in topology.faps.positions
     ]
     neighbors = topology.fap_neighbors()
+    warm, traffic = (
+        zipf_stream(catalog, (n_fues, length), derive_rng(config.master_seed, tag))
+        for tag, length in (("warmup", config.warmup_requests), ("traffic", config.requests_per_fue))
+    )
     if config.warmup_requests > 0:
         for i in range(n_fues):
-            rng = derive_rng(config.master_seed, "warmup", i)
-            for item in zipf_stream(catalog, config.warmup_requests, rng).tolist():
+            for item in warm[i].tolist():
                 fue_caches[i].request(item)
                 if serving[i] is not None:
                     fap_caches[serving[i]].request(item)
@@ -127,12 +130,11 @@ def request_loop(config) -> LoopResult:
 
     decisions, tiers, decided = [], [], []
     for i, ue in enumerate(ues):
-        rng = derive_rng(config.master_seed, "traffic", i)
         s = serving[i]
         dst = ues[partner[i]] if i in partner else None
         peers = [fap_caches[j] for j in neighbors[s]] if config.cooperative_caching and s is not None else ()
         modes = {}
-        for item in zipf_stream(catalog, config.requests_per_fue, rng).tolist():
+        for item in traffic[i].tolist():
             tier = content_available(item, fue_caches[i], fap_caches[s] if s is not None else None, peers)
             cloud_only = tier is ContentTier.CLOUD_ONLY
             if cloud_only not in modes:

@@ -161,32 +161,30 @@ def test_zipf_s1_rank_ratio():
 
 def test_zipf_stream_equals_generator_choice():
     """The cached-CDF draw is `Generator.choice` with p, bit for bit and
-    dtype included, and leaves the generator in the same state."""
+    dtype included, for an int length or a shape, and leaves the generator
+    in the same state. A (rows, n) draw fills row by row from one stream,
+    so the first 50 rows of a (50, n) and an (80, n) draw are equal: F-UE i
+    requests the same items at every point of a `lambda_d` sweep that has
+    an F-UE i."""
     for n_items, s in ((1, 0.8), (10, 0.0), (100, 0.8), (200, 1.0)):
         catalog = ContentCatalog(n_items, zipf_exponent=s)
         for seed in range(50):
-            for length in (1, 7, 1000):
+            for length in (1, 7, 1000, (50, 0), (50, 9), (80, 9)):
                 ours, theirs = derive_rng(seed, "zipf"), derive_rng(seed, "zipf")
                 draws = zipf_stream(catalog, length, ours)
                 expected = theirs.choice(n_items, size=length, p=catalog.popularity())
                 assert draws.dtype == expected.dtype
                 assert np.array_equal(draws, expected)
                 assert ours.random() == theirs.random()
+            fifty, eighty = (
+                zipf_stream(catalog, (rows, 9), derive_rng(seed, "zipf")) for rows in (50, 80)
+            )
+            assert np.array_equal(fifty, eighty[:50])
 
 
 def test_zipf_empty_stream():
     catalog = ContentCatalog(10)
     assert zipf_stream(catalog, 0, derive_rng(7)).size == 0
-
-
-def test_zipf_stream_of_generators_stacks_their_streams():
-    catalog = ContentCatalog(60, zipf_exponent=0.9)
-    for length in (0, 1, 9):
-        rows = zipf_stream(catalog, length, [derive_rng(3, "row", k) for k in range(4)])
-        assert rows.shape == (4, length)
-        for k, row in enumerate(rows):
-            assert np.array_equal(row, zipf_stream(catalog, length, derive_rng(3, "row", k)))
-    assert zipf_stream(catalog, 5, []).shape == (0, 5)
 
 
 def test_zipf_deterministic_per_seed():
@@ -232,6 +230,54 @@ def test_large_cache_zipf_matches_reference(policy):
     assert results == [ref.request(int(i)) for i in trace]
     assert sum(evicted is not None for _, evicted in results) > 500
     assert {i for i in range(200) if i in cache} == set(ref.items)
+
+
+def _characteristic_time(occupancy, capacity):
+    """The T at which occupancy(T), the expected number of items held,
+    equals the capacity; occupancy increases in T, so bisect."""
+    lo, hi = 0.0, 1.0
+    while occupancy(hi) < capacity:
+        lo, hi = hi, 2 * hi
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if occupancy(mid) < capacity else (lo, mid)
+    return (lo + hi) / 2
+
+
+# (catalog, Zipf exponent, capacity). Each policy serves the same i.i.d.
+# (IRM) stream; hit ratios count only the requests after the warm-up.
+IRM_CASES = [(200, 1.0, 50), (1000, 0.8, 50)]
+IRM_WARMUP, IRM_REQUESTS = 20_000, 100_000
+
+
+@pytest.mark.parametrize("n_items, s, capacity", IRM_CASES)
+def test_caches_match_irm_approximations(n_items, s, capacity):
+    """LRU's hit ratio is Che's approximation, h_i = 1 - exp(-p_i T), and
+    FIFO's that of Martina, Garetto & Leonardi, h_i = p_i T / (1 + p_i T),
+    each with T set so that sum_i h_i = C, within 0.01. LFU is in-cache LFU
+    (an evicted item's count is forgotten): above LRU, and at or below
+    perfect LFU, which holds the C most popular items."""
+    catalog = ContentCatalog(n_items, zipf_exponent=s)
+    p = catalog.popularity()
+    trace = zipf_stream(catalog, IRM_WARMUP + IRM_REQUESTS, derive_rng(41, "irm", n_items)).tolist()
+    measured = {}
+    for policy in EvictionPolicy:
+        cache = EdgeCache(capacity, policy)
+        for item in trace[:IRM_WARMUP]:
+            cache.request(item)
+        cache.hits = cache.misses = 0
+        for item in trace[IRM_WARMUP:]:
+            cache.request(item)
+        measured[policy] = _hit_ratio(cache)
+
+    t_lru = _characteristic_time(lambda t: -np.expm1(-p * t).sum(), capacity)
+    t_fifo = _characteristic_time(lambda t: (p * t / (1 + p * t)).sum(), capacity)
+    che = p @ -np.expm1(-p * t_lru)
+    martina = p @ (p * t_fifo / (1 + p * t_fifo))
+    top_c = p[:capacity].sum()  # popularity decreases with the item id
+    assert abs(measured[EvictionPolicy.LRU] - che) < 0.01
+    assert abs(measured[EvictionPolicy.FIFO] - martina) < 0.01
+    assert measured[EvictionPolicy.LRU] < measured[EvictionPolicy.LFU] <= top_c
 
 
 def test_content_available_tiers():
