@@ -168,7 +168,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def _cmd_validate(args) -> int:
-    config = parse_config(args.config)
+    config = _apply_overrides(parse_config(args.config), args)
     if args.show_defaults:
         print(canonical_config(config))
     print(f"config ok: {args.config}")

@@ -55,14 +55,7 @@ from .geometry import (
     sample_ppp,
     Region,
 )
-from .mode_select import (
-    Mode,
-    ModeThresholds,
-    Qos,
-    UeContext,
-    associate_fap,
-    select_mode,
-)
+from .mode_select import MODES, Mode, ModeThresholds, associate_fap, select_mode
 from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -176,8 +169,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in (
             "lambda_m", "lambda_fap", "lambda_fue", "d2d_link_distance", "speed_mean",
-            "fap_capacity", "zipf_exponent", "p_static", "p_tx", "p_coord", "p_hpn",
-            "requests_per_fue", "warmup_requests", "payload_bits",
+            "fap_capacity", "interference_limit", "zipf_exponent", "p_static", "p_tx",
+            "p_coord", "p_hpn", "requests_per_fue", "warmup_requests", "payload_bits",
         ):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -200,6 +193,10 @@ class ScenarioConfig:
             raise ValueError(f"d2d_k_factor_db must be at most {K_FACTOR_DB_MAX:g} (or none)")
         if not self.p_static + self.p_tx > 0:  # a single F-AP's cluster power
             raise ValueError("p_static + p_tx must be positive")
+        # The least power a run draws: every layout has an HPN and an F-AP,
+        # and an asleep F-AP draws no more than an active one.
+        if not self.p_hpn + self.sleep_power_fraction * self.p_static > 0:
+            raise ValueError("p_hpn + sleep_power_fraction * p_static must be positive")
         for name in (
             "catalog_items", "fue_cache_capacity", "fap_cache_capacity", "n_subchannels",
             "mc_trials", "iq_expansion_factor",
@@ -309,8 +306,8 @@ class MetricsReport:
     ledger: list = field(default_factory=list)
 
 
-# A request's mode and content tier travel as codes: indices into these.
-MODES = list(Mode)
+# A request's content tier travels as a code, an index into TIERS, as its
+# mode does into MODES.
 TIERS = list(ContentTier)
 _AT_FUE, _AT_FAP, _CLOUD_ONLY = map(TIERS.index, ContentTier)
 _SERVERS = ("bbu", "edge", "hpn")
@@ -612,48 +609,16 @@ def _build_topology(config: ScenarioConfig) -> NetworkTopology:
     )
 
 
-def _architecture_mode(config, src, dst, thresholds, relays, cloud_only, lc_feasible):
-    """Apply the architecture gate, then the full decision tree for F-RAN.
-
-    A request enters only through whether its content is cloud-only, so an
-    F-UE has at most two modes per run."""
-    if config.architecture is Architecture.CRAN:
-        return Mode.GLOBAL_CRAN
-    if config.architecture is Architecture.HCRAN:
-        if (
-            src.speed > thresholds.speed_threshold
-            or src.qos is Qos.REAL_TIME_VOICE
-            or (dst is not None and dst.speed > thresholds.speed_threshold)
-        ):
-            return Mode.HPN
-        return Mode.GLOBAL_CRAN
-    if dst is None:
-        # Content retrieval with no D2D partner: model the far end as a
-        # co-located non-D2D endpoint so the tree routes through the local
-        # coordination / global C-RAN rules.
-        dst = UeContext(id=src.id, position=src.position, speed=src.speed, d2d_capable=False)
-    decision = select_mode(
-        src,
-        dst,
-        thresholds,
-        relay_candidates=relays,
-        content_available_locally=not cloud_only,
-        local_coordination_feasible=lc_feasible,
-    )
-    return decision.mode
-
-
-def _pair_relays(xy, pairs, relays, th: ModeThresholds) -> dict:
-    """F-UE id -> the relays within D1 of both ends of its pair, for the
-    pairs whose ends lie in (D1, D2]: all that `select_mode` rule (3) can
-    pick, by the same distance arithmetic. No other F-UE reaches that rule."""
-    pos = np.array([c.position for c in relays], dtype=float).reshape(-1, 2)
-    found = {}
+def _pair_relays(xy, pairs, relay_xy, th: ModeThresholds) -> np.ndarray:
+    """One flag per F-UE: whether a relay (of those at relay_xy) lies within
+    D1 of both ends of its pair, for the pairs whose ends lie in (D1, D2],
+    the only ones `select_mode` rule (3) reads. Neither end of such a pair
+    is within D1 of the other, so neither counts as its own relay."""
+    found = np.zeros(len(xy), dtype=bool)
     for i, j in pairs:
-        if not th.d1 < np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) <= th.d2:
-            continue
-        near = (pairwise_distances(xy[[i, j]], pos) <= th.d1).all(axis=0)
-        found[i] = found[j] = [relays[k] for k in np.flatnonzero(near).tolist()]
+        if th.d1 < np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) <= th.d2:
+            near = (pairwise_distances(xy[[i, j]], relay_xy) <= th.d1).all(axis=0)
+            found[i] = found[j] = near.any()
     return found
 
 
@@ -734,54 +699,54 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     relay_willing = attr_rng.random(n_fues) < config.relay_fraction
     voice = attr_rng.random(n_fues) < config.voice_fraction
 
-    ues = [
-        UeContext(
-            id=i,
-            position=tuple(topology.fues.positions[i]),
-            speed=float(speeds[i]),
-            d2d_capable=bool(d2d_capable[i]),
-            relay_willing=bool(relay_willing[i]),
-            qos=Qos.REAL_TIME_VOICE if voice[i] else Qos.PACKET,
-        )
-        for i in range(n_fues)
-    ]
+    xy = topology.fues.positions
     pairs = pair_d2d(topology.fues, d2d_capable)
-    partner = {}
-    for i, j in pairs:
-        partner[i] = j
-        partner[j] = i
     report.n_d2d_pairs = len(pairs)
+    # An unpaired F-UE is its own far end: co-located and without a D2D
+    # partner, so the rules route it through local coordination or C-RAN.
+    partner = np.arange(n_fues)
+    for i, j in pairs:
+        partner[i], partner[j] = j, i
 
     serving = associate_fap(
-        topology.fues.positions, topology.faps, budget, config.interference_limit,
+        xy, topology.faps, budget, config.interference_limit,
         [config.fap_capacity] * len(topology.faps),
     )
     # Local coordination needs the serving F-AP's mean SNR to reach gamma.
     served = [i for i, s in enumerate(serving) if s is not None]
-    gap = topology.fues.positions[served] - topology.faps.positions[[serving[i] for i in served]]
+    gap = xy[served] - topology.faps.positions[[serving[i] for i in served]]
     snr = budget.tx_watts(NodeKind.FAP) * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
-    lc_feasible = dict(zip(served, (snr / budget.noise_watts >= budget.gamma_th_linear).tolist()))
+    lc_feasible = np.zeros(n_fues, dtype=bool)
+    lc_feasible[served] = snr / budget.noise_watts >= budget.gamma_th_linear
 
-    willing = [u for u in ues if u.relay_willing and u.d2d_capable]
-    relays = _pair_relays(topology.fues.positions, pairs, willing, thresholds)
+    relays = _pair_relays(xy, pairs, xy[relay_willing & d2d_capable], thresholds)
 
     tiers, report.fue_hit_ratio, report.fap_hit_ratio = _content_tiers(
         config, serving, topology.fap_neighbors()
     )
-    # Each F-UE's mode depends on a request only through whether its content
-    # is cloud-only: decide it once per value that occurs, in request order.
-    cloud = (tiers == _CLOUD_ONLY).astype(np.intp)
-    decided = np.zeros((n_fues, 2), dtype=np.int64)  # [F-UE, cloud-only] -> mode code
-    for i, row in enumerate(cloud.tolist()):
-        dst = ues[partner[i]] if i in partner else None
-        for cloud_only in dict.fromkeys(row):
-            decided[i, cloud_only] = MODES.index(_architecture_mode(
-                config, ues[i], dst, thresholds, relays.get(i, ()), bool(cloud_only),
-                lc_feasible.get(i, False),
-            ))
+    # A request reaches its F-UE's mode only through whether its content is
+    # cloud-only. So every F-UE's two modes are decided in one call, on a
+    # (U, 2) grid whose column 1 is cloud-only content.
+    u, p = np.arange(n_fues)[:, None], partner[:, None]
+    decided = select_mode(
+        np.hypot(xy[u, 0] - xy[p, 0], xy[u, 1] - xy[p, 1]), speeds[u], speeds[p],
+        voice[u], voice[p], u != p, relays[u], lc_feasible[u] & np.array([True, False]),
+        thresholds,
+    )
+    # The architecture gates. C-RAN serves every request through the BBU
+    # pool; H-CRAN sends a fast or voice F-UE, or one with a fast partner, to
+    # the HPN and the rest through the BBU pool.
+    t = thresholds.speed_threshold
+    to_hpn = (config.architecture is Architecture.HCRAN) & (
+        (speeds[u] > t) | voice[u] | (speeds[p] > t)
+    )
+    gated = np.where(to_hpn, MODES.index(Mode.HPN), MODES.index(Mode.GLOBAL_CRAN))
+    decided = np.where(config.architecture is Architecture.FRAN, decided, gated)
+
     fue_ids = np.repeat(np.arange(n_fues), config.requests_per_fue)
+    cloud = (tiers == _CLOUD_ONLY).astype(np.intp).ravel()
     report.load, report.ledger = fronthaul_load(
-        fue_ids, decided[fue_ids, cloud.ravel()], tiers.ravel(), config.payload_bits,
+        fue_ids, decided[fue_ids, cloud], tiers.ravel(), config.payload_bits,
         config.iq_expansion_factor,
     )
 

@@ -1,8 +1,9 @@
 """Adaptive transmission-mode decision tree and F-AP association.
 
-The decision rules form an ordered list; the first matching rule wins, so
-every input maps to exactly one mode. High mobility or real-time voice
-always forces the HPN mode, regardless of distance or capability.
+The decision rules form an ordered list, evaluated over arrays; the first
+matching rule wins, so every input maps to exactly one mode. High mobility
+or real-time voice always forces the HPN mode, regardless of distance or
+capability.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import LinkBudget, path_gain
-from .geometry import NodeKind, NodeSet, distance, pairwise_distances
+from .geometry import NodeKind, NodeSet, pairwise_distances
 
 
 class Mode(Enum):
@@ -22,11 +23,6 @@ class Mode(Enum):
     LOCAL_COORDINATION = "local_coordination"
     GLOBAL_CRAN = "global_cran"
     HPN = "hpn"
-
-
-class Qos(Enum):
-    REAL_TIME_VOICE = "real_time_voice"
-    PACKET = "packet"
 
 
 @dataclass(frozen=True)
@@ -39,93 +35,57 @@ class ModeThresholds:
     def __post_init__(self):
         if not (0 < self.d1 < self.d2 < self.d3):
             raise ValueError("thresholds must satisfy 0 < D1 < D2 < D3")
-        if self.speed_threshold <= 0:
-            raise ValueError("speed threshold must be positive")
+        if not self.speed_threshold > 0:  # NaN fails too
+            raise ValueError("speed_threshold must be positive")
 
 
-@dataclass
-class UeContext:
-    id: int
-    position: tuple
-    speed: float = 0.0  # m/s
-    d2d_capable: bool = True
-    relay_willing: bool = False
-    qos: Qos = Qos.PACKET
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be nonnegative")
-
-
-@dataclass
-class ModeDecision:
-    mode: Mode
-    relay_id: int | None = None
-
-
-def _slow_pair(src: UeContext, dst: UeContext, th: ModeThresholds) -> bool:
-    # "Slow relative movement": both endpoints below the speed threshold and
-    # a small speed difference between them.
-    return (
-        src.speed <= th.speed_threshold
-        and dst.speed <= th.speed_threshold
-        and abs(src.speed - dst.speed) <= th.speed_threshold
-    )
+# A mode travels as a code: its index into MODES.
+MODES = list(Mode)
 
 
 def select_mode(
-    src: UeContext,
-    dst: UeContext,
+    distance,
+    speed,
+    partner_speed,
+    voice,
+    partner_voice,
+    has_partner,
+    relay,
+    local_ok,
     thresholds: ModeThresholds,
-    relay_candidates=(),
-    content_available_locally: bool = True,
-    local_coordination_feasible: bool = True,
-) -> ModeDecision:
-    """Pick the transmission mode for a src/dst F-UE pair, first rule wins."""
+) -> np.ndarray:
+    """The mode code of each F-UE towards its far end, first rule wins.
+
+    The inputs broadcast against each other: the distance to the far end,
+    both speeds, both real-time voice flags, whether the far end is a D2D
+    partner (both ends D2D capable), whether a willing relay lies within D1
+    of both ends, and whether local coordination can serve the request (the
+    serving F-AP reaches gamma and the content is held locally).
+    """
     th = thresholds
-    d = distance(src.position, dst.position)
-
-    # (1) High mobility on either end, or real-time voice, forces HPN.
-    if (
-        src.speed > th.speed_threshold
-        or dst.speed > th.speed_threshold
-        or src.qos is Qos.REAL_TIME_VOICE
-        or dst.qos is Qos.REAL_TIME_VOICE
-    ):
-        return ModeDecision(Mode.HPN)
-
-    both_capable = src.d2d_capable and dst.d2d_capable
-
-    # (2) Direct D2D within D1.
-    if d <= th.d1 and both_capable and _slow_pair(src, dst, th):
-        return ModeDecision(Mode.D2D)
-
-    # (3) Relay bridge in (D1, D2]: willing relay within D1 of both ends,
-    # minimizing the bottleneck hop, ties by lower id.
-    if th.d1 < d <= th.d2 and both_capable and _slow_pair(src, dst, th):
-        cands = [
-            c for c in relay_candidates
-            if c.relay_willing and c.id != src.id and c.id != dst.id
-        ]
-        if cands:
-            pos = np.array([c.position for c in cands], dtype=float)
-            ids = np.array([c.id for c in cands])
-            hop_src = np.hypot(pos[:, 0] - src.position[0], pos[:, 1] - src.position[1])
-            hop_dst = np.hypot(pos[:, 0] - dst.position[0], pos[:, 1] - dst.position[1])
-            ok = np.flatnonzero((hop_src <= th.d1) & (hop_dst <= th.d1))
-            if ok.size:
-                bottleneck = np.maximum(hop_src[ok], hop_dst[ok])
-                best = ok[np.lexsort((ids[ok], bottleneck))[0]]
-                return ModeDecision(Mode.FUE_RELAY, relay_id=int(ids[best]))
-
-    # (4) Local distributed coordination: midrange distance, or short range
-    # with a D2D-incapable endpoint, when the local path can serve it.
-    in_local_band = th.d2 < d <= th.d3 or (d <= th.d2 and not both_capable)
-    if in_local_band and local_coordination_feasible and content_available_locally:
-        return ModeDecision(Mode.LOCAL_COORDINATION)
-
+    t = th.speed_threshold
+    # "Slow relative movement": both ends below the speed threshold and a
+    # small speed difference between them.
+    slow = (speed <= t) & (partner_speed <= t) & (np.abs(speed - partner_speed) <= t)
+    direct = has_partner & slow
+    rules = {
+        # (1) High mobility on either end, or real-time voice, forces HPN.
+        Mode.HPN: (speed > t) | (partner_speed > t) | voice | partner_voice,
+        # (2) Direct D2D within D1.
+        Mode.D2D: (distance <= th.d1) & direct,
+        # (3) Relay bridge in (D1, D2].
+        Mode.FUE_RELAY: (th.d1 < distance) & (distance <= th.d2) & direct & relay,
+        # (4) Local distributed coordination: midrange distance, or short
+        # range with a D2D-incapable end, when the local path can serve it.
+        Mode.LOCAL_COORDINATION: local_ok & (
+            (th.d2 < distance) & (distance <= th.d3)
+            | (distance <= th.d2) & np.logical_not(has_partner)
+        ),
+    }
     # (5) Everything else goes through the BBU pool.
-    return ModeDecision(Mode.GLOBAL_CRAN)
+    return np.select(
+        list(rules.values()), list(map(MODES.index, rules)), MODES.index(Mode.GLOBAL_CRAN)
+    )
 
 
 def associate_fap(

@@ -3,8 +3,9 @@
 `metrics_sim.run_scenario` replays the caches from request arrays and
 accounts the load from code arrays. This module keeps the loop it replaced:
 one request at a time, in request order, with `content_available` asked for
-each request's tier before the request reaches the caches, the mode decided
-on first use of each cloud-only value, and the load added up row by row.
+each request's tier before the request reaches the caches, each request's
+mode decided by a scalar rule cascade of its own (with a linear scan for
+relays), and the load added up row by row.
 F-UE i's requests are row i of one (U, n) draw from the "warmup" stream and
 one from the "traffic" stream. Tests compare the two on random configs.
 """
@@ -22,16 +23,10 @@ from frangine.caching import (
     content_available,
     zipf_stream,
 )
-from frangine.geometry import NodeKind, pair_d2d
+from frangine.geometry import NodeKind, distance, pair_d2d
 from frangine.channel import path_gain
-from frangine.metrics_sim import (
-    LedgerRow,
-    LoadReport,
-    _architecture_mode,
-    _build_topology,
-    _pair_relays,
-)
-from frangine.mode_select import Mode, Qos, UeContext, associate_fap
+from frangine.metrics_sim import Architecture, LedgerRow, LoadReport, _build_topology
+from frangine.mode_select import Mode, associate_fap
 from frangine.rng import derive_rng
 
 
@@ -41,7 +36,36 @@ class LoopResult:
     ledger: list
     fue_hit_ratio: float
     fap_hit_ratio: float
-    decisions: list  # (F-UE, cloud-only) of each mode decision, in order
+
+
+def has_relay(xy, i, j, relays, th) -> bool:
+    """Whether any of the relays other than i and j lies within D1 of both."""
+    return any(
+        k not in (i, j) and distance(xy[k], xy[i]) <= th.d1 and distance(xy[k], xy[j]) <= th.d1
+        for k in relays
+    )
+
+
+def decide(config, th, d, speed, far_speed, voice, far_voice, paired, relay, local_ok):
+    """One request's mode: the architecture's gate, then for F-RAN the rules
+    in order, first match wins. The far end is the D2D partner when paired;
+    d is the distance to it. local_ok: local coordination can serve it."""
+    t = th.speed_threshold
+    fast = speed > t or far_speed > t
+    if config.architecture is Architecture.CRAN:
+        return Mode.GLOBAL_CRAN
+    if config.architecture is Architecture.HCRAN:
+        return Mode.HPN if fast or voice else Mode.GLOBAL_CRAN
+    if fast or voice or far_voice:
+        return Mode.HPN
+    slow = abs(speed - far_speed) <= t
+    if paired and slow and d <= th.d1:
+        return Mode.D2D
+    if paired and slow and th.d1 < d <= th.d2 and relay:
+        return Mode.FUE_RELAY
+    if local_ok and (th.d2 < d <= th.d3 or d <= th.d2 and not paired):
+        return Mode.LOCAL_COORDINATION
+    return Mode.GLOBAL_CRAN
 
 
 def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
@@ -85,32 +109,33 @@ def request_loop(config) -> LoopResult:
     d2d_capable = attr_rng.random(n_fues) < config.d2d_fraction
     relay_willing = attr_rng.random(n_fues) < config.relay_fraction
     voice = attr_rng.random(n_fues) < config.voice_fraction
-    ues = [
-        UeContext(
-            id=i,
-            position=tuple(topology.fues.positions[i]),
-            speed=float(speeds[i]),
-            d2d_capable=bool(d2d_capable[i]),
-            relay_willing=bool(relay_willing[i]),
-            qos=Qos.REAL_TIME_VOICE if voice[i] else Qos.PACKET,
-        )
-        for i in range(n_fues)
-    ]
+    xy = topology.fues.positions
     pairs = pair_d2d(topology.fues, d2d_capable)
     partner = {i: j for i, j in pairs} | {j: i for i, j in pairs}
     serving = associate_fap(
-        topology.fues.positions, topology.faps, budget, config.interference_limit,
+        xy, topology.faps, budget, config.interference_limit,
         [config.fap_capacity] * len(topology.faps),
     )
-    served = [i for i, s in enumerate(serving) if s is not None]
-    gap = topology.fues.positions[served] - topology.faps.positions[[serving[i] for i in served]]
-    snr = budget.tx_watts(NodeKind.FAP) * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
-    lc_feasible = dict(zip(served, (snr / budget.noise_watts >= budget.gamma_th_linear).tolist()))
-    willing = [u for u in ues if u.relay_willing and u.d2d_capable]
-    relays = _pair_relays(topology.fues.positions, pairs, willing, thresholds)
+    lc_feasible = [
+        s is not None and budget.tx_watts(NodeKind.FAP) * float(path_gain(
+            distance(xy[i], topology.faps.positions[s]), budget
+        )) / budget.noise_watts >= budget.gamma_th_linear
+        for i, s in enumerate(serving)
+    ]
+    relays = [k for k in range(n_fues) if relay_willing[k] and d2d_capable[k]]
+    # Each F-UE's far end: its partner, or else a co-located copy of itself
+    # that is not D2D capable and not on voice.
+    far = []
+    for i in range(n_fues):
+        if i in partner:
+            j = partner[i]
+            far.append((distance(xy[i], xy[j]), speeds[j], voice[j], True,
+                        has_relay(xy, i, j, relays, thresholds)))
+        else:
+            far.append((0.0, speeds[i], False, False, False))
 
     catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
-    fue_caches = [EdgeCache(config.fue_cache_capacity, config.cache_policy) for _ in ues]
+    fue_caches = [EdgeCache(config.fue_cache_capacity, config.cache_policy) for _ in xy]
     fap_caches = [
         EdgeCache(config.fap_cache_capacity, config.cache_policy) for _ in topology.faps.positions
     ]
@@ -128,25 +153,22 @@ def request_loop(config) -> LoopResult:
         for cache in fue_caches + fap_caches:
             cache.hits = cache.misses = 0
 
-    decisions, tiers, decided = [], [], []
-    for i, ue in enumerate(ues):
+    decisions, tiers = [], []
+    for i in range(n_fues):
         s = serving[i]
-        dst = ues[partner[i]] if i in partner else None
+        d, far_speed, far_voice, paired, relay = far[i]
         peers = [fap_caches[j] for j in neighbors[s]] if config.cooperative_caching and s is not None else ()
-        modes = {}
         for item in traffic[i].tolist():
             tier = content_available(item, fue_caches[i], fap_caches[s] if s is not None else None, peers)
-            cloud_only = tier is ContentTier.CLOUD_ONLY
-            if cloud_only not in modes:
-                decided.append((i, cloud_only))
-                modes[cloud_only] = _architecture_mode(
-                    config, ue, dst, thresholds, relays.get(i, ()), cloud_only,
-                    lc_feasible.get(i, False),
-                )
+            local_ok = lc_feasible[i] and tier is not ContentTier.CLOUD_ONLY
+            mode = decide(
+                config, thresholds, d, speeds[i], far_speed, voice[i], far_voice, paired, relay,
+                local_ok,
+            )
             fue_caches[i].request(item)
             if s is not None:
                 fap_caches[s].request(item)
-            decisions.append((i, modes[cloud_only]))
+            decisions.append((i, mode))
             tiers.append(tier)
 
     load, ledger = loop_fronthaul_load(decisions, tiers, config.payload_bits, config.iq_expansion_factor)
@@ -154,4 +176,4 @@ def request_loop(config) -> LoopResult:
     for caches in (fue_caches, fap_caches):
         requests = sum(c.hits + c.misses for c in caches)
         ratios.append(sum(c.hits for c in caches) / requests if requests else 0.0)
-    return LoopResult(load, ledger, *ratios, decided)
+    return LoopResult(load, ledger, *ratios)

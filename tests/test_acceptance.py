@@ -38,7 +38,7 @@ from frangine.geometry import (
     sample_ppp,
 )
 from frangine.metrics_sim import spatial_average_rate
-from frangine.mode_select import Mode, ModeThresholds, Qos, UeContext, select_mode
+from frangine.mode_select import MODES, Mode, ModeThresholds, select_mode
 from frangine.rng import derive_rng
 from mc_oracle import successful_access_probability
 
@@ -71,17 +71,6 @@ def _elapsed_ok(t0, budget_s):
 TH = ModeThresholds(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
 
 
-def _ue(uid, x, speed=0.0, capable=True, voice=False, relay=False):
-    return UeContext(
-        id=uid,
-        position=(x, 0.0),
-        speed=speed,
-        d2d_capable=capable,
-        relay_willing=relay,
-        qos=Qos.REAL_TIME_VOICE if voice else Qos.PACKET,
-    )
-
-
 def _rule_table_oracle(d, s_src, s_dst, cap_src, cap_dst, voice, relay, content, feasible):
     # Independent recoding of the decision cascade; the relay candidate,
     # when present, sits at the pair midpoint.
@@ -108,25 +97,19 @@ def test_acceptance_1_mode_truth_table(passline):
         distances, speeds, speeds, [True, False], [True, False],
         [False, True], [False, True], [False, True], [False, True],
     )
-    cases = 0
-    for d, s1, s2, c1, c2, voice, relay, content, feasible in grid:
-        src = _ue(0, 0.0, speed=s1, capable=c1, voice=voice)
-        dst = _ue(1, d, speed=s2, capable=c2)
-        relays = [_ue(2, d / 2.0, relay=True)] if relay else []
-        got = select_mode(
-            src, dst, TH,
-            relay_candidates=relays,
-            content_available_locally=content,
-            local_coordination_feasible=feasible,
-        ).mode
-        want = _rule_table_oracle(d, s1, s2, c1, c2, voice, relay, content, feasible)
-        assert got is want, (d, s1, s2, c1, c2, voice, relay, content, feasible)
-        cases += 1
-    assert cases >= 500
+    cases = list(grid)
+    d, s1, s2, c1, c2, voice, relay, content, feasible = map(np.array, zip(*cases))
+    # Src at x = 0, dst at x = d; the relay, when present, at the midpoint.
+    mid = d / 2.0
+    bridged = relay & (np.hypot(mid, 0.0) <= TH.d1) & (np.hypot(mid - d, 0.0) <= TH.d1)
+    codes = select_mode(d, s1, s2, voice, False, c1 & c2, bridged, content & feasible, TH)
+    for case, code in zip(cases, codes.tolist()):
+        assert MODES[code] is _rule_table_oracle(*case), case
+    assert len(cases) >= 500
     elapsed = _elapsed_ok(t0, 1.0)
     passline(
         "criterion 1 (mode truth table)",
-        f"{cases} grid cases, 100% oracle agreement, {elapsed:.2f}s",
+        f"{len(cases)} grid cases, 100% oracle agreement, {elapsed:.2f}s",
     )
 
 

@@ -101,6 +101,15 @@ def test_validate_show_defaults_prints_everything(fast_config, capsys):
         assert key in out
 
 
+def test_validate_applies_seed_and_trials_overrides(fast_config, capsys):
+    assert main(["validate", "--config", fast_config, "--trials", "0"]) == EXIT_CONFIG
+    assert "mc_trials" in capsys.readouterr().err
+    argv = ["validate", "--config", fast_config, "--seed", "7", "--show-defaults"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "master_seed = 7" in lines and "master_seed = 11" not in lines
+
+
 def test_validate_bad_config_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[mode]\nd1 = 200.0\nd2 = 100.0\n")
@@ -132,6 +141,10 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("traffic", "warmup_requests", "-1"),
         ("traffic", "payload_bits", "-1"),
         ("mode", "speed_mean", "-1"),
+        ("mode", "speed_threshold", "0"),
+        ("mode", "speed_threshold", "nan"),
+        ("mode", "interference_limit", "-1"),
+        ("mode", "interference_limit", "nan"),
         ("coordination", "tau", "0"),
         ("coordination", "tau", "-1"),
         ("coordination", "tau", "nan"),
@@ -252,6 +265,24 @@ def test_zero_single_fap_power_exit_two(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
+def test_zero_total_power_exit_two(tmp_path, capsys):
+    # Every F-AP asleep at zero power beside zero-power HPNs would divide by 0
+    # mid-run; the config is refused before any output is made.
+    path = tmp_path / "zero_power.ini"
+    path.write_text(
+        "[mode]\nfap_capacity = 0\n\n"
+        "[coordination]\nsleep_power_fraction = 0.0\np_hpn = 0.0\n"
+    )
+    out = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert main([*argv, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("p_hpn", "sleep_power_fraction", "p_static"))
+    assert not out.exists()
+    path.write_text("[coordination]\np_hpn = 0.0\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
 def test_zero_payload_and_speed_stay_legal(tmp_path):
     path = tmp_path / "zero.ini"
     path.write_text("[mode]\nspeed_mean = 0\n\n[traffic]\npayload_bits = 0\n")
@@ -312,6 +343,20 @@ def test_compare_arch_prints_ordering(tmp_path, fast_config, capsys):
     assert loads["fran"] < loads["hcran"] < loads["cran"]
     for name in ("metrics.csv", "ledger_cran.csv", "ledger_hcran.csv", "ledger_fran.csv"):
         assert (out / name).exists()
+
+
+def test_compare_arch_equals_three_lone_runs(tmp_path, fast_config):
+    out = tmp_path / "cmp"
+    assert main(["compare-arch", "--config", fast_config, "--out", str(out)]) == EXIT_OK
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["cran", "hcran", "fran"]
+    for arch, row in zip(("cran", "hcran", "fran"), rows):
+        ini = tmp_path / f"{arch}.ini"
+        ini.write_text(FAST_BODY + f"architecture = {arch}\n")  # [run] is the last section
+        lone = tmp_path / arch
+        assert main(["run", "--config", str(ini), "--out", str(lone)]) == EXIT_OK
+        assert row == f"{arch}," + (lone / "metrics.csv").read_text().splitlines()[1]
+        assert (out / f"ledger_{arch}.csv").read_bytes() == (lone / "ledger.csv").read_bytes()
 
 
 def test_missing_config_file_exit_two(tmp_path, capsys):

@@ -13,7 +13,15 @@ from frangine.channel import (
     db_to_linear,
     path_gain,
 )
-from frangine.geometry import FapTopology, NetworkTopology, NodeKind, NodeSet, Region, pair_d2d
+from frangine.geometry import (
+    FapTopology,
+    NetworkTopology,
+    NodeKind,
+    NodeSet,
+    Region,
+    pair_d2d,
+    pairwise_distances,
+)
 from frangine import metrics_sim
 from frangine.metrics_sim import (
     LEDGER_COLUMNS,
@@ -32,7 +40,7 @@ from frangine.metrics_sim import (
     sweep,
 )
 from frangine.caching import ContentTier, EvictionPolicy
-from frangine.mode_select import Mode, UeContext, associate_fap, select_mode
+from frangine.mode_select import MODES, Mode, associate_fap, select_mode
 from frangine.rng import derive_rng
 import mc_oracle
 from mc_oracle import mc_d2d_success_probability, mc_spatial_average_rate
@@ -213,16 +221,8 @@ def _pipeline_config(case: int) -> ScenarioConfig:
 
 
 @pytest.mark.parametrize("case", range(18))
-def test_request_pipeline_equals_the_request_loop(case, monkeypatch):
+def test_request_pipeline_equals_the_request_loop(case):
     config = _pipeline_config(case)
-    calls = []
-    decide = metrics_sim._architecture_mode
-
-    def logged(config, src, dst, thresholds, relays, cloud_only, lc_feasible):
-        calls.append((src.id, cloud_only))
-        return decide(config, src, dst, thresholds, relays, cloud_only, lc_feasible)
-
-    monkeypatch.setattr(metrics_sim, "_architecture_mode", logged)
     report = run_scenario(config)
     oracle = request_loop(config)
     assert report.n_fues > 0
@@ -232,7 +232,22 @@ def test_request_pipeline_equals_the_request_loop(case, monkeypatch):
     # the mode_counts key order.
     assert repr(vars(report.load)) == repr(vars(oracle.load))
     assert repr(report.ledger) == repr(oracle.ledger)
-    assert calls == oracle.decisions
+
+
+@pytest.mark.parametrize("architecture", list(Architecture))
+def test_request_pipeline_equals_the_request_loop_at_mobile_speeds(architecture):
+    # Mean speed at the threshold: about a third of the F-UEs are fast, so
+    # many pairs have exactly one fast end, which the H-CRAN gate and rule (1)
+    # read from the partner.
+    config = dataclasses.replace(
+        _pipeline_config(5), lambda_fue=3e-4, speed_mean=10.0, d2d_fraction=1.0,
+        architecture=architecture,
+    )
+    report = run_scenario(config)
+    oracle = request_loop(config)
+    assert report.n_d2d_pairs > 10
+    assert repr(vars(report.load)) == repr(vars(oracle.load))
+    assert repr(report.ledger) == repr(oracle.ledger)
 
 
 def test_request_pipeline_covers_unadmitted_fues_and_no_warmup():
@@ -709,25 +724,35 @@ def _relay_layouts():
         yield rng, 10.0 * rng.integers(0, 20, size=(int(rng.integers(10, 80)), 2))
 
 
+def _full_relay_flags(xy, pairs, relay_xy, th):
+    """Per F-UE: whether any relay of the full list lies within D1 of both
+    ends of its pair, whatever the pair's distance. The ends may count as
+    relays here, but rule (3) reads the flag only for ends over D1 apart."""
+    near = pairwise_distances(xy, relay_xy) <= th.d1
+    full = np.zeros(len(xy), dtype=bool)
+    for i, j in pairs:
+        full[i] = full[j] = (near[i] & near[j]).any()
+    return full
+
+
 def test_pair_relays_give_select_mode_decisions_of_full_list():
     th = ScenarioConfig().thresholds()
     bridged = 0
     for rng, points in _relay_layouts():
-        willing = rng.random(len(points)) < 0.5
-        ues = [
-            UeContext(id=i, position=tuple(p), relay_willing=bool(w))
-            for i, (p, w) in enumerate(zip(points, willing))
-        ]
-        relays = [u for u in ues if u.relay_willing]
+        relay_xy = points[rng.random(len(points)) < 0.5]
         for _ in range(5):
-            order = rng.permutation(len(ues)).tolist()
-            pairs = list(zip(order[0::2], order[1::2]))
-            found = metrics_sim._pair_relays(points, pairs, relays, th)
-            for i, j in pairs + [(j, i) for i, j in pairs]:
-                want = select_mode(ues[i], ues[j], th, relay_candidates=relays)
-                got = select_mode(ues[i], ues[j], th, relay_candidates=found.get(i, ()))
-                assert (got.mode, got.relay_id) == (want.mode, want.relay_id)
-                bridged += want.mode is Mode.FUE_RELAY
+            order = rng.permutation(len(points))
+            pairs = list(zip(order[0::2].tolist(), order[1::2].tolist()))
+            found = metrics_sim._pair_relays(points, pairs, relay_xy, th)
+            full = _full_relay_flags(points, pairs, relay_xy, th)
+            i, j = np.array(pairs + [(j, i) for i, j in pairs]).T
+            d = pairwise_distances(points, points)[i, j]
+            want, got = (
+                select_mode(d, 0.0, 0.0, False, False, True, flags[i], True, th)
+                for flags in (full, found)
+            )
+            assert (got == want).all()
+            bridged += np.count_nonzero(want == MODES.index(Mode.FUE_RELAY))
     assert bridged > 50
 
 
@@ -741,41 +766,46 @@ def test_run_relay_decisions_equal_full_relay_list(monkeypatch, seed):
     pair_relays = metrics_sim._pair_relays
     select = metrics_sim.select_mode
 
-    def recording(xy, pairs, relays, th):
-        full[:] = relays
-        return pair_relays(xy, pairs, relays, th)
+    def recording(xy, pairs, relay_xy, th):
+        full[:] = [_full_relay_flags(xy, pairs, relay_xy, th)]
+        return pair_relays(xy, pairs, relay_xy, th)
 
     decisions = []
 
-    def checking(src, dst, thresholds, relay_candidates=(), **kwargs):
-        got = select(src, dst, thresholds, relay_candidates, **kwargs)
-        want = select(src, dst, thresholds, full, **kwargs)
-        assert (got.mode, got.relay_id) == (want.mode, want.relay_id)
-        decisions.append(got.mode)
+    def checking(*args):
+        *rest, relay, local_ok, thresholds = args
+        got = select(*args)
+        want = select(*rest, full[0][:, None], local_ok, thresholds)
+        assert (got == want).all()
+        decisions.append(got)
         return got
 
     monkeypatch.setattr(metrics_sim, "_pair_relays", recording)
     monkeypatch.setattr(metrics_sim, "select_mode", checking)
     run_scenario(config)
-    assert full and Mode.FUE_RELAY in decisions
+    assert full[0].any() and MODES.index(Mode.FUE_RELAY) in decisions[0]
 
 
 def test_mode_decided_once_per_fue_and_content_case(monkeypatch):
-    config = ScenarioConfig(master_seed=3)
-    expected = run_scenario(config)
-    calls = []
     select_mode = metrics_sim.select_mode
+    shapes = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].id)
-        return select_mode(*args, **kwargs)
+    def counting(*args):
+        codes = select_mode(*args)
+        shapes.append(codes.shape)
+        return codes
 
-    monkeypatch.setattr(metrics_sim, "select_mode", counting)
-    report = run_scenario(config)
-    assert 0 < len(calls) <= 2 * report.n_fues
-    assert len(calls) < len(report.ledger)
-    assert metrics_row(report) == metrics_row(expected)
-    assert ledger_rows(report) == ledger_rows(expected)
+    for architecture in Architecture:
+        config = ScenarioConfig(master_seed=3, architecture=architecture)
+        expected = run_scenario(config)
+        shapes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics_sim, "select_mode", counting)
+            report = run_scenario(config)
+        # One call per run, on one (F-UE, content held locally or cloud-only) grid.
+        assert shapes == [(report.n_fues, 2)]
+        assert metrics_row(report) == metrics_row(expected)
+        assert ledger_rows(report) == ledger_rows(expected)
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,11 @@ import pytest
 
 from frangine.channel import LinkBudget, path_gain
 from frangine.geometry import NodeKind, NodeSet, distance, pairwise_distances
+from frangine.metrics_sim import _pair_relays
 from frangine.mode_select import (
+    MODES,
     Mode,
     ModeThresholds,
-    Qos,
-    UeContext,
     associate_fap,
     select_mode,
 )
@@ -19,29 +19,18 @@ from frangine.rng import derive_rng
 TH = ModeThresholds(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
 
 
-def _ue(uid, x, speed=0.0, capable=True, voice=False, relay=False):
-    return UeContext(
-        id=uid,
-        position=(x, 0.0),
-        speed=speed,
-        d2d_capable=capable,
-        relay_willing=relay,
-        qos=Qos.REAL_TIME_VOICE if voice else Qos.PACKET,
-    )
-
-
-def _decide(d, s_src, s_dst, cap_src, cap_dst, voice, relay_present, content, feasible):
-    src = _ue(0, 0.0, speed=s_src, capable=cap_src, voice=voice)
-    dst = _ue(1, d, speed=s_dst, capable=cap_dst)
-    relays = [_ue(2, d / 2.0, capable=True, relay=True)] if relay_present else []
+def _decide(d, s_src, s_dst, cap_src, cap_dst, voice, relay_present, content, feasible, th=TH):
+    """Mode codes of src at x = 0 towards dst at x = d, on scalars or arrays.
+    A present relay sits at the pair midpoint; its flag comes from its hops."""
+    mid = np.asarray(d) / 2.0
+    relay = relay_present & (np.hypot(mid, 0.0) <= th.d1) & (np.hypot(mid - d, 0.0) <= th.d1)
     return select_mode(
-        src,
-        dst,
-        TH,
-        relay_candidates=relays,
-        content_available_locally=content,
-        local_coordination_feasible=feasible,
+        d, s_src, s_dst, voice, False, cap_src & cap_dst, relay, content & feasible, th
     )
+
+
+def _mode(*case, th=TH):
+    return MODES[int(_decide(*case, th=th))]
 
 
 def _oracle(d, s_src, s_dst, cap_src, cap_dst, voice, relay_present, content, feasible):
@@ -65,73 +54,51 @@ def test_exhaustive_truth_table_matches_oracle():
     distances = [15.0, 50.0, 60.0, 100.0, 150.0, 325.0, 500.0, 1000.0]
     speeds = [0.0, 20.0]
     caps = [(True, True), (True, False), (False, False)]
-    cases = 0
-    for d, s_src, s_dst, (c1, c2), voice, relay, content, feasible in itertools.product(
-        distances, speeds, speeds, caps, [False, True], [False, True],
-        [False, True], [False, True],
-    ):
-        got = _decide(d, s_src, s_dst, c1, c2, voice, relay, content, feasible).mode
-        want = _oracle(d, s_src, s_dst, c1, c2, voice, relay, content, feasible)
-        assert got is want, (d, s_src, s_dst, c1, c2, voice, relay, content, feasible)
-        cases += 1
-    assert cases >= 500
+    cases = [
+        (d, s_src, s_dst, c1, c2, voice, relay, content, feasible)
+        for d, s_src, s_dst, (c1, c2), voice, relay, content, feasible in itertools.product(
+            distances, speeds, speeds, caps, [False, True], [False, True],
+            [False, True], [False, True],
+        )
+    ]
+    got = _decide(*map(np.array, zip(*cases)))  # the whole table in one call
+    for case, code in zip(cases, got.tolist()):
+        assert MODES[code] is _oracle(*case), case
+    assert len(cases) >= 500
 
 
 def test_high_speed_forces_hpn_even_at_zero_distance():
-    d = _decide(0.1 * TH.d1, 2 * TH.speed_threshold, 0.0, True, True, False, True, True, True)
-    assert d.mode is Mode.HPN
+    mode = _mode(0.1 * TH.d1, 2 * TH.speed_threshold, 0.0, True, True, False, True, True, True)
+    assert mode is Mode.HPN
 
 
 def test_zero_distance_slow_capable_is_d2d():
-    assert _decide(0.0, 0.0, 0.0, True, True, False, False, True, True).mode is Mode.D2D
+    assert _mode(0.0, 0.0, 0.0, True, True, False, False, True, True) is Mode.D2D
 
 
 def test_relay_band_with_midpoint_relay():
-    d = _decide(1.5 * TH.d1, 0.0, 0.0, True, True, False, True, True, True)
-    assert d.mode is Mode.FUE_RELAY
-    assert d.relay_id == 2
+    assert _mode(1.5 * TH.d1, 0.0, 0.0, True, True, False, True, True, True) is Mode.FUE_RELAY
 
 
 def test_short_range_incapable_endpoint_goes_local():
-    d = _decide(0.5 * TH.d1, 0.0, 0.0, True, False, False, False, True, True)
-    assert d.mode is Mode.LOCAL_COORDINATION
+    mode = _mode(0.5 * TH.d1, 0.0, 0.0, True, False, False, False, True, True)
+    assert mode is Mode.LOCAL_COORDINATION
 
 
 def test_far_beyond_d3_is_global_cran():
-    assert _decide(2 * TH.d3, 0.0, 0.0, True, True, False, True, True, True).mode is Mode.GLOBAL_CRAN
+    assert _mode(2 * TH.d3, 0.0, 0.0, True, True, False, True, True, True) is Mode.GLOBAL_CRAN
 
 
 def test_cloud_only_content_forces_global_cran():
-    d = _decide(325.0, 0.0, 0.0, True, True, False, False, False, True)
-    assert d.mode is Mode.GLOBAL_CRAN
+    assert _mode(325.0, 0.0, 0.0, True, True, False, False, False, True) is Mode.GLOBAL_CRAN
 
 
 def test_invalid_thresholds_rejected():
     with pytest.raises(ValueError, match="thresholds"):
         ModeThresholds(d1=100.0, d2=50.0, d3=500.0)
-
-
-def test_relay_selection_minimizes_bottleneck_then_id():
-    src = _ue(0, 0.0)
-    dst = _ue(1, 80.0)
-    near = _ue(5, 40.0, relay=True)  # hops 40/40
-    skew = _ue(3, 45.0, relay=True)  # hops 45/35 -> bottleneck 45
-    decision = select_mode(src, dst, TH, relay_candidates=[skew, near])
-    assert decision.mode is Mode.FUE_RELAY and decision.relay_id == 5
-    # Equal bottleneck: lower id wins.
-    twin = _ue(2, 40.0, relay=True)
-    decision = select_mode(src, dst, TH, relay_candidates=[near, twin])
-    assert decision.relay_id == 2
-
-
-def test_relay_candidate_order_never_changes_decision():
-    src = _ue(0, 0.0)
-    dst = _ue(1, 90.0)
-    relays = [_ue(i, x, relay=True) for i, x in ((2, 44.0), (3, 46.0), (4, 45.0))]
-    baseline = select_mode(src, dst, TH, relay_candidates=relays)
-    for perm in itertools.permutations(relays):
-        d = select_mode(src, dst, TH, relay_candidates=list(perm))
-        assert (d.mode, d.relay_id) == (baseline.mode, baseline.relay_id)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="speed_threshold"):
+            ModeThresholds(speed_threshold=bad)
 
 
 def test_mode_sequence_monotone_in_distance():
@@ -140,26 +107,17 @@ def test_mode_sequence_monotone_in_distance():
     th = ModeThresholds(d1=50.0, d2=90.0, d3=500.0, speed_threshold=10.0)
     expected = [Mode.D2D, Mode.FUE_RELAY, Mode.LOCAL_COORDINATION, Mode.GLOBAL_CRAN]
     for d, want in zip([25.0, 70.0, 300.0, 800.0], expected):
-        src = _ue(0, 0.0)
-        dst = _ue(1, d)
-        relay = _ue(2, d / 2.0, relay=True)
-        decision = select_mode(src, dst, th, relay_candidates=[relay])
-        assert decision.mode is want, d
+        assert _mode(d, 0.0, 0.0, True, True, False, True, True, True, th=th) is want, d
 
 
 def test_speed_dominance_property():
     rng = np.random.default_rng(13)
-    for _ in range(50):
-        d = float(rng.uniform(0, 1000))
-        src = _ue(0, 0.0, speed=2 * TH.speed_threshold + float(rng.uniform(0, 5)))
-        dst = _ue(1, d, speed=float(rng.uniform(0, 30)))
-        flags = rng.random(2) < 0.5
-        decision = select_mode(
-            src, dst, TH,
-            content_available_locally=bool(flags[0]),
-            local_coordination_feasible=bool(flags[1]),
-        )
-        assert decision.mode is Mode.HPN
+    d = rng.uniform(0, 1000, size=50)
+    s_src = 2 * TH.speed_threshold + rng.uniform(0, 5, size=50)
+    s_dst = rng.uniform(0, 30, size=50)
+    content, feasible = rng.random((2, 50)) < 0.5
+    codes = select_mode(d, s_src, s_dst, False, False, True, False, content & feasible, TH)
+    assert (codes == MODES.index(Mode.HPN)).all()
 
 
 def _faps(xs):
@@ -198,19 +156,14 @@ def test_associate_interference_limit_blocks_admission():
     assert associate_fap(_at(0.0), faps, budget, interference_limit=1e-30) == [None]
 
 
-def _relay_oracle(src, dst, th, candidates):
-    """Linear relay scan: bottleneck hop first, then the lower id."""
-    best = None
-    for cand in candidates:
-        if not cand.relay_willing or cand.id in (src.id, dst.id):
-            continue
-        hop_src = distance(cand.position, src.position)
-        hop_dst = distance(cand.position, dst.position)
-        if hop_src <= th.d1 and hop_dst <= th.d1:
-            key = (max(hop_src, hop_dst), cand.id)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
+def _relay_oracle(points, i, j, th, relays):
+    """Linear relay scan: is any relay other than i and j within D1 of both?"""
+    return any(
+        k not in (i, j)
+        and distance(points[k], points[i]) <= th.d1
+        and distance(points[k], points[j]) <= th.d1
+        for k in relays
+    )
 
 
 def _oracle_layouts(tag, cells):
@@ -225,27 +178,28 @@ def _oracle_layouts(tag, cells):
 
 
 def test_relay_search_matches_linear_scan_oracle():
+    # `_pair_relays` flags the pairs in (D1, D2] that a willing, D2D-capable
+    # F-UE bridges, and no other F-UE.
     bridged = 0
     for rng, points in _oracle_layouts("relay", 16):
-        ues = [
-            UeContext(id=i, position=tuple(p), relay_willing=bool(w))
-            for i, (p, w) in enumerate(zip(points, rng.random(len(points)) < 0.5))
-        ]
-        shuffled = [ues[k] for k in rng.permutation(len(ues))]
-        for src, dst in itertools.combinations(ues, 2):
-            if not TH.d1 < distance(src.position, dst.position) <= TH.d2:
-                continue
-            want = _relay_oracle(src, dst, TH, shuffled)
-            decision = select_mode(src, dst, TH, relay_candidates=shuffled)
-            assert decision.relay_id == want
-            assert (decision.mode is Mode.FUE_RELAY) == (want is not None)
-            bridged += want is not None
+        n = len(points)
+        relay = (rng.random(n) < 0.5) & (rng.random(n) < 0.8)  # willing and capable
+        for _ in range(10):
+            order = rng.permutation(n).tolist()
+            pairs = list(zip(order[0::2], order[1::2]))
+            found = _pair_relays(points, pairs, points[relay], TH)
+            want = np.zeros(n, dtype=bool)
+            for i, j in pairs:
+                if TH.d1 < distance(points[i], points[j]) <= TH.d2:
+                    want[i] = want[j] = _relay_oracle(points, i, j, TH, np.flatnonzero(relay))
+            assert found.tolist() == want.tolist()
+            bridged += int(want.sum())
     assert bridged > 100
 
 
 def _associate_oracle(ue, faps, budget, interference_limit, capacity):
     """Scalar distances and a Python sort; None when every F-AP is blocked."""
-    dists = np.array([distance(ue.position, p) for p in faps.positions])
+    dists = np.array([distance(ue, p) for p in faps.positions])
     rx_power = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
     for i in sorted(range(len(faps)), key=lambda i: (-rx_power[i], i)):
         if capacity is not None and capacity[i] <= 0:
@@ -264,7 +218,7 @@ def test_associate_matches_scalar_distance_oracle():
     outcomes = set()
     for rng, points in _oracle_layouts("associate", 5):
         n_ues = max(1, len(points) // 3)
-        ues = [UeContext(id=k, position=tuple(p)) for k, p in enumerate(points[:n_ues])]
+        ues = points[:n_ues]
         faps = NodeSet(NodeKind.FAP, points[n_ues:], 0.0)
         strongest = [_associate_oracle(ue, faps, budget, float("inf"), None) for ue in ues]
         # Limits at the leak levels the layout produces block some F-APs.
