@@ -25,6 +25,7 @@ from .caching import (
     ContentTier,
     EdgeCache,
     EvictionPolicy,
+    replay_lanes,
     zipf_stream,
 )
 from .channel import (
@@ -214,6 +215,10 @@ class ScenarioConfig:
             ("lambda_fue, lambda_fap", fues * faps, "F-UE x F-AP gains"),
             ("lambda_fap", faps * faps, "F-AP x F-AP distances"),
             ("lambda_m", self.lambda_m * area, "HPN distances"),
+            (
+                "lambda_fue, warmup_requests, requests_per_fue",
+                fues * (self.warmup_requests + self.requests_per_fue), "F-UE requests",
+            ),
         ):
             if not elements <= MAX_DENSE_ELEMENTS:  # NaN from 0 * inf area fails too
                 raise ValueError(
@@ -630,53 +635,89 @@ def _content_tiers(config: ScenarioConfig, serving, neighbors):
     "traffic" stream; row i is F-UE i's requests. Returns each traffic
     request's tier code as a (U, requests_per_fue) array, and the F-UE and
     F-AP hit ratios of the traffic. All warm-ups come first, in F-UE order,
-    then all traffic; the warm-ups only prime the caches. An F-UE's cache
-    sees only its own requests, so each is replayed over its own items; the
-    F-AP caches are replayed in request order, which cooperative lookups
-    read. A request's tier is what `content_available` gives just before
-    it: the F-UE, then the F-AP hit flag of `EdgeCache.request`, then
-    whether a linked F-AP holds the item (no request touches a linked F-AP's
-    cache).
+    then all traffic; the warm-ups only prime the caches. A request's tier
+    is what `content_available` gives just before it: the F-UE cache, then
+    the F-AP cache, then whether a linked F-AP holds the item.
+
+    Each cache serves a stream of its own, so each is replayed over it
+    whole: all F-UE caches at once by `replay_lanes`, and each F-AP cache by
+    `EdgeCache.replay` over its admitted F-UEs' warm-up rows in F-UE order,
+    then their traffic rows. No request touches a linked F-AP's cache, so
+    when F-UE u asks a linked F-AP j, j has served its first
+    m = warmup_requests * load_j + requests_per_fue * |{v < u served by j}|
+    requests, and holds the item iff the item's last insertion or eviction
+    before step m was an insertion. One `lexsort` of every F-AP's insertions
+    and evictions with the lookups answers all of them. Only a request that
+    misses both its F-UE and its F-AP cache asks.
     """
     catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
-    n_fues = len(serving)
+    n_fues, n_warm, n = len(serving), config.warmup_requests, config.requests_per_fue
     warm, traffic = (
-        zipf_stream(catalog, (n_fues, length), derive_rng(config.master_seed, tag)).tolist()
-        for tag, length in (("warmup", config.warmup_requests), ("traffic", config.requests_per_fue))
+        zipf_stream(catalog, (n_fues, length), derive_rng(config.master_seed, tag))
+        for tag, length in (("warmup", n_warm), ("traffic", n))
     )
-    fue_hits = []
-    for warm_items, items in zip(warm, traffic):
-        request = EdgeCache(config.fue_cache_capacity, config.cache_policy).request
-        for item in warm_items:
-            request(item)
-        fue_hits.append([request(item)[0] for item in items])
+    fue_hit = replay_lanes(
+        np.hstack((warm, traffic)), config.fue_cache_capacity, config.cache_policy
+    )[:, n_warm:]
 
-    fap_caches = [EdgeCache(config.fap_cache_capacity, config.cache_policy) for _ in neighbors]
-    for s, items in zip(serving, warm):
-        if s is not None:
-            request = fap_caches[s].request
-            for item in items:
-                request(item)
-    for cache in fap_caches:
-        cache.hits = cache.misses = 0
-    tiers = []
-    for s, items, hits in zip(serving, traffic, fue_hits):
-        if s is None:
-            tiers.append([_AT_FUE if hit else _CLOUD_ONLY for hit in hits])
-            continue
-        request = fap_caches[s].request
-        peers = [fap_caches[j] for j in neighbors[s]] if config.cooperative_caching else ()
-        tiers.append([
-            _AT_FUE if hit else _AT_FAP if fap_hit or any(item in p for p in peers)
-            else _CLOUD_ONLY
-            for item, hit, (fap_hit, _) in zip(items, hits, map(request, items))
-        ])
-    fue_requests = n_fues * config.requests_per_fue
-    fap_requests = sum(c.hits + c.misses for c in fap_caches)
+    fap = np.array([-1 if s is None else s for s in serving], dtype=np.intp)
+    admitted = np.flatnonzero(fap >= 0)
+    members = admitted[np.argsort(fap[admitted], kind="stable")]  # by F-AP, then F-UE
+    load = np.bincount(fap[admitted], minlength=len(neighbors))
+    first = np.cumsum(load) - load
+    fap_hit = np.zeros_like(fue_hit)
+    events = []  # per F-AP: its id, time 2 * step + 1, item, and insertion flag
+    for s in np.flatnonzero(load):
+        ids = members[first[s]:first[s] + load[s]]
+        stream = np.concatenate((warm[ids].ravel(), traffic[ids].ravel()))
+        hits, evictions = EdgeCache(config.fap_cache_capacity, config.cache_policy).replay(
+            stream.tolist()
+        )
+        hits = np.array(hits, dtype=bool)
+        fap_hit[ids] = hits[n_warm * len(ids):].reshape(len(ids), n)
+        if config.cooperative_caching:
+            missed = np.flatnonzero(~hits)
+            step, victim = np.array(evictions, dtype=np.int64).reshape(-1, 2).T
+            step = np.concatenate((missed, step))
+            events.append((
+                np.full(step.size, s), 2 * step + 1, np.concatenate((stream[missed], victim)),
+                np.arange(step.size) < missed.size,
+            ))
+
+    at_fap = fap_hit.copy()
+    if config.cooperative_caching:
+        # Each request that misses both caches asks every F-AP linked to its own.
+        asking_u, asking_k = np.nonzero(~fue_hit & ~fap_hit & (fap >= 0)[:, None])
+        degree = np.array([len(peers) for peers in neighbors], dtype=np.intp)
+        links = np.array([j for peers in neighbors for j in peers], dtype=np.intp)
+        asks = degree[fap[asking_u]]
+        asker = np.repeat(np.arange(asking_u.size), asks)
+        nth = np.arange(asker.size) - np.repeat(np.cumsum(asks) - asks, asks)
+        u = asking_u[asker]
+        peer = links[(np.cumsum(degree) - degree)[fap[u]] + nth]
+        before = np.searchsorted(fap[members] * n_fues + members, peer * n_fues + u) - first[peer]
+        served = n_warm * load[peer] + n * before
+        # A lookup after m requests is at time 2m: it sorts after exactly the
+        # events of steps before m.
+        events.append((
+            peer, 2 * served, traffic[u, asking_k[asker]], np.zeros(peer.size, dtype=bool)
+        ))
+        f, time, item, inserted = map(np.concatenate, zip(*events))
+        order = np.lexsort((time, item, f))
+        n_events = order.size - peer.size  # the lookups come after the events
+        is_lookup = order >= n_events
+        at = np.flatnonzero(is_lookup)
+        last = np.maximum.accumulate(np.where(is_lookup, -1, np.arange(order.size)))[at]
+        f, item, inserted = f[order], item[order], inserted[order]
+        held = (last >= 0) & (f[last] == f[at]) & (item[last] == item[at]) & inserted[last]
+        found = asker[order[at[held]] - n_events]
+        at_fap[asking_u[found], asking_k[found]] = True
+    fue_requests = n_fues * n
+    fap_requests = admitted.size * n
     return (
-        np.array(tiers, dtype=np.int64).reshape(n_fues, config.requests_per_fue),
-        sum(map(sum, fue_hits)) / fue_requests if fue_requests else 0.0,
-        sum(c.hits for c in fap_caches) / fap_requests if fap_requests else 0.0,
+        np.where(fue_hit, _AT_FUE, np.where(at_fap, _AT_FAP, _CLOUD_ONLY)),
+        int(fue_hit.sum()) / fue_requests if fue_requests else 0.0,
+        int(fap_hit.sum()) / fap_requests if fap_requests else 0.0,
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from frangine.caching import (
     EdgeCache,
     EvictionPolicy,
     content_available,
+    replay_lanes,
     zipf_stream,
 )
 from frangine.rng import derive_rng
@@ -43,6 +46,119 @@ class ReferenceCache:
         self.last[item] = self.time
         self.freq[item] = 1
         return False, evicted
+
+
+class MinScanLFU:
+    """LFU as a dict of item -> (count, last use) whose victim is found by
+    scanning the whole store with `min`: the heap's oracle."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.store = {}
+        self.clock = 0
+
+    def request(self, item):
+        self.clock += 1
+        if item in self.store:
+            self.store[item] = (self.store[item][0] + 1, self.clock)
+            return True, None
+        evicted = None
+        if len(self.store) >= self.capacity:
+            evicted = min(self.store, key=self.store.__getitem__)
+            del self.store[evicted]
+        self.store[item] = (1, self.clock)
+        return False, evicted
+
+
+def _oracle_streams():
+    """(capacity, stream) cases: every capacity from 1 to 8 on random
+    streams, streams of length 0 and 1, a one-item catalog, and capacities
+    above the stream length."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for capacity in range(1, 9):
+        cases += [(capacity, []), (capacity, [3]), (capacity, [0] * 9)]
+        for _ in range(12):
+            n_items = int(rng.integers(1, 16))
+            cases.append((capacity, rng.integers(0, n_items, size=int(rng.integers(2, 60))).tolist()))
+    cases += [(100, [5, 1, 5, 2, 9]), (10**12, rng.integers(0, 30, size=40).tolist())]
+    return cases
+
+
+@pytest.mark.parametrize("policy", list(EvictionPolicy))
+def test_replay_equals_reference_hit_for_hit_and_victim_for_victim(policy):
+    for capacity, stream in _oracle_streams():
+        ref = ReferenceCache(capacity, policy)
+        expected = [ref.request(item) for item in stream]
+        cache = EdgeCache(capacity, policy)
+        hits, evictions = cache.replay(stream)
+        assert hits == [hit for hit, _ in expected], (capacity, stream)
+        assert evictions == [(t, v) for t, (_, v) in enumerate(expected) if v is not None]
+        assert (cache.hits, cache.misses) == (sum(hits), len(hits) - sum(hits))
+        # Replays continue where the last one stopped, as requests do.
+        again = EdgeCache(capacity, policy)
+        half = len(stream) // 2
+        first, second = again.replay(stream[:half]), again.replay(stream[half:])
+        assert first[0] + second[0] == hits
+        assert first[1] + [(t + half, v) for t, v in second[1]] == evictions
+
+
+@pytest.mark.parametrize("policy", list(EvictionPolicy))
+def test_replay_lanes_equals_reference_hit_for_hit_and_victim_for_victim(policy):
+    """All streams of a capacity in one call, padded with an item no stream
+    holds; then what each cache holds after every step, read by one lane per
+    (stream, prefix, item) that asks for the item right after the prefix."""
+    by_capacity = {}
+    for capacity, stream in _oracle_streams():
+        by_capacity.setdefault(capacity, []).append(stream)
+    for capacity, streams in by_capacity.items():
+        n = max(map(len, streams))
+        pad = 99
+        lanes = np.array([stream + [pad] * (n - len(stream)) for stream in streams]).reshape(-1, n)
+        hits = replay_lanes(lanes, capacity, policy)
+        assert hits.shape == lanes.shape
+        assert replay_lanes(np.zeros((3, 0), dtype=np.int64), capacity, policy).shape == (3, 0)
+        for stream, row in zip(streams, hits):
+            ref = ReferenceCache(capacity, policy)
+            assert row[:len(stream)].tolist() == [ref.request(item)[0] for item in stream]
+        for stream in filter(None, streams):
+            items = range(max(stream) + 1)
+            probes = np.array([
+                stream[:t] + [x] + stream[t:] for t in range(len(stream) + 1) for x in items
+            ])
+            held = replay_lanes(probes, capacity, policy)[
+                np.arange(len(probes)), np.repeat(np.arange(len(stream) + 1), len(items))
+            ].reshape(len(stream) + 1, len(items))
+            ref = ReferenceCache(capacity, policy)
+            for t in range(len(stream) + 1):
+                assert set(np.flatnonzero(held[t])) == set(ref.items), (capacity, stream, t)
+                if t < len(stream):
+                    ref.request(stream[t])
+
+
+def test_heap_lfu_victims_equal_the_min_scan():
+    rng = np.random.default_rng(47)
+    for capacity in range(1, 9):
+        for _ in range(25):
+            n_items = int(rng.integers(1, 40))
+            stream = (rng.zipf(1.3, size=int(rng.integers(1, 400))) % n_items).tolist()
+            cache, scan = EdgeCache(capacity, EvictionPolicy.LFU), MinScanLFU(capacity)
+            assert [cache.request(item) for item in stream] == list(map(scan.request, stream))
+            assert set(cache._store) == set(scan.store)
+            assert len(cache._heap) == len(cache._store)  # one entry per held item
+
+
+def test_replay_lanes_allocates_for_the_stream_not_the_capacity():
+    streams = derive_rng(53, "lanes").integers(0, 200, size=(300, 20))
+    for policy in EvictionPolicy:
+        tracemalloc.start()
+        try:
+            hits = replay_lanes(streams, 10**12, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * streams.nbytes
+        assert hits.sum() == sum(len(row) - len(set(row)) for row in streams.tolist())
 
 
 def test_fifo_hand_trace():

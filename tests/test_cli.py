@@ -236,6 +236,22 @@ def test_size_ceiling_bounds_the_largest_dense_array():
                        lambda_fue=0.0)
 
 
+@pytest.mark.parametrize("key", ["requests_per_fue", "warmup_requests"])
+def test_request_arrays_over_the_ceiling_exit_two(tmp_path, capsys, key):
+    # About 50 F-UEs at 1 km: 10**9 requests each would be a (U, n) draw of
+    # 5e10 elements, refused before any output is made, not failed mid-run.
+    path = tmp_path / "long.ini"
+    path.write_text(f"[traffic]\n{key} = 1000000000\n")
+    out = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert main([*argv, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("lambda_fue", "warmup_requests", "requests_per_fue"))
+    assert not out.exists()
+    path.write_text(f"[traffic]\n{key} = 100000\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [

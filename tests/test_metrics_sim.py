@@ -267,6 +267,161 @@ def test_request_pipeline_covers_unadmitted_fues_and_no_warmup():
     assert unadmitted > 0
 
 
+def _cooperative_config(case: int) -> ScenarioConfig:
+    """Random configs whose requests ask linked F-AP caches: every policy,
+    F-AP caches of one item, of the whole catalog and above it, and mesh
+    and tree links over more F-APs than `_pipeline_config` places."""
+    rng = np.random.default_rng([2033, case])
+    catalog = int(rng.integers(2, 30))
+    return dataclasses.replace(
+        _pipeline_config(case),
+        lambda_fap=float(rng.uniform(3e-5, 8e-5)),
+        fap_topology=list(FapTopology)[case // 12 % 2],
+        cache_policy=list(EvictionPolicy)[case % 3],
+        cooperative_caching=True,
+        catalog_items=catalog,
+        fap_cache_capacity=[1, 2, catalog, catalog + 5][case // 3 % 4],
+        warmup_requests=int(rng.choice([0, 2, 5])),
+        requests_per_fue=int(rng.choice([1, 4, 9])),
+    )
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_cooperative_caches_equal_the_request_loop(case):
+    config = _cooperative_config(case)
+    report = run_scenario(config)
+    oracle = request_loop(config)
+    assert report.n_fues > 0 and report.n_faps > 1
+    assert report.fue_hit_ratio == oracle.fue_hit_ratio
+    assert report.fap_hit_ratio == oracle.fap_hit_ratio
+    assert repr(vars(report.load)) == repr(vars(oracle.load))
+    assert repr(report.ledger) == repr(oracle.ledger)
+
+
+def _hand_tiers(monkeypatch, config, serving, neighbors, warm, traffic):
+    """`_content_tiers` over the given warm-up and traffic item arrays."""
+    draws = iter((np.array(warm, dtype=np.int64), np.array(traffic, dtype=np.int64)))
+    monkeypatch.setattr(metrics_sim, "zipf_stream", lambda catalog, shape, rng: next(draws))
+    return metrics_sim._content_tiers(config, serving, neighbors)
+
+
+HAND_CACHES = ScenarioConfig(
+    cache_policy=EvictionPolicy.LRU, fue_cache_capacity=1, fap_cache_capacity=1,
+    cooperative_caching=True, warmup_requests=0, requests_per_fue=2,
+)
+
+
+def test_cooperative_lookup_hand_trace(monkeypatch):
+    """F-APs 0 and 1 are linked, and so are 0 and 2, which admits no F-UE.
+    F-AP 1 serves F-UEs 0 and 2, so F-UE 1 asks it after its first 2
+    requests and F-UE 3 after 4. Item 8 is inserted at F-AP 1's step 1,
+    evicted at step 2 and inserted again at step 3: both lookups find it.
+    Item 7, evicted at step 1 and inserted again at step 2, is not there
+    after 2 requests. F-UE 2 finds 7 at F-AP 0 after F-UE 1's requests."""
+    serving = [1, 0, 1, 0, None]
+    traffic = [[7, 8], [8, 7], [7, 8], [8, 7], [8, 8]]
+    fue, fap, cloud = (metrics_sim.TIERS.index(t) for t in ContentTier)
+    tiers, fue_ratio, fap_ratio = _hand_tiers(
+        monkeypatch, HAND_CACHES, serving, [[1, 2], [0], [0]], np.zeros((5, 0)), traffic
+    )
+    assert tiers.tolist() == [
+        [cloud, cloud], [fap, cloud], [fap, cloud], [fap, cloud], [cloud, fue],
+    ]
+    assert (fue_ratio, fap_ratio) == (1 / 10, 0 / 8)
+    # Without cooperation only the F-UE cache hit is local.
+    tiers, _, _ = _hand_tiers(
+        monkeypatch, dataclasses.replace(HAND_CACHES, cooperative_caching=False), serving,
+        [[1, 2], [0], [0]], np.zeros((5, 0)), traffic,
+    )
+    assert tiers.tolist() == [[cloud, cloud]] * 4 + [[cloud, fue]]
+
+
+def test_cooperative_lookup_counts_warmups_and_empty_traffic(monkeypatch):
+    # F-AP 1 serves warm-ups 5 (F-UE 0) and 6 (F-UE 2), then F-UE 0's
+    # traffic: F-UE 1 asks it after 2 + 2 requests and finds 9, not 6.
+    config = dataclasses.replace(HAND_CACHES, warmup_requests=1)
+    fue, fap, cloud = (metrics_sim.TIERS.index(t) for t in ContentTier)
+    tiers, _, _ = _hand_tiers(
+        monkeypatch, config, [1, 0, 1], [[1], [0]], [[5], [3], [6]], [[4, 9], [9, 6], [2, 2]]
+    )
+    assert tiers.tolist() == [[cloud, cloud], [fap, cloud], [cloud, fue]]
+    tiers, fue_ratio, fap_ratio = _hand_tiers(
+        monkeypatch, dataclasses.replace(config, requests_per_fue=0), [1, 0, 1], [[1], [0]],
+        [[5], [3], [6]], np.zeros((3, 0)),
+    )
+    assert tiers.shape == (3, 0) and (fue_ratio, fap_ratio) == (0.0, 0.0)
+
+
+def test_content_tiers_allocate_for_the_requests_not_the_capacities():
+    config = dataclasses.replace(
+        _cooperative_config(1), fue_cache_capacity=10**12, fap_cache_capacity=10**12
+    )
+    topology = metrics_sim._build_topology(config)
+    serving = associate_fap(
+        topology.fues.positions, topology.faps, config.budget(), config.interference_limit,
+        [config.fap_capacity] * len(topology.faps),
+    )
+    requests = len(serving) * (config.warmup_requests + config.requests_per_fue)
+    tracemalloc.start()
+    try:
+        metrics_sim._content_tiers(config, serving, topology.fap_neighbors())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < requests and peak < 2000 * requests + 100_000
+
+
+class _HandAttributes:
+    """A stand-in for the "ue_attrs" generator: the given speeds, then the
+    given uniforms for D2D capability, relay willingness and voice."""
+
+    def __init__(self, speeds, *uniforms):
+        self.speeds, self.uniforms = np.array(speeds), iter(map(np.array, uniforms))
+
+    def exponential(self, mean, size):
+        return self.speeds
+
+    def random(self, size):
+        return next(self.uniforms)
+
+
+@pytest.mark.parametrize(
+    "partner_speed, partner_voice, fran, hcran",
+    [
+        (1.0, True, Mode.HPN, Mode.GLOBAL_CRAN),  # H-CRAN does not read the partner's voice
+        (20.0, False, Mode.HPN, Mode.HPN),  # both read the partner's speed
+        (1.0, False, Mode.D2D, Mode.GLOBAL_CRAN),
+    ],
+)
+def test_hcran_gate_reads_the_partners_speed_but_not_its_voice(
+    monkeypatch, partner_speed, partner_voice, fran, hcran
+):
+    """Two D2D-capable F-UEs 10 m apart beside one F-AP: F-UE 0 is slow and
+    not on voice, and its partner, F-UE 1, has the given speed and voice."""
+    region = Region(1000.0, 1000.0)
+    topology = NetworkTopology(
+        region=region,
+        hpns=NodeSet(NodeKind.HPN, np.array([[100.0, 100.0]]), 0.0),
+        faps=NodeSet(NodeKind.FAP, np.array([[500.0, 500.0]]), 0.0),
+        fues=NodeSet(NodeKind.FUE, np.array([[500.0, 510.0], [500.0, 520.0]]), 0.0),
+    )
+    monkeypatch.setattr(metrics_sim, "_build_topology", lambda config: topology)
+    derive = metrics_sim.derive_rng
+    modes = {}
+    for architecture in (Architecture.FRAN, Architecture.HCRAN):
+        attributes = _HandAttributes(
+            [1.0, partner_speed], [0.0, 0.0], [0.99, 0.99], [0.99, 0.0 if partner_voice else 0.99]
+        )
+        monkeypatch.setattr(
+            metrics_sim, "derive_rng",
+            lambda seed, *tags: attributes if tags == ("ue_attrs",) else derive(seed, *tags),
+        )
+        report = run_scenario(ScenarioConfig(architecture=architecture, mc_trials=10))
+        assert report.n_d2d_pairs == 1
+        modes[architecture] = {row.mode for row in report.ledger if row.fue_id == 0}
+    assert modes == {Architecture.FRAN: {fran}, Architecture.HCRAN: {hcran}}
+
+
 def test_energy_efficiency_linear_and_zero_power():
     assert energy_efficiency(10.0, 5.0) == pytest.approx(2.0)
     assert energy_efficiency(20.0, 5.0) == pytest.approx(4.0)
