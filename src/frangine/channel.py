@@ -1,47 +1,23 @@
 """Link budget and small-scale fading.
 
-All fading sample distributions are normalized to unit mean power, so the
-link budget alone sets mean received power. A signal fade realizes Rayleigh
-as the K = 0 special case of Rician (same underlying Gaussian draws), which
-keeps matched-seed comparisons across K factors tightly paired. Only the
-cellular success check (`coordination.cellular_success_probability`)
-samples fades here at run time. `metrics_sim.spatial_average_rate` and
-`metrics_sim.d2d_success_probability` draw none: they are exact, from the
-Rician moment generating function and its Poisson-mixture form.
+Fades have unit mean power, so the link budget alone sets mean received
+power. Only Rayleigh fades are sampled at run time: the static D2D cross
+gains (`coordination.make_d2d_links`) and the cellular success check
+(`coordination.cellular_success_probability`) draw them here. A D2D
+link's Rician fading is a plain linear K-factor
+(`metrics_sim.ScenarioConfig.d2d_fading`), and
+`metrics_sim.spatial_average_rate` and
+`metrics_sim.d2d_success_probability` draw no fades: they are exact, from
+the Rician moment generating function and its Poisson-mixture form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .geometry import NodeKind
-
-
-class FadingKind(Enum):
-    RAYLEIGH = "rayleigh"
-    RICIAN = "rician"
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    kind: FadingKind
-    k_factor_db: float | None = None  # present iff RICIAN
-
-    def __post_init__(self):
-        if self.kind is FadingKind.RICIAN and self.k_factor_db is None:
-            raise ValueError("Rician fading requires a K-factor")
-
-    def k_linear(self) -> float:
-        """LOS-to-scattered power ratio; 0 for Rayleigh."""
-        if self.kind is FadingKind.RAYLEIGH:
-            return 0.0
-        return 10.0 ** (self.k_factor_db / 10.0)
-
-
-RAYLEIGH = FadingModel(FadingKind.RAYLEIGH)
 
 
 def db_to_linear(db: float) -> float:
@@ -91,21 +67,17 @@ def path_gain(d: float, budget: LinkBudget) -> float:
     return gain
 
 
-def fading_sample(model: FadingModel, rng: np.random.Generator, size=None):
-    """Unit-mean power gain sample(s) |h|^2.
+def fading_sample(rng: np.random.Generator, size=None):
+    """Unit-mean Rayleigh power gain sample(s) |h|^2, exponential(1).
 
-    h = sqrt(K/(K+1)) + sqrt(1/(2(K+1))) * (g1 + i*g2) with g1, g2 ~ N(0,1),
-    so E[|h|^2] = 1 for every K. K = 0 gives exponential(1), i.e. Rayleigh.
+    h = sqrt(1/2) * (g1 + i*g2) with g1, g2 ~ N(0,1), so E[|h|^2] = 1.
     """
-    k = model.k_linear()
     g1 = rng.standard_normal(size)
     g2 = rng.standard_normal(size)
-    los = np.sqrt(k / (k + 1.0))
-    scatter = np.sqrt(1.0 / (2.0 * (k + 1.0)))
-    # (los + scatter * g1) ** 2 + (scatter * g2) ** 2, in place: two arrays of
-    # `size` at most, where the expression would hold five.
+    scatter = np.sqrt(0.5)
+    # (scatter * g1) ** 2 + (scatter * g2) ** 2, in place: no array of
+    # `size` beyond the two draws.
     g1 *= scatter
-    g1 += los
     g1 **= 2
     g2 *= scatter
     g2 **= 2

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .channel import LinkBudget, RAYLEIGH, db_to_linear, fading_sample, path_gain
+from .channel import LinkBudget, db_to_linear, fading_sample, path_gain
 from .geometry import (
     FapTopology,
     NetworkTopology,
@@ -324,104 +324,84 @@ class SchedulerKind(Enum):
     DRAC = "drac"
 
 
-@dataclass
-class D2dLinkSet:
-    """D2D transmitters with their per-subchannel gains to the victim
-    cellular receiver (path gain x static Rayleigh fading, drawn once)."""
-
-    tx_positions: np.ndarray  # (n_links, 2)
-    cross_gains: np.ndarray  # (n_links, n_subchannels), linear power gain
-
-    def __len__(self) -> int:
-        return self.tx_positions.shape[0]
-
-
-@dataclass
-class SubchannelAssignment:
-    n_subchannels: int
-    occupied: list  # per link: sorted np.ndarray of subchannel indices
-    links: D2dLinkSet
-
-
 def make_d2d_links(
     tx_positions,
     victim_position,
     n_subchannels: int,
     budget: LinkBudget,
     rng: np.random.Generator,
-) -> D2dLinkSet:
+) -> np.ndarray:
+    """(links, n_subchannels) linear power gains from each D2D transmitter
+    to the victim cellular receiver: path gain x static Rayleigh fading,
+    drawn once."""
     tx_positions = np.asarray(tx_positions, dtype=float).reshape(-1, 2)
     dists = pairwise_distances(tx_positions, [victim_position])[:, 0]
-    gains = path_gain(dists, budget)[:, None] * fading_sample(
-        RAYLEIGH, rng, size=(tx_positions.shape[0], n_subchannels)
+    return path_gain(dists, budget)[:, None] * fading_sample(
+        rng, size=(tx_positions.shape[0], n_subchannels)
     )
-    return D2dLinkSet(tx_positions=tx_positions, cross_gains=gains)
 
 
-def coac_assign(
-    d2d_links: D2dLinkSet, n_subchannels: int, epsilon: float
-) -> SubchannelAssignment:
-    """Centralized opportunistic assignment: each link takes the
-    round(eps*N) subchannels on which it interferes least with the victim
-    (ascending cross gain, ties by lower subchannel index)."""
+def coac_assign(cross_gains: np.ndarray, epsilon: float) -> np.ndarray:
+    """Centralized opportunistic assignment: each link (row of the cross
+    gains) takes the round(eps*N) subchannels on which it interferes least
+    with the victim (ascending cross gain, ties by lower subchannel index).
+    Returns the (links, N) occupancy mask."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    m = round_half_away(epsilon * n_subchannels)
-    occupied = []
-    for i in range(len(d2d_links)):
-        order = np.argsort(d2d_links.cross_gains[i], kind="stable")
-        occupied.append(np.sort(order[:m]))
-    return SubchannelAssignment(n_subchannels, occupied, d2d_links)
+    m = round_half_away(epsilon * cross_gains.shape[1])
+    occupied = np.zeros(cross_gains.shape, dtype=bool)
+    np.put_along_axis(
+        occupied, np.argsort(cross_gains, axis=1, kind="stable")[:, :m], True, axis=1
+    )
+    return occupied
 
 
 def drac_assign(
-    d2d_links: D2dLinkSet,
-    n_subchannels: int,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> SubchannelAssignment:
-    """Distributed random assignment: uniform round(eps*N)-subset per link."""
+    n_links: int, n_subchannels: int, epsilon: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Distributed random assignment: a uniform round(eps*N)-subset per link,
+    one permutation per link in link order. Returns the (links, N)
+    occupancy mask."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     m = round_half_away(epsilon * n_subchannels)
-    occupied = []
-    for _ in range(len(d2d_links)):
-        occupied.append(np.sort(rng.permutation(n_subchannels)[:m]))
-    return SubchannelAssignment(n_subchannels, occupied, d2d_links)
+    occupied = np.zeros((n_links, n_subchannels), dtype=bool)
+    for row in occupied:
+        row[rng.permutation(n_subchannels)[:m]] = True
+    return occupied
 
 
 def cellular_success_probability(
-    assignment: SubchannelAssignment,
+    occupied: np.ndarray,
+    cross_gains: np.ndarray,
     topology: NetworkTopology,
     budget: LinkBudget,
     gamma_th_db: float,
     mc_trials: int,
     rng: np.random.Generator,
-    user_position=None,
 ) -> float:
     """Monte-Carlo success probability of the typical cellular uplink.
 
-    The typical user (region center unless given) transmits to its nearest
-    HPN with per-trial Rayleigh fading, on a uniformly chosen subchannel;
-    co-channel D2D transmitters interfere through their static cross gains.
+    The typical user at the region center transmits to its nearest HPN with
+    per-trial Rayleigh fading, on a uniformly chosen subchannel; the D2D
+    links occupying it (the (links, N) mask `occupied`) interfere through
+    their static cross gains.
     """
     if mc_trials < 1:
         raise ValueError("mc_trials must be at least 1")
     if len(topology.hpns) == 0:
         raise ValueError("at least one HPN required")
-    if user_position is None:
-        user_position = (topology.region.width / 2.0, topology.region.height / 2.0)
-    hpn_dists = pairwise_distances([user_position], topology.hpns.positions)[0]
+    user_xy = (topology.region.width / 2.0, topology.region.height / 2.0)
+    hpn_dists = pairwise_distances([user_xy], topology.hpns.positions)[0]
     signal_mean = budget.tx_watts(NodeKind.FUE) * float(
         path_gain(hpn_dists.min(), budget)
     )
-    # Aggregate D2D interference per subchannel (static over trials).
+    # Aggregate D2D interference per subchannel (static over trials); an
+    # axis-0 sum adds the links in link order.
     p_d2d = budget.tx_watts(NodeKind.FUE)
-    interference = np.zeros(assignment.n_subchannels)
-    for i, subs in enumerate(assignment.occupied):
-        interference[subs] += p_d2d * assignment.links.cross_gains[i, subs]
-    sub_choice = rng.integers(0, assignment.n_subchannels, size=mc_trials)
-    fades = fading_sample(RAYLEIGH, rng, size=mc_trials)
+    interference = np.where(occupied, p_d2d * cross_gains, 0.0).sum(axis=0)
+    sub_choice = rng.integers(0, cross_gains.shape[1], size=mc_trials)
+    fades = fading_sample(rng, size=mc_trials)
     trial_sinr = signal_mean * fades / (interference[sub_choice] + budget.noise_watts)
     return _kernels.success_fraction(trial_sinr, db_to_linear(gamma_th_db))
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,14 +26,7 @@ from .caching import (
     replay_lanes,
     zipf_stream,
 )
-from .channel import (
-    RAYLEIGH,
-    FadingKind,
-    FadingModel,
-    LinkBudget,
-    db_to_linear,
-    path_gain,
-)
+from .channel import LinkBudget, db_to_linear, path_gain
 from .coordination import (
     ClusterUtilityParams,
     SchedulerKind,
@@ -210,19 +201,21 @@ class ScenarioConfig:
         faps = max(self.lambda_fap * area, 1.0)  # a layout without F-APs gets one
         fues = self.lambda_fue * area
         capable = self.d2d_fraction * fues
+        region = ", region_width and region_height"
         for keys, elements, array in (
-            ("lambda_fue, d2d_fraction", capable * capable, "capable F-UE distances"),
-            ("lambda_fue, lambda_fap", fues * faps, "F-UE x F-AP gains"),
-            ("lambda_fap", faps * faps, "F-AP x F-AP distances"),
-            ("lambda_m", self.lambda_m * area, "HPN distances"),
+            ("lambda_fue, d2d_fraction" + region, capable * capable, "capable F-UE distances"),
+            ("lambda_fue, lambda_fap" + region, fues * faps, "F-UE x F-AP gains"),
+            ("lambda_fap" + region, faps * faps, "F-AP x F-AP distances"),
+            ("lambda_m" + region, self.lambda_m * area, "HPN distances"),
             (
-                "lambda_fue, warmup_requests, requests_per_fue",
+                "lambda_fue, warmup_requests, requests_per_fue" + region,
                 fues * (self.warmup_requests + self.requests_per_fue), "F-UE requests",
             ),
+            ("catalog_items", self.catalog_items, "content popularities"),
         ):
             if not elements <= MAX_DENSE_ELEMENTS:  # NaN from 0 * inf area fails too
                 raise ValueError(
-                    f"{keys}, region_width and region_height expect {elements:.3g} {array}, "
+                    f"{keys} expect {elements:.3g} {array}, "
                     f"over the {MAX_DENSE_ELEMENTS:.3g} elements one dense array may hold"
                 )
 
@@ -241,10 +234,9 @@ class ScenarioConfig:
             sinr_threshold_db=self.gamma_th_db,
         )
 
-    def d2d_fading(self) -> FadingModel:
-        if self.d2d_k_factor_db is None:
-            return RAYLEIGH
-        return FadingModel(FadingKind.RICIAN, self.d2d_k_factor_db)
+    def d2d_fading(self) -> float:
+        """The D2D links' linear Rician K-factor; 0.0 (no key) is Rayleigh."""
+        return 0.0 if self.d2d_k_factor_db is None else db_to_linear(self.d2d_k_factor_db)
 
     def region(self) -> Region:
         return Region(self.region_width, self.region_height)
@@ -262,16 +254,19 @@ CONFIG_TYPES = {
 _ACCEPTS = {bool: bool, int: numbers.Integral, float: numbers.Real}
 
 
-@dataclass(slots=True)
-class LedgerRow:
-    request_index: int
-    fue_id: int
-    mode: Mode
-    tier: ContentTier
-    payload_bits: float
-    fronthaul_bits: float
-    backhaul_bits: float
-    served_by: str  # bbu | edge | hpn
+@dataclass
+class Ledger:
+    """The per-request audit trail, one entry per request: request k is
+    F-UE fue_id[k] on route route[k], a row of `routes`. The 15 routes hold
+    the CSV values (mode, tier, payload_bits, fronthaul_bits, backhaul_bits,
+    served_by) of each (mode, tier) pair, by code mode * len(TIERS) + tier."""
+
+    fue_id: np.ndarray
+    route: np.ndarray
+    routes: list
+
+    def __len__(self) -> int:
+        return len(self.route)
 
 
 @dataclass
@@ -308,7 +303,9 @@ class MetricsReport:
     n_fues: int = 0
     n_d2d_pairs: int = 0
     load: LoadReport = field(default_factory=LoadReport)
-    ledger: list = field(default_factory=list)
+    ledger: Ledger = field(
+        default_factory=lambda: Ledger(np.zeros(0, np.intp), np.zeros(0, np.intp), [])
+    )
 
 
 # A request's content tier travels as a code, an index into TIERS, as its
@@ -326,30 +323,31 @@ def _ordered_sum(values) -> float:
 
 def fronthaul_load(fue_ids, mode_codes, tier_codes, payload_bits: float,
                    iq_expansion_factor: float):
-    """Per-request fronthaul/backhaul accounting; one auditable ledger row
-    per request. Request k is F-UE fue_ids[k] in mode MODES[mode_codes[k]]
+    """Per-request fronthaul/backhaul accounting, with the `Ledger` of every
+    request. Request k is F-UE fue_ids[k] in mode MODES[mode_codes[k]]
     fetching content of tier TIERS[tier_codes[k]] (integer arrays). Payload
     is always served by exactly one of {bbu, edge, hpn}, so payload
     conservation holds by construction. Each (mode, tier) route is worked
     out once, and every total adds in request order.
     """
-    routes = []  # (mode, tier, fronthaul, backhaul, served by, processed) by code
+    routes = []  # by code: the ledger's CSV values, then the processed bits
     for mode in MODES:
         for tier in TIERS:
             if mode is Mode.GLOBAL_CRAN:
                 fh = payload_bits * iq_expansion_factor
-                routes.append((mode, tier, fh, 0.0, "bbu", fh))
+                route = (fh, 0.0, "bbu", fh)
             elif mode is Mode.HPN:
-                routes.append((mode, tier, 0.0, payload_bits, "hpn", 0.0))
+                route = (0.0, payload_bits, "hpn", 0.0)
             else:  # edge-served; local coordination fetches cloud-only items once
                 fetch = mode is Mode.LOCAL_COORDINATION and tier is ContentTier.CLOUD_ONLY
-                routes.append((mode, tier, payload_bits if fetch else 0.0, 0.0, "edge", payload_bits))
+                route = (payload_bits if fetch else 0.0, 0.0, "edge", payload_bits)
+            routes.append((mode.value, tier.value, payload_bits, *route))
     mode_codes = np.asarray(mode_codes, dtype=np.intp)
     route_of = mode_codes * len(TIERS) + tier_codes
     fronthaul, backhaul, processed = (
-        np.array([r[k] for r in routes], dtype=float)[route_of] for k in (2, 3, 5)
+        np.array([r[k] for r in routes], dtype=float)[route_of] for k in (3, 4, 6)
     )
-    server = np.array([_SERVERS.index(r[4]) for r in routes])[route_of]
+    server = np.array([_SERVERS.index(r[5]) for r in routes])[route_of]
     payload = np.full(len(route_of), float(payload_bits))
     report = LoadReport(
         fronthaul_bits=_ordered_sum(fronthaul),
@@ -366,15 +364,7 @@ def fronthaul_load(fue_ids, mode_codes, tier_codes, payload_bits: float,
     counts = np.bincount(mode_codes, minlength=len(MODES)).tolist()
     for code in dict.fromkeys(mode_codes.tolist()):
         report.mode_counts[MODES[code].value] = counts[code]
-    # Object arrays hand every row of a route, or of an F-UE, the same objects.
-    mode, tier, fh, bh, served, _ = np.array(routes, dtype=object)[route_of].T.tolist()
-    ids = np.asarray(fue_ids, dtype=np.intp)
-    fue = np.arange(ids.max(initial=-1) + 1).astype(object)[ids].tolist()
-    ledger = list(map(
-        LedgerRow, range(len(route_of)), fue, mode, tier, itertools.repeat(payload_bits),
-        fh, bh, served,
-    ))
-    return report, ledger
+    return report, Ledger(np.asarray(fue_ids, dtype=np.intp), route_of, [r[:6] for r in routes])
 
 
 def energy_efficiency(rate_sum: float, total_power: float) -> float:
@@ -444,7 +434,7 @@ def _region_area_nodes(half_width: float, half_height: float):
 
 def spatial_average_rate(
     topology: NetworkTopology,
-    fading: FadingModel,
+    k_factor: float,
     budget: LinkBudget,
     link_distance: float = 20.0,
     interferer_density: float | None = None,
@@ -452,9 +442,9 @@ def spatial_average_rate(
     """Mean Shannon rate E log2(1 + S/(I + N)) of the typical D2D link at the
     region centre, in bit/s/Hz, computed exactly by quadrature.
 
-    The signal S fades per `fading` (unit mean, mean S_bar); the interferers
-    are a PPP of D2D transmitters over the region, Rayleigh faded, with path
-    gains clamped at 1 m. Hamdi's lemma (IEEE TCOM 2010) gives
+    The signal S is Rician with linear K-factor `k_factor` (unit mean fade,
+    mean S_bar); the interferers are a PPP of D2D transmitters over the
+    region, Rayleigh faded, with path gains clamped at 1 m. Hamdi's lemma (IEEE TCOM 2010) gives
 
         E ln(1 + S/(I + N)) = int_0^inf (1 - M_S(z)) M_I(z) exp(-zN) dz / z,
 
@@ -484,9 +474,8 @@ def spatial_average_rate(
     width = edges[1] - edges[0]
     z = np.exp(edges[:-1, None] + width * x).ravel()
     # 1 - M_S(z), from log M_S(z) so that it keeps its digits at small z.
-    k = fading.k_linear()
     zs = z * signal_mean
-    log_m_s = -np.log1p(zs / (1.0 + k)) - k * zs / (1.0 + k + zs)
+    log_m_s = -np.log1p(zs / (1.0 + k_factor)) - k_factor * zs / (1.0 + k_factor + zs)
     log_integrand = -z * noise
     if interferer_density > 0:
         region = topology.region
@@ -527,7 +516,7 @@ def _poisson_tail(k: float) -> np.ndarray:
 def d2d_success_probability(
     topology: NetworkTopology,
     pairs,
-    fading: FadingModel,
+    k_factor: float,
     budget: LinkBudget,
     gamma_th_db: float,
     link_distance: float = 20.0,
@@ -536,11 +525,12 @@ def d2d_success_probability(
     SINR theta against the co-channel D2D transmitters (the first F-UE of
     each pair), computed exactly.
 
-    The signal S fades per `fading` (unit mean, mean S_bar); interferer k
-    has mean received power g_k and a Rayleigh fade. With a = (1 + K)
-    theta / S_bar, success is (1 + K) S / S_bar >= y = a (I + N), and
-    (1 + K) S / S_bar is a Poisson(K) mixture of Gamma(J + 1, 1) (Simon &
-    Alouini, the Rician case; K = 0 is Rayleigh). So
+    The signal S is Rician with linear K-factor `k_factor` (unit mean fade,
+    mean S_bar); interferer k has mean received power g_k and a Rayleigh
+    fade. With a = (1 + K) theta / S_bar, success is (1 + K) S / S_bar >=
+    y = a (I + N), and (1 + K) S / S_bar is a Poisson(K) mixture of
+    Gamma(J + 1, 1) (Simon & Alouini, the Rician case; K = 0 is Rayleigh).
+    So
 
         P = sum_m Q_K(m) T_m,  Q_K(m) = P(Poisson(K) >= m),
 
@@ -564,18 +554,17 @@ def d2d_success_probability(
         return 0.0
     if noise == 0.0 and not gains.any():
         return 1.0  # nothing to beat: the SINR is infinite
-    k = fading.k_linear()
-    a = (1.0 + k) * db_to_linear(gamma_th_db) / signal_mean
+    a = (1.0 + k_factor) * db_to_linear(gamma_th_db) / signal_mean
     b = a * gains
     # By Markov's inequality on each term of y alone, P <= (1 + K) / max(a N,
     # b_k). Past that test every step of the recursion below grows its terms
     # by at most a N + sum_k b_k <= (n + 1)(1 + K) / POISSON_TAIL.
-    if not max(a * noise, b.max(initial=0.0)) * POISSON_TAIL <= 1.0 + k:
+    if not max(a * noise, b.max(initial=0.0)) * POISSON_TAIL <= 1.0 + k_factor:
         return 0.0
     log_scale = -a * noise - float(np.log1p(b).sum())  # log T_0
-    if k == 0.0:
+    if k_factor == 0.0:
         return math.exp(log_scale)
-    tail = _poisson_tail(k)
+    tail = _poisson_tail(k_factor)
     rho = b / (1.0 + b)
     power = np.ones_like(rho)
     jh = np.zeros(len(tail))  # j H_j: the power sums of rho, plus a N at j = 1
@@ -804,29 +793,19 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
 
     # D2D subchannel scheduling and the cellular victim's success.
     center = (config.region_width / 2.0, config.region_height / 2.0)
-    tx_positions = np.array(
-        [topology.fues.positions[i] for i, _ in pairs], dtype=float
-    ).reshape(-1, 2)
-    links = make_d2d_links(
-        tx_positions,
-        center,
-        config.n_subchannels,
-        budget,
+    cross_gains = make_d2d_links(
+        xy[[i for i, _ in pairs]], center, config.n_subchannels, budget,
         derive_rng(config.master_seed, "crossgains"),
     )
     if config.scheduler is SchedulerKind.COAC:
-        assignment = coac_assign(links, config.n_subchannels, config.epsilon)
+        occupied = coac_assign(cross_gains, config.epsilon)
     else:
-        assignment = drac_assign(
-            links, config.n_subchannels, config.epsilon,
+        occupied = drac_assign(
+            len(pairs), config.n_subchannels, config.epsilon,
             derive_rng(config.master_seed, "drac"),
         )
     report.cellular_success_probability = cellular_success_probability(
-        assignment,
-        topology,
-        budget,
-        config.gamma_th_db,
-        config.mc_trials,
+        occupied, cross_gains, topology, budget, config.gamma_th_db, config.mc_trials,
         derive_rng(config.master_seed, "cellular"),
     )
     report.cellular_ci = _prob_ci(report.cellular_success_probability, config.mc_trials)
@@ -921,7 +900,10 @@ METRICS_COLUMNS = [
     "total_payload_bits",
 ]
 
-LEDGER_COLUMNS = [f.name for f in dataclasses.fields(LedgerRow)]
+LEDGER_COLUMNS = [
+    "request_index", "fue_id", "mode", "tier", "payload_bits", "fronthaul_bits",
+    "backhaul_bits", "served_by",
+]
 
 
 def metrics_row(report: MetricsReport) -> list:
@@ -930,7 +912,9 @@ def metrics_row(report: MetricsReport) -> list:
 
 
 def ledger_rows(report: MetricsReport) -> list:
-    values = operator.attrgetter(*LEDGER_COLUMNS)
+    ledger = report.ledger
+    routes = ledger.routes
     return [
-        [v.value if isinstance(v, Enum) else v for v in values(row)] for row in report.ledger
+        [k, fue, *routes[r]]
+        for k, (fue, r) in enumerate(zip(ledger.fue_id.tolist(), ledger.route.tolist()))
     ]

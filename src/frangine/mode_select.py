@@ -64,10 +64,7 @@ def select_mode(
     """
     th = thresholds
     t = th.speed_threshold
-    # "Slow relative movement": both ends below the speed threshold and a
-    # small speed difference between them.
-    slow = (speed <= t) & (partner_speed <= t) & (np.abs(speed - partner_speed) <= t)
-    direct = has_partner & slow
+    direct = has_partner  # rule (1) implies the paper's "slow relative movement"
     rules = {
         # (1) High mobility on either end, or real-time voice, forces HPN.
         Mode.HPN: (speed > t) | (partner_speed > t) | voice | partner_voice,

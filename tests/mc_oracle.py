@@ -13,6 +13,9 @@ independent simulation of the same model:
   trial, against the faded signal of the typical D2D link at its centre;
 - D2D success: the same typical link against the scenario's fixed D2D
   transmitters, each Rayleigh faded afresh in every trial.
+
+The D2D signal fades are Rician (`rician_sample`); the package itself
+samples only Rayleigh fades (`channel.fading_sample`).
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ import math
 
 import numpy as np
 
-from frangine.channel import (
-    RAYLEIGH,
-    FadingModel,
-    LinkBudget,
-    db_to_linear,
-    fading_sample,
-    path_gain,
-)
+from frangine.channel import LinkBudget, db_to_linear, fading_sample, path_gain
 from frangine.coordination import served_fue_indices
 from frangine.geometry import NetworkTopology, NodeKind, pairwise_distances
 from frangine.metrics_sim import Z_99
@@ -38,6 +34,21 @@ from frangine.rng import derive_rng
 # and changes no output bit: interferer k always reads doubles 3k..3k+2 of
 # the stream, and each trial's interference is summed in draw order.
 CHUNK = 65536
+
+
+def rician_sample(k_factor: float, rng: np.random.Generator, size=None):
+    """Unit-mean Rician power gain sample(s) |h|^2 of linear K-factor k_factor.
+
+    h = sqrt(K/(K+1)) + sqrt(1/(2(K+1))) * (g1 + i*g2) with g1, g2 ~ N(0,1),
+    so E[|h|^2] = 1 for every K, from the same two normals for every K, which
+    keeps matched-seed comparisons across K factors paired. K = 0 is
+    `channel.fading_sample`'s Rayleigh fade, bit for bit.
+    """
+    g1 = rng.standard_normal(size)
+    g2 = rng.standard_normal(size)
+    los = np.sqrt(k_factor / (k_factor + 1.0))
+    scatter = np.sqrt(1.0 / (2.0 * (k_factor + 1.0)))
+    return (los + scatter * g1) ** 2 + (scatter * g2) ** 2
 
 
 class FadeTable:
@@ -147,7 +158,7 @@ def successful_access_probability(
 
 def mc_spatial_average_rate(
     topology: NetworkTopology,
-    fading: FadingModel,
+    k_factor: float,
     budget: LinkBudget,
     mc_trials: int,
     rng: np.random.Generator,
@@ -157,7 +168,8 @@ def mc_spatial_average_rate(
     """Monte-Carlo mean Shannon rate of the typical D2D link at the region
     center.
 
-    Per trial: the signal link fades per `fading`; co-channel interferers
+    Per trial: the signal link fades Rician with linear K-factor
+    `k_factor`; co-channel interferers
     are a fresh PPP of D2D transmitters (Rayleigh faded) over the region.
     The field is drawn in chunks of whole trials holding at most `CHUNK`
     interferers (a larger trial is a chunk of its own), each from one
@@ -176,7 +188,7 @@ def mc_spatial_average_rate(
     # Signal fading first: the draw count is K-independent (two normals per
     # trial), so matched seeds stay paired across fading models and the
     # interferer field below starts from the same generator state for every K.
-    sig_fades = fading_sample(fading, rng, size=mc_trials)
+    sig_fades = rician_sample(k_factor, rng, size=mc_trials)
 
     counts = rng.poisson(interferer_density * region.area, size=mc_trials)
     ends = np.cumsum(counts)
@@ -203,7 +215,7 @@ def mc_spatial_average_rate(
 def mc_d2d_success_probability(
     topology: NetworkTopology,
     pairs,
-    fading: FadingModel,
+    k_factor: float,
     budget: LinkBudget,
     gamma_th_db: float,
     mc_trials: int,
@@ -225,8 +237,8 @@ def mc_d2d_success_probability(
     signal_mean = p_fue * float(path_gain(link_distance, budget))
     tx_positions = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2)
     int_gains = p_fue * path_gain(pairwise_distances(tx_positions, [center])[:, 0], budget)
-    int_fades = fading_sample(RAYLEIGH, rng, size=(mc_trials, int_gains.size))
-    sig_fades = fading_sample(fading, rng, size=(mc_trials, 1))
+    int_fades = fading_sample(rng, size=(mc_trials, int_gains.size))
+    sig_fades = rician_sample(k_factor, rng, size=(mc_trials, 1))
     interference = int_fades @ int_gains if int_gains.size else 0.0
     sinr = sig_fades @ np.array([signal_mean]) / (interference + budget.noise_watts)
     p = float(np.count_nonzero(sinr >= db_to_linear(gamma_th_db))) / mc_trials

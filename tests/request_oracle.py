@@ -25,7 +25,7 @@ from frangine.caching import (
 )
 from frangine.geometry import NodeKind, distance, pair_d2d
 from frangine.channel import path_gain
-from frangine.metrics_sim import Architecture, LedgerRow, LoadReport, _build_topology
+from frangine.metrics_sim import Architecture, LoadReport, _build_topology
 from frangine.mode_select import Mode, associate_fap
 from frangine.rng import derive_rng
 
@@ -33,7 +33,7 @@ from frangine.rng import derive_rng
 @dataclass
 class LoopResult:
     load: LoadReport
-    ledger: list
+    ledger: list  # rows as `metrics_sim.ledger_rows` renders them
     fue_hit_ratio: float
     fap_hit_ratio: float
 
@@ -69,7 +69,8 @@ def decide(config, th, d, speed, far_speed, voice, far_voice, paired, relay, loc
 
 
 def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
-    """The load of (F-UE, mode) decisions and their tiers, one row at a time."""
+    """The load of (F-UE, mode) decisions and their tiers, and the ledger's
+    CSV rows, one row at a time."""
     report = LoadReport()
     ledger = []
     fronthaul = backhaul = total = 0.0
@@ -90,7 +91,7 @@ def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
         payload[served] += payload_bits
         processed[served] += work
         report.mode_counts[mode.value] = report.mode_counts.get(mode.value, 0) + 1
-        ledger.append(LedgerRow(idx, fue_id, mode, tier, payload_bits, fh, bh, served))
+        ledger.append([idx, fue_id, mode.value, tier.value, payload_bits, fh, bh, served])
     report.fronthaul_bits, report.backhaul_bits = fronthaul, backhaul
     report.total_payload_bits = total
     report.payload_bbu_bits, report.payload_edge_bits, report.payload_hpn_bits = payload.values()

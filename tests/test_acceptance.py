@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from frangine.channel import FadingKind, FadingModel, LinkBudget, RAYLEIGH
+from frangine.channel import LinkBudget, db_to_linear
 from frangine.caching import ContentCatalog, EdgeCache, EvictionPolicy, zipf_stream
 from frangine.cli import EXIT_OK, main
 from frangine.coordination import (
@@ -136,12 +136,12 @@ def test_acceptance_2_rician_rate_ordering(passline):
     low_density = 10 * lam_m
     rates = {
         label: spatial_average_rate(
-            topo, model, BUDGET, link_distance=20.0, interferer_density=low_density
+            topo, k_factor, BUDGET, link_distance=20.0, interferer_density=low_density
         )
-        for label, model in (
-            ("K=6dB", FadingModel(FadingKind.RICIAN, 6.0)),
-            ("K=2dB", FadingModel(FadingKind.RICIAN, 2.0)),
-            ("Rayleigh", RAYLEIGH),
+        for label, k_factor in (
+            ("K=6dB", db_to_linear(6.0)),
+            ("K=2dB", db_to_linear(2.0)),
+            ("Rayleigh", 0.0),
         )
     }
     # The rate is exact, so the ordering must hold by a margin that no
@@ -152,12 +152,8 @@ def test_acceptance_2_rician_rate_ordering(passline):
         gap = rates[hi] - rates[lo]
         assert gap > 0.1, f"{hi} vs {lo}: gap {gap:.4f} bit <= 0.1"
         gaps.append(gap)
-    low = spatial_average_rate(
-        topo, FadingModel(FadingKind.RICIAN, 6.0), BUDGET, interferer_density=10 * lam_m
-    )
-    high = spatial_average_rate(
-        topo, FadingModel(FadingKind.RICIAN, 6.0), BUDGET, interferer_density=1000 * lam_m
-    )
+    low = spatial_average_rate(topo, db_to_linear(6.0), BUDGET, interferer_density=10 * lam_m)
+    high = spatial_average_rate(topo, db_to_linear(6.0), BUDGET, interferer_density=1000 * lam_m)
     assert high < low, f"dense-interferer rate {high:.3f} not below sparse {low:.3f}"
     elapsed = _elapsed_ok(t0, 120.0)
     passline(
@@ -198,7 +194,7 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
     summary = []
     for ratio in (10, 100, 1000):
         txs = sample_ppp(ratio * lam_m, region, derive_rng(7, "tx", ratio), NodeKind.FUE)
-        links = make_d2d_links(
+        cross_gains = make_d2d_links(
             txs.positions, (500.0, 500.0), n_sub, BUDGET, derive_rng(7, "gains", ratio)
         )
         curves = {}
@@ -206,13 +202,15 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
             probs = []
             for eps in eps_grid:
                 if kind == "coac":
-                    assignment = coac_assign(links, n_sub, eps)
+                    occupied = coac_assign(cross_gains, eps)
                 else:
                     # One stream per density: the random subsets are nested
                     # prefixes across epsilon, the matched-seed coupling.
-                    assignment = drac_assign(links, n_sub, eps, derive_rng(9, "drac", ratio))
+                    occupied = drac_assign(
+                        len(cross_gains), n_sub, eps, derive_rng(9, "drac", ratio)
+                    )
                 p = cellular_success_probability(
-                    assignment, topo, BUDGET, 0.0, trials, derive_rng(11, "mc", ratio)
+                    occupied, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(11, "mc", ratio)
                 )
                 probs.append(p)
             half_width = Z99 * math.sqrt(0.25 / trials)
@@ -225,7 +223,7 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
             )
         # Endpoint baselines computed analytically, not by simulation.
         upper = _analytic_cellular_success(np.zeros(n_sub), signal_mean, 0.0)
-        full = BUDGET.tx_watts(NodeKind.FUE) * links.cross_gains.sum(axis=0)
+        full = BUDGET.tx_watts(NodeKind.FUE) * cross_gains.sum(axis=0)
         lower = _analytic_cellular_success(full, signal_mean, 0.0)
         for kind in ("coac", "drac"):
             for got, want in ((curves[kind][0], upper), (curves[kind][-1], lower)):

@@ -6,17 +6,9 @@ import pytest
 from scipy import stats
 
 from frangine._kernels import sinr_trials, success_fraction
-from frangine.channel import (
-    RAYLEIGH,
-    FadingKind,
-    FadingModel,
-    LinkBudget,
-    db_to_linear,
-    dbm_to_watts,
-    fading_sample,
-    path_gain,
-)
+from frangine.channel import LinkBudget, db_to_linear, dbm_to_watts, fading_sample, path_gain
 from frangine.rng import derive_rng
+from mc_oracle import rician_sample
 
 
 def test_path_gain_reference_distance():
@@ -41,51 +33,45 @@ def test_link_budget_rejects_subcritical_exponent():
 
 
 def test_rayleigh_unit_mean():
-    samples = fading_sample(RAYLEIGH, derive_rng(1, "ray"), size=1_000_000)
+    samples = fading_sample(derive_rng(1, "ray"), size=1_000_000)
     assert abs(samples.mean() - 1.0) < 0.01
 
 
 def test_rician_unit_mean_various_k():
     for k_db in (-10.0, 0.0, 2.0, 6.0, 10.0):
-        model = FadingModel(FadingKind.RICIAN, k_db)
-        samples = fading_sample(model, derive_rng(2, "ric", int(k_db * 10)), size=1_000_000)
+        k = db_to_linear(k_db)
+        samples = rician_sample(k, derive_rng(2, "ric", int(k_db * 10)), size=1_000_000)
         assert abs(samples.mean() - 1.0) < 0.01, k_db
 
 
 def test_rician_huge_k_is_deterministic_los():
-    model = FadingModel(FadingKind.RICIAN, 60.0)  # K = 1e6 linear
-    samples = fading_sample(model, derive_rng(3), size=100_000)
+    samples = rician_sample(db_to_linear(60.0), derive_rng(3), size=100_000)  # K = 1e6
     assert samples.var() < 1e-4
 
 
 def test_rician_degenerate_k_matches_rayleigh():
-    model = FadingModel(FadingKind.RICIAN, -100.0)
-    rician = fading_sample(model, derive_rng(4, "a"), size=100_000)
-    rayleigh = fading_sample(RAYLEIGH, derive_rng(4, "b"), size=100_000)
+    rician = rician_sample(db_to_linear(-100.0), derive_rng(4, "a"), size=100_000)
+    rayleigh = fading_sample(derive_rng(4, "b"), size=100_000)
     assert stats.ks_2samp(rician, rayleigh).pvalue > 0.01
 
 
 @pytest.mark.parametrize("size", [None, 7, (300, 40)], ids=["scalar", "vector", "matrix"])
 def test_fading_sample_bit_equal_to_expression_in_two_arrays(size):
-    for model in (RAYLEIGH, FadingModel(FadingKind.RICIAN, 6.0)):
-        rng = derive_rng(5, "fade-form")
-        g1, g2 = rng.standard_normal(size), rng.standard_normal(size)
-        k = model.k_linear()
-        los, scatter = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (2.0 * (k + 1.0)))
-        expected = np.asarray((los + scatter * g1) ** 2 + (scatter * g2) ** 2)
-        tracemalloc.start()
-        try:
-            got = np.asarray(fading_sample(model, derive_rng(5, "fade-form"), size=size))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got.tobytes() == expected.tobytes()
-        assert peak < 2.5 * expected.nbytes + 4096  # g1 and g2, no temporaries
-
-
-def test_rician_requires_k_factor():
-    with pytest.raises(ValueError):
-        FadingModel(FadingKind.RICIAN)
+    rng = derive_rng(5, "fade-form")
+    g1, g2 = rng.standard_normal(size), rng.standard_normal(size)
+    scatter = np.sqrt(0.5)
+    expected = np.asarray((scatter * g1) ** 2 + (scatter * g2) ** 2)
+    tracemalloc.start()
+    try:
+        got = np.asarray(fading_sample(derive_rng(5, "fade-form"), size=size))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == expected.tobytes()
+    assert peak < 2.5 * expected.nbytes + 4096  # g1 and g2, no temporaries
+    # The oracle's Rician sampler at K = 0 draws the same fades, bit for bit.
+    rician = np.asarray(rician_sample(0.0, derive_rng(5, "fade-form"), size=size))
+    assert rician.tobytes() == expected.tobytes()
 
 
 def _one_trial_sinr(signal, interferers, noise):
@@ -137,8 +123,7 @@ def test_rician_rate_stochastically_dominates_with_k():
     mean_snr = 10.0
     means = []
     for k_db in (-10.0, 0.0, 2.0, 6.0, 10.0):
-        model = FadingModel(FadingKind.RICIAN, k_db)
-        fades = fading_sample(model, derive_rng(77, "dom"), size=200_000)
+        fades = rician_sample(db_to_linear(k_db), derive_rng(77, "dom"), size=200_000)
         means.append(np.log2(1.0 + mean_snr * fades).mean())
     assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 

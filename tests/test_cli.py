@@ -196,6 +196,7 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("geometry", "region_height", "1e7"),
         ("geometry", "lambda_fap", "1e3"),
         ("geometry", "lambda_m", "1e3"),
+        ("caching", "catalog_items", "1000000000000000"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):

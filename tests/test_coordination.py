@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget, db_to_linear, path_gain
+from frangine import _kernels
+from frangine.channel import LinkBudget, db_to_linear, fading_sample, path_gain
 from frangine.coordination import (
     AccessTable,
     ClusterUtilityParams,
@@ -552,74 +553,66 @@ def test_round_half_away():
     assert round_half_away(-0.5) == -1
 
 
-def _links_with_gains(cross_gains):
-    cross_gains = np.asarray(cross_gains, dtype=float)
-    tx = np.zeros((cross_gains.shape[0], 2))
-    from frangine.coordination import D2dLinkSet
-
-    return D2dLinkSet(tx_positions=tx, cross_gains=cross_gains)
-
-
 def test_coac_epsilon_zero_empty():
-    links = _links_with_gains(np.ones((3, 4)))
-    assignment = coac_assign(links, 4, 0.0)
-    assert all(occ.size == 0 for occ in assignment.occupied)
+    assert not coac_assign(np.ones((3, 4)), 0.0).any()
 
 
 def test_coac_epsilon_one_full_and_equals_drac():
-    links = _links_with_gains(np.random.default_rng(1).uniform(size=(3, 4)))
-    coac = coac_assign(links, 4, 1.0)
-    drac = drac_assign(links, 4, 1.0, derive_rng(1))
-    for a, b in zip(coac.occupied, drac.occupied):
-        assert np.array_equal(a, np.arange(4))
-        assert np.array_equal(b, np.arange(4))
+    coac = coac_assign(np.random.default_rng(1).uniform(size=(3, 4)), 1.0)
+    drac = drac_assign(3, 4, 1.0, derive_rng(1))
+    assert coac.shape == drac.shape == (3, 4)
+    assert coac.all() and drac.all()
 
 
 def test_coac_picks_least_interfering_subchannels():
-    gains = [[0.4, 0.1, 0.3, 0.2]]
-    assignment = coac_assign(_links_with_gains(gains), 4, 0.5)
-    assert np.array_equal(assignment.occupied[0], [1, 3])
+    occupied = coac_assign(np.array([[0.4, 0.1, 0.3, 0.2]]), 0.5)
+    assert np.array_equal(np.flatnonzero(occupied[0]), [1, 3])
 
 
 def test_coac_ties_break_by_lower_subchannel_index():
-    gains = [[0.5, 0.5, 0.5, 0.5]]
-    assignment = coac_assign(_links_with_gains(gains), 4, 0.5)
-    assert np.array_equal(assignment.occupied[0], [0, 1])
+    occupied = coac_assign(np.array([[0.5, 0.5, 0.5, 0.5]]), 0.5)
+    assert np.array_equal(np.flatnonzero(occupied[0]), [0, 1])
 
 
 def test_coac_matches_sort_oracle_random():
     rng = np.random.default_rng(77)
     gains = rng.uniform(size=(20, 8))
-    assignment = coac_assign(_links_with_gains(gains), 8, 0.5)
+    occupied = coac_assign(gains, 0.5)
     for i in range(20):
         expected = np.sort(np.lexsort((np.arange(8), gains[i]))[:4])
-        assert np.array_equal(assignment.occupied[i], expected)
+        assert np.array_equal(np.flatnonzero(occupied[i]), expected)
+
+
+def test_coac_and_drac_without_links():
+    assert coac_assign(np.ones((0, 5)), 0.5).shape == (0, 5)
+    assert drac_assign(0, 5, 0.5, derive_rng(1)).shape == (0, 5)
+
+
+def test_drac_one_permutation_per_link_in_link_order():
+    rng = derive_rng(3, "drac-order")
+    expected = [np.sort(rng.permutation(7)[:4]) for _ in range(6)]
+    occupied = drac_assign(6, 7, 0.5, derive_rng(3, "drac-order"))
+    for row, subs in zip(occupied, expected):
+        assert np.array_equal(np.flatnonzero(row), subs)
 
 
 def test_drac_uniform_occupation_frequency():
-    links = _links_with_gains(np.ones((100_000, 10)))
-    assignment = drac_assign(links, 10, 0.5, derive_rng(9, "drac"))
-    counts = np.zeros(10)
-    for occ in assignment.occupied:
-        counts[occ] += 1
-    freq = counts / 100_000
+    occupied = drac_assign(100_000, 10, 0.5, derive_rng(9, "drac"))
+    freq = occupied.sum(axis=0) / 100_000
     assert np.all(np.abs(freq - 0.5) < 0.01)
 
 
 def test_drac_epsilon_extremes():
-    links = _links_with_gains(np.ones((5, 6)))
-    empty = drac_assign(links, 6, 0.0, derive_rng(10))
-    full = drac_assign(links, 6, 1.0, derive_rng(10))
-    assert all(o.size == 0 for o in empty.occupied)
-    assert all(np.array_equal(o, np.arange(6)) for o in full.occupied)
+    assert not drac_assign(5, 6, 0.0, derive_rng(10)).any()
+    assert drac_assign(5, 6, 1.0, derive_rng(10)).all()
 
 
 def _victim_setup(n_links=50, n_sub=16, seed=21):
     topo = make_topology([[100, 100]], hpn_positions=[[500, 400]])
     rng = np.random.default_rng(seed)
     tx = rng.uniform(0, 1000, size=(n_links, 2))
-    links = make_d2d_links(tx, (500.0, 500.0), n_sub, BUDGET, derive_rng(seed, "links"))
-    return topo, links
+    cross_gains = make_d2d_links(tx, (500.0, 500.0), n_sub, BUDGET, derive_rng(seed, "links"))
+    return topo, cross_gains
 
 
 def _analytic_success(interference_per_sub, budget, gamma_db):
@@ -630,33 +623,62 @@ def _analytic_success(interference_per_sub, budget, gamma_db):
 
 
 def test_cellular_success_epsilon_zero_matches_no_d2d_baseline():
-    topo, links = _victim_setup()
-    assignment = coac_assign(links, 16, 0.0)
+    topo, cross_gains = _victim_setup()
+    occupied = coac_assign(cross_gains, 0.0)
     trials = 100_000
-    p = cellular_success_probability(assignment, topo, BUDGET, 0.0, trials, derive_rng(31))
+    p = cellular_success_probability(
+        occupied, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(31)
+    )
     expected = _analytic_success(np.zeros(16), BUDGET, 0.0)
     ci = 2.576 * math.sqrt(expected * (1 - expected) / trials)
     assert abs(p - expected) < 2 * ci + 1e-9
 
 
 def test_cellular_success_epsilon_one_matches_all_d2d_baseline():
-    topo, links = _victim_setup()
-    assignment = coac_assign(links, 16, 1.0)
+    topo, cross_gains = _victim_setup()
+    occupied = coac_assign(cross_gains, 1.0)
     trials = 100_000
-    p = cellular_success_probability(assignment, topo, BUDGET, 0.0, trials, derive_rng(32))
-    interference = BUDGET.tx_watts(NodeKind.FUE) * links.cross_gains.sum(axis=0)
+    p = cellular_success_probability(
+        occupied, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(32)
+    )
+    interference = BUDGET.tx_watts(NodeKind.FUE) * cross_gains.sum(axis=0)
     expected = _analytic_success(interference, BUDGET, 0.0)
     ci = 2.576 * math.sqrt(max(expected * (1 - expected), 1e-12) / trials)
     assert abs(p - expected) < 2 * ci + 0.005
 
 
+@pytest.mark.parametrize("n_links", [1, 50, 1000])
+def test_cellular_interference_adds_links_as_the_per_link_loop(monkeypatch, n_links):
+    # The axis-0 sum over the occupancy mask must add each subchannel's
+    # occupied cross gains in link order, bit for bit as a loop over links.
+    topo, cross_gains = _victim_setup(n_links=n_links, seed=n_links)
+    seen = []
+    monkeypatch.setattr(_kernels, "success_fraction", lambda sinr, gamma: seen.append(sinr) or 0.0)
+    p_fue = BUDGET.tx_watts(NodeKind.FUE)
+    hpn_dists = pairwise_distances([(500.0, 500.0)], topo.hpns.positions)[0]
+    signal_mean = p_fue * float(path_gain(hpn_dists.min(), BUDGET))
+    for occupied in (coac_assign(cross_gains, 0.5), drac_assign(n_links, 16, 0.25, derive_rng(5))):
+        cellular_success_probability(occupied, cross_gains, topo, BUDGET, 0.0, 500, derive_rng(6))
+        interference = np.zeros(16)
+        for i, row in enumerate(occupied):
+            subs = np.flatnonzero(row)
+            interference[subs] += p_fue * cross_gains[i, subs]
+        rng = derive_rng(6)
+        sub_choice = rng.integers(0, 16, size=500)
+        fades = fading_sample(rng, size=500)
+        expected = signal_mean * fades / (interference[sub_choice] + BUDGET.noise_watts)
+        assert seen[-1].tobytes() == expected.tobytes()
+
+
 def test_coac_dominates_drac_matched_seed():
-    topo, links = _victim_setup(n_links=200, seed=41)
+    topo, cross_gains = _victim_setup(n_links=200, seed=41)
     trials = 50_000
-    coac = coac_assign(links, 16, 0.5)
-    drac = drac_assign(links, 16, 0.5, derive_rng(42))
-    p_coac = cellular_success_probability(coac, topo, BUDGET, 0.0, trials, derive_rng(43))
-    p_drac = cellular_success_probability(drac, topo, BUDGET, 0.0, trials, derive_rng(43))
+    coac = coac_assign(cross_gains, 0.5)
+    drac = drac_assign(200, 16, 0.5, derive_rng(42))
+    p_coac, p_drac = (
+        cellular_success_probability(occ, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(43))
+        for occ in (coac, drac)
+    )
     ci = 2.576 * math.sqrt(0.25 / trials)
     assert p_coac >= p_drac - ci
 

@@ -18,7 +18,7 @@ from frangine.caching import EvictionPolicy
 from frangine.cli import CONFIG_SCHEMA
 from frangine.coordination import SchedulerKind
 from frangine.geometry import FapTopology
-from frangine.metrics_sim import Architecture, run_scenario
+from frangine.metrics_sim import Architecture, ledger_rows, run_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,7 +64,7 @@ FEATURES = {
     ),
     "coop_lfu_blocked": (
         "more F-UEs than free F-AP blocks, and F-AP cache hits",
-        lambda r: r.n_fues > 3 * r.n_faps and any(row.tier.value == "at_fap" for row in r.ledger),
+        lambda r: r.n_fues > 3 * r.n_faps and any(row[3] == "at_fap" for row in ledger_rows(r)),
     ),
     "sparse_fues": (
         "more F-APs than F-UEs, so some F-APs sleep",

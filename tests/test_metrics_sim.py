@@ -5,14 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frangine.channel import (
-    RAYLEIGH,
-    FadingKind,
-    FadingModel,
-    LinkBudget,
-    db_to_linear,
-    path_gain,
-)
+from frangine.channel import LinkBudget, db_to_linear, path_gain
 from frangine.geometry import (
     FapTopology,
     NetworkTopology,
@@ -78,7 +71,7 @@ def test_zero_fues_empty_report():
     assert report.n_fues == 0
     assert report.load.total_payload_bits == 0.0
     assert report.load.fronthaul_bits == 0.0
-    assert report.ledger == []
+    assert len(report.ledger) == 0 and ledger_rows(report) == []
 
 
 def test_report_ranges():
@@ -102,15 +95,29 @@ def test_bit_conservation():
 
 def test_ledger_rows_sum_to_totals():
     report = run_scenario(FAST)
-    assert sum(r.fronthaul_bits for r in report.ledger) == pytest.approx(
-        report.load.fronthaul_bits
-    )
-    assert sum(r.backhaul_bits for r in report.ledger) == pytest.approx(
-        report.load.backhaul_bits
-    )
-    assert sum(r.payload_bits for r in report.ledger) == pytest.approx(
-        report.load.total_payload_bits
-    )
+    columns = list(zip(*ledger_rows(report)))
+    for column, total in (
+        ("fronthaul_bits", report.load.fronthaul_bits),
+        ("backhaul_bits", report.load.backhaul_bits),
+        ("payload_bits", report.load.total_payload_bits),
+    ):
+        assert sum(columns[LEDGER_COLUMNS.index(column)]) == pytest.approx(total)
+
+
+def test_ledger_holds_at_most_32_bytes_per_request():
+    # The 1 km default at 2,000 requests per F-UE: about 112,000 requests.
+    config = ScenarioConfig(requests_per_fue=2000)
+    tracemalloc.start()
+    try:
+        report = run_scenario(config)
+        requests = len(report.ledger)
+        held, _ = tracemalloc.get_traced_memory()
+        report.ledger = None
+        released, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert requests == report.n_fues * config.requests_per_fue > 100_000
+    assert (held - released) / requests <= 32
 
 
 def test_cran_pays_full_iq_expansion():
@@ -167,6 +174,8 @@ def test_fronthaul_load_totals_add_left_to_right():
     modes = rng.choice([Mode.GLOBAL_CRAN, Mode.HPN, Mode.LOCAL_COORDINATION, Mode.D2D], n)
     tiers = rng.choice(list(ContentTier), n)
     report, ledger = fronthaul_load(np.arange(n), *_codes(modes, tiers), 0.1, 16.0)
+    rows = ledger_rows(metrics_sim.MetricsReport(ledger=ledger))
+    ledger = [dict(zip(LEDGER_COLUMNS, row)) for row in rows]
 
     def loop_sum(values):
         total = 0.0
@@ -175,20 +184,20 @@ def test_fronthaul_load_totals_add_left_to_right():
         return total
 
     assert loop_sum([0.1] * n) != float(np.sum(np.full(n, 0.1)))
-    assert report.total_payload_bits == loop_sum(r.payload_bits for r in ledger)
-    assert report.fronthaul_bits == loop_sum(r.fronthaul_bits for r in ledger)
-    assert report.backhaul_bits == loop_sum(r.backhaul_bits for r in ledger)
+    assert report.total_payload_bits == loop_sum(r["payload_bits"] for r in ledger)
+    assert report.fronthaul_bits == loop_sum(r["fronthaul_bits"] for r in ledger)
+    assert report.backhaul_bits == loop_sum(r["backhaul_bits"] for r in ledger)
     for served in ("bbu", "edge", "hpn"):
         assert getattr(report, f"payload_{served}_bits") == loop_sum(
-            r.payload_bits for r in ledger if r.served_by == served
+            r["payload_bits"] for r in ledger if r["served_by"] == served
         )
     assert report.edge_processed_bits == loop_sum(
-        r.payload_bits for r in ledger if r.served_by == "edge"
+        r["payload_bits"] for r in ledger if r["served_by"] == "edge"
     )
     assert report.bbu_processed_bits == loop_sum(
-        r.fronthaul_bits for r in ledger if r.served_by == "bbu"
+        r["fronthaul_bits"] for r in ledger if r["served_by"] == "bbu"
     )
-    assert report.fronthaul_bits != float(np.sum([r.fronthaul_bits for r in ledger]))
+    assert report.fronthaul_bits != float(np.sum([r["fronthaul_bits"] for r in ledger]))
 
 
 def _pipeline_config(case: int) -> ScenarioConfig:
@@ -231,7 +240,7 @@ def test_request_pipeline_equals_the_request_loop(case):
     # repr also tells -0.0 from 0.0, an int payload from a float one, and
     # the mode_counts key order.
     assert repr(vars(report.load)) == repr(vars(oracle.load))
-    assert repr(report.ledger) == repr(oracle.ledger)
+    assert repr(ledger_rows(report)) == repr(oracle.ledger)
 
 
 @pytest.mark.parametrize("architecture", list(Architecture))
@@ -247,7 +256,7 @@ def test_request_pipeline_equals_the_request_loop_at_mobile_speeds(architecture)
     oracle = request_loop(config)
     assert report.n_d2d_pairs > 10
     assert repr(vars(report.load)) == repr(vars(oracle.load))
-    assert repr(report.ledger) == repr(oracle.ledger)
+    assert repr(ledger_rows(report)) == repr(oracle.ledger)
 
 
 def test_request_pipeline_covers_unadmitted_fues_and_no_warmup():
@@ -295,7 +304,7 @@ def test_cooperative_caches_equal_the_request_loop(case):
     assert report.fue_hit_ratio == oracle.fue_hit_ratio
     assert report.fap_hit_ratio == oracle.fap_hit_ratio
     assert repr(vars(report.load)) == repr(vars(oracle.load))
-    assert repr(report.ledger) == repr(oracle.ledger)
+    assert repr(ledger_rows(report)) == repr(oracle.ledger)
 
 
 def _hand_tiers(monkeypatch, config, serving, neighbors, warm, traffic):
@@ -418,7 +427,7 @@ def test_hcran_gate_reads_the_partners_speed_but_not_its_voice(
         )
         report = run_scenario(ScenarioConfig(architecture=architecture, mc_trials=10))
         assert report.n_d2d_pairs == 1
-        modes[architecture] = {row.mode for row in report.ledger if row.fue_id == 0}
+        modes[architecture] = {Mode(row[2]) for row in ledger_rows(report) if row[1] == 0}
     assert modes == {Architecture.FRAN: {fran}, Architecture.HCRAN: {hcran}}
 
 
@@ -451,18 +460,18 @@ def test_spatial_average_rate_no_fading_snr_one():
         tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -100.0},
         noise_power_dbm=-100.0,
     )
-    fading = FadingModel(FadingKind.RICIAN, 80.0)
+    k_factor = db_to_linear(80.0)
     rate = spatial_average_rate(
-        _bare_topology(), fading, budget, link_distance=1.0, interferer_density=0.0
+        _bare_topology(), k_factor, budget, link_distance=1.0, interferer_density=0.0
     )
     assert rate == pytest.approx(1.0, abs=1e-6)
 
 
 def test_spatial_average_rate_degrades_with_interferer_density():
     budget = LinkBudget()
-    fading = FadingModel(FadingKind.RICIAN, 6.0)
-    low = spatial_average_rate(_bare_topology(), fading, budget, interferer_density=1e-5)
-    high = spatial_average_rate(_bare_topology(), fading, budget, interferer_density=1e-3)
+    k_factor = db_to_linear(6.0)
+    low = spatial_average_rate(_bare_topology(), k_factor, budget, interferer_density=1e-5)
+    high = spatial_average_rate(_bare_topology(), k_factor, budget, interferer_density=1e-3)
     assert high < low
 
 
@@ -474,19 +483,19 @@ def test_spatial_average_rate_without_interferers_is_the_rayleigh_closed_form(sn
     budget = LinkBudget(noise_power_dbm=20.0 - snr_db)
     snr = budget.tx_watts(NodeKind.FUE) * float(path_gain(1.0, budget)) / budget.noise_watts
     rate = spatial_average_rate(
-        _bare_topology(), RAYLEIGH, budget, link_distance=1.0, interferer_density=0.0
+        _bare_topology(), 0.0, budget, link_distance=1.0, interferer_density=0.0
     )
     exact = math.exp(1.0 / snr) * exp1(1.0 / snr) / math.log(2.0)
     assert rate == pytest.approx(exact, rel=1e-12)
 
 
 RATE_CASES = {
-    "1 km, Rayleigh": ((1000.0, 1000.0), RAYLEIGH, 5e-5),
-    "1 km, K = 10 dB": ((1000.0, 1000.0), FadingModel(FadingKind.RICIAN, 10.0), 5e-5),
-    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), FadingModel(FadingKind.RICIAN, 6.0), 2.5e-4),
-    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), FadingModel(FadingKind.RICIAN, 3.0), 5e-5),
-    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), FadingModel(FadingKind.RICIAN, 0.0), 1e-5),
-    "1.6 x 1 m": ((1.6, 1.0), RAYLEIGH, 0.3),
+    "1 km, Rayleigh": ((1000.0, 1000.0), 0.0, 5e-5),
+    "1 km, K = 10 dB": ((1000.0, 1000.0), db_to_linear(10.0), 5e-5),
+    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), db_to_linear(6.0), 2.5e-4),
+    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), db_to_linear(3.0), 5e-5),
+    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), db_to_linear(0.0), 1e-5),
+    "1.6 x 1 m": ((1.6, 1.0), 0.0, 0.3),
 }
 
 
@@ -501,12 +510,12 @@ def test_region_area_nodes_integrate_the_rectangle(half_sides):
 
 @pytest.mark.parametrize("case", sorted(RATE_CASES))
 def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
-    (width, height), fading, density = RATE_CASES[case]
+    (width, height), k_factor, density = RATE_CASES[case]
     budget = LinkBudget()
 
     def rate():
         return spatial_average_rate(
-            _region_topology(width, height), fading, budget, interferer_density=density
+            _region_topology(width, height), k_factor, budget, interferer_density=density
         )
 
     coarse = rate()
@@ -518,9 +527,9 @@ def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
 def test_spatial_average_rate_is_finite_at_extremes():
     rates = [
         spatial_average_rate(
-            _region_topology(1.5, 0.5), RAYLEIGH, LinkBudget(), interferer_density=1.0
+            _region_topology(1.5, 0.5), 0.0, LinkBudget(), interferer_density=1.0
         ),
-        spatial_average_rate(_region_topology(3000.0, 1000.0), RAYLEIGH, LinkBudget()),
+        spatial_average_rate(_region_topology(3000.0, 1000.0), 0.0, LinkBudget()),
     ]
     for tx, noise in ((-150.0, -100.0), (150.0, -250.0), (20.0, 100.0), (-300.0, -300.0)):
         budget = LinkBudget(
@@ -528,7 +537,7 @@ def test_spatial_average_rate_is_finite_at_extremes():
         )
         for density in (0.0, 5e-5):
             rates.append(spatial_average_rate(
-                _bare_topology(), FadingModel(FadingKind.RICIAN, 6.0), budget,
+                _bare_topology(), db_to_linear(6.0), budget,
                 interferer_density=density,
             ))
     assert all(math.isfinite(r) and r >= 0.0 for r in rates), rates
@@ -554,12 +563,12 @@ def test_spatial_average_rate_memory_is_bounded():
 @pytest.mark.parametrize("density", [5e-5, 1e-6])  # default; most trials empty
 def test_mc_spatial_average_rate_does_not_depend_on_chunk_size(monkeypatch, density):
     budget = ScenarioConfig().budget()
-    fading = ScenarioConfig().d2d_fading()
+    k_factor = ScenarioConfig().d2d_fading()
     rates = []
     for chunk in (1, 7, mc_oracle.CHUNK, 10**9):
         monkeypatch.setattr(mc_oracle, "CHUNK", chunk)
         rates.append(mc_spatial_average_rate(
-            _bare_topology(), fading, budget, 400, derive_rng(9, "rate"),
+            _bare_topology(), k_factor, budget, 400, derive_rng(9, "rate"),
             interferer_density=density,
         ))
     assert rates[1:] == rates[:-1]
@@ -623,34 +632,34 @@ def test_spatial_average_rate_matches_rayleigh_laplace_oracle():
     config = ScenarioConfig(d2d_k_factor_db=None)
     for density, half_side in ((5e-5, 500.0), (2.5e-4, 1000.0), (1e-3, 500.0)):
         rate = spatial_average_rate(
-            _region_topology(2 * half_side, 2 * half_side), RAYLEIGH, config.budget(),
+            _region_topology(2 * half_side, 2 * half_side), 0.0, config.budget(),
             link_distance=config.d2d_link_distance, interferer_density=density,
         )
         exact = _rayleigh_rate(config.budget(), density, half_side, config.d2d_link_distance)
         assert rate == pytest.approx(exact, rel=2e-5), (density, half_side)
 
 
-# (region, fading, interferer density, trials); seeds derive_rng(27,
+# (region, k_factor, interferer density, trials); seeds derive_rng(27,
 # "rate-oracle", i) for case i, fixed before the cases were first run.
 MC_RATE_CASES = [
-    ((1000.0, 1000.0), RAYLEIGH, 5e-5, 200_000),
-    ((1000.0, 1000.0), FadingModel(FadingKind.RICIAN, 6.0), 5e-5, 200_000),
-    ((1000.0, 1000.0), FadingModel(FadingKind.RICIAN, 10.0), 1e-3, 10_000),
-    ((2000.0, 2000.0), FadingModel(FadingKind.RICIAN, 0.0), 2.5e-4, 10_000),
-    ((3000.0, 1000.0), FadingModel(FadingKind.RICIAN, 3.0), 5e-5, 50_000),
-    ((1000.0, 1000.0), RAYLEIGH, 1e-6, 200_000),
+    ((1000.0, 1000.0), 0.0, 5e-5, 200_000),
+    ((1000.0, 1000.0), db_to_linear(6.0), 5e-5, 200_000),
+    ((1000.0, 1000.0), db_to_linear(10.0), 1e-3, 10_000),
+    ((2000.0, 2000.0), db_to_linear(0.0), 2.5e-4, 10_000),
+    ((3000.0, 1000.0), db_to_linear(3.0), 5e-5, 50_000),
+    ((1000.0, 1000.0), 0.0, 1e-6, 200_000),
 ]
 
 
 @pytest.mark.parametrize("i", range(len(MC_RATE_CASES)))
 def test_spatial_average_rate_matches_monte_carlo_oracle(i):
-    (width, height), fading, density, trials = MC_RATE_CASES[i]
+    (width, height), k_factor, density, trials = MC_RATE_CASES[i]
     topology, budget = _region_topology(width, height), LinkBudget()
     mean, ci = mc_spatial_average_rate(
-        topology, fading, budget, trials, derive_rng(27, "rate-oracle", i),
+        topology, k_factor, budget, trials, derive_rng(27, "rate-oracle", i),
         interferer_density=density,
     )
-    exact = spatial_average_rate(topology, fading, budget, interferer_density=density)
+    exact = spatial_average_rate(topology, k_factor, budget, interferer_density=density)
     assert abs(mean - exact) < 4.0 * ci / metrics_sim.Z_99
 
 
@@ -743,7 +752,7 @@ def test_d2d_success_rayleigh_is_the_closed_form(overrides, gamma_db):
     signal, gains = _d2d_gains(topology, pairs, budget)
     a = db_to_linear(gamma_db) / signal
     closed = math.exp(-a * budget.noise_watts) * float(np.prod(1.0 / (1.0 + a * gains)))
-    got = d2d_success_probability(topology, pairs, RAYLEIGH, budget, gamma_db)
+    got = d2d_success_probability(topology, pairs, 0.0, budget, gamma_db)
     assert got == pytest.approx(closed, rel=1e-12)
 
 
@@ -764,7 +773,7 @@ def test_d2d_success_without_interferers_is_the_rician_tail(k_db):
     margins = [0.2, 0.5, 0.9, 0.99, 1.1, 1.5]
     for x, gamma_db in zip(margins, _noise_only_margins(budget, margins)):
         got = d2d_success_probability(
-            _bare_topology(), [], FadingModel(FadingKind.RICIAN, k_db), budget, gamma_db
+            _bare_topology(), [], db_to_linear(k_db), budget, gamma_db
         )
         assert got == pytest.approx(ncx2.sf(2.0 * (1.0 + k) * x, 2, 2.0 * k), abs=1e-12)
 
@@ -776,7 +785,7 @@ def test_d2d_success_edge_cases():
     # No interferers, Rayleigh: exp(-theta N / S_bar).
     budget = LinkBudget()
     for x, gamma_db in zip((0.1, 2.0), _noise_only_margins(budget, (0.1, 2.0))):
-        got = d2d_success_probability(_bare_topology(), [], RAYLEIGH, budget, gamma_db)
+        got = d2d_success_probability(_bare_topology(), [], 0.0, budget, gamma_db)
         assert got == pytest.approx(math.exp(-x), rel=1e-12)
     # No noise: -4000 dBm is 0 W. Rayleigh is prod_k 1 / (1 + a g_k); with
     # no interferers either, the SINR is infinite.
@@ -784,7 +793,7 @@ def test_d2d_success_edge_cases():
     assert silent.noise_watts == 0.0
     signal, gains = _d2d_gains(topology, pairs, silent)
     a = db_to_linear(10.0) / signal
-    assert d2d_success_probability(topology, pairs, RAYLEIGH, silent, 10.0) == pytest.approx(
+    assert d2d_success_probability(topology, pairs, 0.0, silent, 10.0) == pytest.approx(
         float(np.prod(1.0 / (1.0 + a * gains))), rel=1e-12
     )
     assert 0.0 < d2d_success_probability(topology, pairs, rician, silent, 10.0) < 1.0
@@ -795,19 +804,19 @@ def test_d2d_success_edge_cases():
         mute = LinkBudget(
             tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -4000.0}, noise_power_dbm=noise_dbm
         )
-        for fading in (RAYLEIGH, rician):
-            assert d2d_success_probability(topology, pairs, fading, mute, 0.0) == 0.0
-            assert d2d_success_probability(_bare_topology(), [], fading, mute, 0.0) == 0.0
+        for k_factor in (0.0, rician):
+            assert d2d_success_probability(topology, pairs, k_factor, mute, 0.0) == 0.0
+            assert d2d_success_probability(_bare_topology(), [], k_factor, mute, 0.0) == 0.0
     # A K-factor that underflows to 0 is Rayleigh; an unreachable threshold
     # gives 0, and one that underflows to 0 gives 1.
     budget = config.budget()
-    tiny = FadingModel(FadingKind.RICIAN, -4000.0)
+    tiny = db_to_linear(-4000.0)
     assert d2d_success_probability(topology, pairs, tiny, budget, 0.0) == (
-        d2d_success_probability(topology, pairs, RAYLEIGH, budget, 0.0)
+        d2d_success_probability(topology, pairs, 0.0, budget, 0.0)
     )
-    for fading in (RAYLEIGH, rician):
-        assert d2d_success_probability(topology, pairs, fading, budget, 400.0) == 0.0
-        assert d2d_success_probability(topology, pairs, fading, budget, -4000.0) == 1.0
+    for k_factor in (0.0, rician):
+        assert d2d_success_probability(topology, pairs, k_factor, budget, 400.0) == 0.0
+        assert d2d_success_probability(topology, pairs, k_factor, budget, -4000.0) == 1.0
 
 
 def test_d2d_success_at_the_k_factor_ceiling_finishes():
