@@ -32,12 +32,6 @@ class ContentCatalog:
     n_items: int
     zipf_exponent: float = 0.8
 
-    def __post_init__(self):
-        if self.n_items < 1:
-            raise ValueError("catalog needs at least one item")
-        if self.zipf_exponent < 0:
-            raise ValueError("Zipf exponent must be nonnegative")
-
     def popularity(self) -> np.ndarray:
         """p(i) proportional to (i+1)^(-s) over item ids 0..n-1, summing to 1."""
         ranks = np.arange(1, self.n_items + 1, dtype=float)
@@ -65,8 +59,6 @@ class EdgeCache:
     """
 
     def __init__(self, capacity: int, policy: EvictionPolicy):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.policy = policy
         self.hits = 0

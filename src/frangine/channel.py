@@ -38,12 +38,6 @@ class LinkBudget:
     noise_power_dbm: float = -100.0
     sinr_threshold_db: float = 0.0
 
-    def __post_init__(self):
-        if self.path_loss_exponent <= 2:
-            raise ValueError("path loss exponent must exceed 2")
-        if not np.isfinite(self.noise_power_dbm):
-            raise ValueError("noise power must be finite")
-
     @property
     def noise_watts(self) -> float:
         return dbm_to_watts(self.noise_power_dbm)
@@ -58,8 +52,6 @@ class LinkBudget:
 
 def path_gain(d: float, budget: LinkBudget) -> float:
     """Power-law path gain, clamped at 1 m to avoid the d -> 0 singularity."""
-    if np.any(np.asarray(d) < 0):
-        raise ValueError("distance must be nonnegative")
     # In place on one new array: a distance matrix needs no second copy.
     gain = np.maximum(d, 1.0)
     gain **= -budget.path_loss_exponent

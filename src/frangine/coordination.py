@@ -14,17 +14,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
-from .channel import LinkBudget, db_to_linear, fading_sample, path_gain
+from .channel import LinkBudget, fading_sample, path_gain
 from .geometry import (
     FapTopology,
     NetworkTopology,
     NodeKind,
     pairwise_distances,
 )
+
+if TYPE_CHECKING:
+    from .metrics_sim import ScenarioConfig
 
 
 def round_half_away(x: float) -> int:
@@ -35,19 +39,6 @@ def round_half_away(x: float) -> int:
 # ---------------------------------------------------------------------------
 # Successful access probability and coalition formation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClusterUtilityParams:
-    tau: float = 1.0
-    gamma_th_db: float = 0.0
-    p_static: float = 10.0  # watts per F-AP
-    p_tx: float = 1.0  # watts per F-AP
-    p_coord: float = 0.5  # watts per ordered coordination pair
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-
 
 @dataclass
 class CoalitionPartition:
@@ -85,15 +76,14 @@ class AccessTable:
         self.log_products = np.full(self.gains.shape, np.nan)
 
     @classmethod
-    def from_positions(cls, fap_positions, fue_positions, budget: LinkBudget,
-                       gamma_th_db: float) -> "AccessTable":
+    def from_positions(cls, fap_positions, fue_positions, budget: LinkBudget) -> "AccessTable":
         """Each F-UE served by its nearest F-AP, the strongest under uniform power."""
         dists = pairwise_distances(fue_positions, fap_positions)
         return cls(
             budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget),
             np.argmin(dists, axis=1),
             budget.noise_watts,
-            db_to_linear(gamma_th_db),
+            budget.gamma_th_linear,
         )
 
     def success_probabilities(self, cluster) -> np.ndarray:
@@ -167,8 +157,10 @@ def _phase_type_success(own, others, theta: float, noise: float) -> np.ndarray:
     return np.where(kept <= 0.5, kept, 1.0 - lost)
 
 
-def cluster_power(cluster_size: int, params: ClusterUtilityParams) -> float:
-    return cluster_size * (params.p_static + params.p_tx) + params.p_coord * cluster_size * (
+def cluster_power(cluster_size: int, config: ScenarioConfig) -> float:
+    """Watts drawn by a cluster: p_static + p_tx per F-AP, and p_coord per
+    ordered coordination pair."""
+    return cluster_size * (config.p_static + config.p_tx) + config.p_coord * cluster_size * (
         cluster_size - 1
     )
 
@@ -180,14 +172,12 @@ def served_fue_indices(cluster, table: AccessTable) -> np.ndarray:
     return np.flatnonzero(in_cluster[table.serving])
 
 
-def cluster_utility(cluster, params: ClusterUtilityParams, table: AccessTable) -> float:
+def cluster_utility(cluster, config: ScenarioConfig, table: AccessTable) -> float:
     """u(C) = R(C) / P(C)^tau with R = log2(1 + theta) x the success
     probabilities of the served F-UEs summed: the Monte-Carlo rate's limit
     as the trials grow."""
-    if table.theta != db_to_linear(params.gamma_th_db):
-        raise ValueError("table threshold differs from params.gamma_th_db")
     reward = float(np.sum(table.success_probabilities(cluster))) * math.log2(1.0 + table.theta)
-    return reward / cluster_power(len(cluster), params) ** params.tau
+    return reward / cluster_power(len(cluster), config) ** config.tau
 
 
 def _bipartitions(block):
@@ -234,8 +224,7 @@ def _tree_cuts(block, neighbors):
 
 def merge_and_split(
     topology: NetworkTopology,
-    params: ClusterUtilityParams,
-    budget: LinkBudget,
+    config: ScenarioConfig,
     utility_fn=None,
 ) -> CoalitionPartition:
     """Merge-and-split coalition formation over the F-AP set.
@@ -251,19 +240,17 @@ def merge_and_split(
 
     utility_fn, when given, replaces the cluster utility; it is called with
     a sorted tuple of F-AP indices and must be deterministic. The default
-    scores every block on one AccessTable of the topology's F-UEs. Each
-    distinct block is evaluated once.
+    scores every block on one AccessTable of the topology's F-UEs, under
+    the config's link budget. Each distinct block is evaluated once.
     """
     n = len(topology.faps)
-    if n < 1:
-        raise ValueError("at least one F-AP required")
     if utility_fn is None:
         table = AccessTable.from_positions(
-            topology.faps.positions, topology.fues.positions, budget, params.gamma_th_db
+            topology.faps.positions, topology.fues.positions, config.budget()
         )
 
         def utility_fn(block: tuple) -> float:
-            return cluster_utility(block, params, table)
+            return cluster_utility(block, config, table)
 
     cache: dict[tuple, float] = {}
 
@@ -346,8 +333,6 @@ def coac_assign(cross_gains: np.ndarray, epsilon: float) -> np.ndarray:
     gains) takes the round(eps*N) subchannels on which it interferes least
     with the victim (ascending cross gain, ties by lower subchannel index).
     Returns the (links, N) occupancy mask."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
     m = round_half_away(epsilon * cross_gains.shape[1])
     occupied = np.zeros(cross_gains.shape, dtype=bool)
     np.put_along_axis(
@@ -362,8 +347,6 @@ def drac_assign(
     """Distributed random assignment: a uniform round(eps*N)-subset per link,
     one permutation per link in link order. Returns the (links, N)
     occupancy mask."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
     m = round_half_away(epsilon * n_subchannels)
     occupied = np.zeros((n_links, n_subchannels), dtype=bool)
     for row in occupied:
@@ -376,7 +359,6 @@ def cellular_success_probability(
     cross_gains: np.ndarray,
     topology: NetworkTopology,
     budget: LinkBudget,
-    gamma_th_db: float,
     mc_trials: int,
     rng: np.random.Generator,
 ) -> float:
@@ -387,10 +369,6 @@ def cellular_success_probability(
     links occupying it (the (links, N) mask `occupied`) interfere through
     their static cross gains.
     """
-    if mc_trials < 1:
-        raise ValueError("mc_trials must be at least 1")
-    if len(topology.hpns) == 0:
-        raise ValueError("at least one HPN required")
     user_xy = (topology.region.width / 2.0, topology.region.height / 2.0)
     hpn_dists = pairwise_distances([user_xy], topology.hpns.positions)[0]
     signal_mean = budget.tx_watts(NodeKind.FUE) * float(
@@ -403,7 +381,7 @@ def cellular_success_probability(
     sub_choice = rng.integers(0, cross_gains.shape[1], size=mc_trials)
     fades = fading_sample(rng, size=mc_trials)
     trial_sinr = signal_mean * fades / (interference[sub_choice] + budget.noise_watts)
-    return _kernels.success_fraction(trial_sinr, db_to_linear(gamma_th_db))
+    return _kernels.success_fraction(trial_sinr, budget.gamma_th_linear)
 
 
 # ---------------------------------------------------------------------------

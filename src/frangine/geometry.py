@@ -29,10 +29,6 @@ class Region:
     width: float
     height: float
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("region dimensions must be positive")
-
     @property
     def area(self) -> float:
         return self.width * self.height
@@ -40,7 +36,6 @@ class Region:
 
 @dataclass
 class NodeSet:
-    kind: NodeKind
     positions: np.ndarray  # (n, 2) meters
     density: float  # nodes per square meter
 
@@ -66,21 +61,12 @@ class NetworkTopology:
         return neighbors
 
 
-def sample_ppp(
-    density: float,
-    region: Region,
-    rng: np.random.Generator,
-    kind: NodeKind = NodeKind.FUE,
-) -> NodeSet:
+def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> NodeSet:
     """Homogeneous PPP sample: Poisson(density*area) points, uniform i.i.d."""
-    if density < 0:
-        raise ValueError("density must be nonnegative")
-    if region.area <= 0:
-        raise ValueError("region must have positive area")
     n = rng.poisson(density * region.area)
     xs = rng.uniform(0.0, region.width, size=n)
     ys = rng.uniform(0.0, region.height, size=n)
-    return NodeSet(kind=kind, positions=np.column_stack([xs, ys]), density=density)
+    return NodeSet(positions=np.column_stack([xs, ys]), density=density)
 
 
 def distance(a, b) -> float:
@@ -104,8 +90,6 @@ def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:
     deterministic even with equidistant nodes.
     """
     n = len(faps)
-    if n < 1:
-        raise ValueError("at least one F-AP required")
     if mode is FapTopology.MESH:
         return {(i, j) for i in range(n) for j in range(i + 1, n)}
     if n == 1:

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,9 +29,9 @@ from .caching import (
 )
 from .channel import LinkBudget, db_to_linear, path_gain
 from .coordination import (
-    ClusterUtilityParams,
     SchedulerKind,
     cellular_success_probability,
+    cluster_power,
     coac_assign,
     drac_assign,
     make_d2d_links,
@@ -47,7 +48,7 @@ from .geometry import (
     sample_ppp,
     Region,
 )
-from .mode_select import MODES, Mode, ModeThresholds, associate_fap, select_mode
+from .mode_select import MODES, Mode, associate_fap, select_mode
 from .rng import derive_rng
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -73,10 +74,6 @@ class Architecture(Enum):
 
 
 class UnknownParameter(Exception):
-    pass
-
-
-class ZeroPower(Exception):
     pass
 
 
@@ -151,8 +148,11 @@ class ScenarioConfig:
                 or optional and value is None
             ):
                 raise ValueError(f"{name} must be of type {kind.__name__}")
-        ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
         # Comparisons are written so that NaN fails too.
+        if not 0 < self.d1 < self.d2 < self.d3:
+            raise ValueError("thresholds must satisfy 0 < d1 < d2 < d3")
+        if not self.speed_threshold > 0:
+            raise ValueError("speed_threshold must be positive")
         for name in (
             "epsilon", "d2d_fraction", "relay_fraction", "voice_fraction",
             "sleep_power_fraction",
@@ -172,6 +172,7 @@ class ScenarioConfig:
         for name in (
             "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
             "d2d_k_factor_db",  # None: Rayleigh
+            "p_static", "p_tx", "p_coord", "p_hpn", "payload_bits", "iq_expansion_factor",
         ):
             if not math.isfinite(getattr(self, name) or 0.0):
                 raise ValueError(f"{name} must be finite")
@@ -218,9 +219,30 @@ class ScenarioConfig:
                     f"{keys} expect {elements:.3g} {array}, "
                     f"over the {MAX_DENSE_ELEMENTS:.3g} elements one dense array may hold"
                 )
-
-    def thresholds(self) -> ModeThresholds:
-        return ModeThresholds(self.d1, self.d2, self.d3, self.speed_threshold)
+        # No link of a layout is longer than the region's diagonal. Its mean
+        # received power must stay a normal double: a gain that underflows to
+        # 0 W stalls the exact evaluators.
+        budget = self.budget()
+        weakest = min(budget.tx_watts(NodeKind.FAP), budget.tx_watts(NodeKind.FUE))
+        diagonal = math.hypot(self.region_width, self.region_height)
+        if not weakest * float(path_gain(diagonal, budget)) >= sys.float_info.min:
+            raise ValueError(
+                "path_loss_exponent leaves the weaker of tx_power_fap_dbm and "
+                f"tx_power_fue_dbm below {sys.float_info.min:.3g} W at the "
+                f"{diagonal:.3g} m region diagonal"
+            )
+        # Every cluster utility divides by P(k)^tau, which grows with the
+        # cluster size k from one F-AP to the expected F-AP count.
+        for k in (1.0, faps):
+            try:
+                scaled = cluster_power(k, self) ** self.tau
+            except OverflowError:
+                scaled = math.inf
+            if not 0.0 < scaled < math.inf:
+                raise ValueError(
+                    f"tau: cluster_power(k = {k:.3g}) of p_static, p_tx and p_coord, "
+                    f"raised to tau, is {scaled:g}, not a finite positive double"
+                )
 
     def budget(self) -> LinkBudget:
         return LinkBudget(
@@ -367,13 +389,6 @@ def fronthaul_load(fue_ids, mode_codes, tier_codes, payload_bits: float,
     return report, Ledger(np.asarray(fue_ids, dtype=np.intp), route_of, [r[:6] for r in routes])
 
 
-def energy_efficiency(rate_sum: float, total_power: float) -> float:
-    """Total rate over total power; rejects zero or negative power."""
-    if total_power <= 0:
-        raise ZeroPower("total power must be positive")
-    return rate_sum / total_power
-
-
 @functools.cache
 def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [0, 1], made on first use."""
@@ -437,14 +452,14 @@ def spatial_average_rate(
     k_factor: float,
     budget: LinkBudget,
     link_distance: float = 20.0,
-    interferer_density: float | None = None,
 ) -> float:
     """Mean Shannon rate E log2(1 + S/(I + N)) of the typical D2D link at the
     region centre, in bit/s/Hz, computed exactly by quadrature.
 
     The signal S is Rician with linear K-factor `k_factor` (unit mean fade,
     mean S_bar); the interferers are a PPP of D2D transmitters over the
-    region, Rayleigh faded, with path gains clamped at 1 m. Hamdi's lemma (IEEE TCOM 2010) gives
+    region at the F-UE density, Rayleigh faded, with path gains clamped at
+    1 m. Hamdi's lemma (IEEE TCOM 2010) gives
 
         E ln(1 + S/(I + N)) = int_0^inf (1 - M_S(z)) M_I(z) exp(-zN) dz / z,
 
@@ -456,8 +471,7 @@ def spatial_average_rate(
     double precision, in Gauss-Legendre panels; the area integral is radial
     (`_region_area_nodes`).
     """
-    if interferer_density is None:
-        interferer_density = topology.fues.density
+    density = topology.fues.density
     p_fue = budget.tx_watts(NodeKind.FUE)
     signal_mean = p_fue * float(path_gain(link_distance, budget))
     noise = budget.noise_watts
@@ -477,12 +491,12 @@ def spatial_average_rate(
     zs = z * signal_mean
     log_m_s = -np.log1p(zs / (1.0 + k_factor)) - k_factor * zs / (1.0 + k_factor + zs)
     log_integrand = -z * noise
-    if interferer_density > 0:
+    if density > 0:
         region = topology.region
         r, area = _region_area_nodes(region.width / 2.0, region.height / 2.0)
         zg = z[:, None] * (p_fue * path_gain(r, budget))
         zg /= zg + 1.0  # in place: under 1 MiB per (z, r) array by default
-        log_integrand -= interferer_density * (zg @ area)
+        log_integrand -= density * (zg @ area)
     integrand = -np.expm1(log_m_s) * np.exp(log_integrand)
     return float(integrand @ np.tile(width * w, len(edges) - 1)) / math.log(2.0)
 
@@ -518,7 +532,6 @@ def d2d_success_probability(
     pairs,
     k_factor: float,
     budget: LinkBudget,
-    gamma_th_db: float,
     link_distance: float = 20.0,
 ) -> float:
     """Probability that the typical D2D link at the region centre reaches
@@ -554,7 +567,7 @@ def d2d_success_probability(
         return 0.0
     if noise == 0.0 and not gains.any():
         return 1.0  # nothing to beat: the SINR is infinite
-    a = (1.0 + k_factor) * db_to_linear(gamma_th_db) / signal_mean
+    a = (1.0 + k_factor) * budget.gamma_th_linear / signal_mean
     b = a * gains
     # By Markov's inequality on each term of y alone, P <= (1 + K) / max(a N,
     # b_k). Past that test every step of the recursion below grows its terms
@@ -583,15 +596,15 @@ def d2d_success_probability(
 
 def _build_topology(config: ScenarioConfig) -> NetworkTopology:
     region = config.region()
-    hpns = sample_ppp(config.lambda_m, region, derive_rng(config.master_seed, "hpn"), NodeKind.HPN)
-    faps = sample_ppp(config.lambda_fap, region, derive_rng(config.master_seed, "fap"), NodeKind.FAP)
-    fues = sample_ppp(config.lambda_fue, region, derive_rng(config.master_seed, "fue"), NodeKind.FUE)
+    hpns = sample_ppp(config.lambda_m, region, derive_rng(config.master_seed, "hpn"))
+    faps = sample_ppp(config.lambda_fap, region, derive_rng(config.master_seed, "fap"))
+    fues = sample_ppp(config.lambda_fue, region, derive_rng(config.master_seed, "fue"))
     center = np.array([[region.width / 2.0, region.height / 2.0]])
     # Guarantee coverage: desk-scale densities can sample zero nodes.
     if len(hpns) == 0:
-        hpns = NodeSet(NodeKind.HPN, center.copy(), config.lambda_m)
+        hpns = NodeSet(center.copy(), config.lambda_m)
     if len(faps) == 0:
-        faps = NodeSet(NodeKind.FAP, center.copy(), config.lambda_fap)
+        faps = NodeSet(center.copy(), config.lambda_fap)
     adjacency = build_fap_adjacency(faps, config.fap_topology)
     return NetworkTopology(
         region=region,
@@ -603,15 +616,15 @@ def _build_topology(config: ScenarioConfig) -> NetworkTopology:
     )
 
 
-def _pair_relays(xy, pairs, relay_xy, th: ModeThresholds) -> np.ndarray:
+def _pair_relays(xy, pairs, relay_xy, config: ScenarioConfig) -> np.ndarray:
     """One flag per F-UE: whether a relay (of those at relay_xy) lies within
     D1 of both ends of its pair, for the pairs whose ends lie in (D1, D2],
     the only ones `select_mode` rule (3) reads. Neither end of such a pair
     is within D1 of the other, so neither counts as its own relay."""
     found = np.zeros(len(xy), dtype=bool)
     for i, j in pairs:
-        if th.d1 < np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) <= th.d2:
-            near = (pairwise_distances(xy[[i, j]], relay_xy) <= th.d1).all(axis=0)
+        if config.d1 < np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) <= config.d2:
+            near = (pairwise_distances(xy[[i, j]], relay_xy) <= config.d1).all(axis=0)
             found[i] = found[j] = near.any()
     return found
 
@@ -714,7 +727,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     """One full deterministic scenario run: place, pair, associate, decide
     modes, serve caches, coordinate, and aggregate metrics."""
     budget = config.budget()
-    thresholds = config.thresholds()
     topology = _build_topology(config)
     n_fues = len(topology.fues)
     report = MetricsReport(
@@ -749,7 +761,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     lc_feasible = np.zeros(n_fues, dtype=bool)
     lc_feasible[served] = snr / budget.noise_watts >= budget.gamma_th_linear
 
-    relays = _pair_relays(xy, pairs, xy[relay_willing & d2d_capable], thresholds)
+    relays = _pair_relays(xy, pairs, xy[relay_willing & d2d_capable], config)
 
     tiers, report.fue_hit_ratio, report.fap_hit_ratio = _content_tiers(
         config, serving, topology.fap_neighbors()
@@ -761,12 +773,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     decided = select_mode(
         np.hypot(xy[u, 0] - xy[p, 0], xy[u, 1] - xy[p, 1]), speeds[u], speeds[p],
         voice[u], voice[p], u != p, relays[u], lc_feasible[u] & np.array([True, False]),
-        thresholds,
+        config,
     )
     # The architecture gates. C-RAN serves every request through the BBU
     # pool; H-CRAN sends a fast or voice F-UE, or one with a fast partner, to
     # the HPN and the rest through the BBU pool.
-    t = thresholds.speed_threshold
+    t = config.speed_threshold
     to_hpn = (config.architecture is Architecture.HCRAN) & (
         (speeds[u] > t) | voice[u] | (speeds[p] > t)
     )
@@ -781,14 +793,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
 
     # Coalitional clustering of F-APs.
-    params = ClusterUtilityParams(
-        tau=config.tau,
-        gamma_th_db=config.gamma_th_db,
-        p_static=config.p_static,
-        p_tx=config.p_tx,
-        p_coord=config.p_coord,
-    )
-    partition = merge_and_split(topology, params, budget)
+    partition = merge_and_split(topology, config)
     report.mean_cluster_size = float(np.mean(partition.block_sizes()))
 
     # D2D subchannel scheduling and the cellular victim's success.
@@ -805,7 +810,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
             derive_rng(config.master_seed, "drac"),
         )
     report.cellular_success_probability = cellular_success_probability(
-        occupied, cross_gains, topology, budget, config.gamma_th_db, config.mc_trials,
+        occupied, cross_gains, topology, budget, config.mc_trials,
         derive_rng(config.master_seed, "cellular"),
     )
     report.cellular_ci = _prob_ci(report.cellular_success_probability, config.mc_trials)
@@ -816,11 +821,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
 
     report.d2d_success_probability = d2d_success_probability(
-        topology, pairs, config.d2d_fading(), budget, config.gamma_th_db,
-        link_distance=config.d2d_link_distance,
+        topology, pairs, config.d2d_fading(), budget, link_distance=config.d2d_link_distance,
     )
 
-    # Energy efficiency: active F-APs at full power, idle ones asleep.
+    # Energy efficiency: active F-APs at full power, idle ones asleep. The
+    # config's power checks, with one HPN and one F-AP in every layout, make
+    # the total positive.
     active_faps = {s for s in serving if s is not None}
     n_sleep = len(topology.faps) - len(active_faps)
     total_power = (
@@ -828,8 +834,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
         + n_sleep * config.sleep_power_fraction * config.p_static
         + len(topology.hpns) * config.p_hpn
     )
-    rate_sum = report.spatial_average_rate * n_fues
-    report.energy_efficiency = energy_efficiency(rate_sum, total_power)
+    report.energy_efficiency = report.spatial_average_rate * n_fues / total_power
     return report
 
 

@@ -8,13 +8,16 @@ capability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import LinkBudget, path_gain
 from .geometry import NodeKind, NodeSet, pairwise_distances
+
+if TYPE_CHECKING:
+    from .metrics_sim import ScenarioConfig
 
 
 class Mode(Enum):
@@ -23,20 +26,6 @@ class Mode(Enum):
     LOCAL_COORDINATION = "local_coordination"
     GLOBAL_CRAN = "global_cran"
     HPN = "hpn"
-
-
-@dataclass(frozen=True)
-class ModeThresholds:
-    d1: float = 50.0
-    d2: float = 150.0
-    d3: float = 500.0
-    speed_threshold: float = 10.0  # m/s
-
-    def __post_init__(self):
-        if not (0 < self.d1 < self.d2 < self.d3):
-            raise ValueError("thresholds must satisfy 0 < D1 < D2 < D3")
-        if not self.speed_threshold > 0:  # NaN fails too
-            raise ValueError("speed_threshold must be positive")
 
 
 # A mode travels as a code: its index into MODES.
@@ -52,7 +41,7 @@ def select_mode(
     has_partner,
     relay,
     local_ok,
-    thresholds: ModeThresholds,
+    config: ScenarioConfig,
 ) -> np.ndarray:
     """The mode code of each F-UE towards its far end, first rule wins.
 
@@ -60,23 +49,24 @@ def select_mode(
     both speeds, both real-time voice flags, whether the far end is a D2D
     partner (both ends D2D capable), whether a willing relay lies within D1
     of both ends, and whether local coordination can serve the request (the
-    serving F-AP reaches gamma and the content is held locally).
+    serving F-AP reaches gamma and the content is held locally). The
+    config gives the distance thresholds D1 < D2 < D3 and the speed
+    threshold.
     """
-    th = thresholds
-    t = th.speed_threshold
+    d1, d2, d3, t = config.d1, config.d2, config.d3, config.speed_threshold
     direct = has_partner  # rule (1) implies the paper's "slow relative movement"
     rules = {
         # (1) High mobility on either end, or real-time voice, forces HPN.
         Mode.HPN: (speed > t) | (partner_speed > t) | voice | partner_voice,
         # (2) Direct D2D within D1.
-        Mode.D2D: (distance <= th.d1) & direct,
+        Mode.D2D: (distance <= d1) & direct,
         # (3) Relay bridge in (D1, D2].
-        Mode.FUE_RELAY: (th.d1 < distance) & (distance <= th.d2) & direct & relay,
+        Mode.FUE_RELAY: (d1 < distance) & (distance <= d2) & direct & relay,
         # (4) Local distributed coordination: midrange distance, or short
         # range with a D2D-incapable end, when the local path can serve it.
         Mode.LOCAL_COORDINATION: local_ok & (
-            (th.d2 < distance) & (distance <= th.d3)
-            | (distance <= th.d2) & np.logical_not(has_partner)
+            (d2 < distance) & (distance <= d3)
+            | (distance <= d2) & np.logical_not(has_partner)
         ),
     }
     # (5) Everything else goes through the BBU pool.
@@ -101,8 +91,6 @@ def associate_fap(
     uplink interference to the nearest other F-AP exceeds interference_limit.
     """
     n = len(faps)
-    if n < 1:
-        raise ValueError("at least one F-AP required")
     gains = path_gain(pairwise_distances(positions, faps.positions), budget)
     # Admission to F-AP i leaks at the strongest gain to the other F-APs: the
     # row maximum, or for the F-AP holding it the second largest (-inf if

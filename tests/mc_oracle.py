@@ -163,14 +163,13 @@ def mc_spatial_average_rate(
     mc_trials: int,
     rng: np.random.Generator,
     link_distance: float = 20.0,
-    interferer_density: float | None = None,
 ):
     """Monte-Carlo mean Shannon rate of the typical D2D link at the region
     center.
 
     Per trial: the signal link fades Rician with linear K-factor
-    `k_factor`; co-channel interferers
-    are a fresh PPP of D2D transmitters (Rayleigh faded) over the region.
+    `k_factor`; co-channel interferers are a fresh PPP of D2D transmitters
+    (Rayleigh faded) over the region at the F-UE density.
     The field is drawn in chunks of whole trials holding at most `CHUNK`
     interferers (a larger trial is a chunk of its own), each from one
     uniform draw of three columns: x, y, and the Rayleigh power fade
@@ -179,8 +178,6 @@ def mc_spatial_average_rate(
     """
     if mc_trials < 1:
         raise ValueError("mc_trials must be at least 1")
-    if interferer_density is None:
-        interferer_density = topology.fues.density
     region = topology.region
     center = np.array([region.width / 2.0, region.height / 2.0])
     p_fue = budget.tx_watts(NodeKind.FUE)
@@ -190,7 +187,7 @@ def mc_spatial_average_rate(
     # interferer field below starts from the same generator state for every K.
     sig_fades = rician_sample(k_factor, rng, size=mc_trials)
 
-    counts = rng.poisson(interferer_density * region.area, size=mc_trials)
+    counts = rng.poisson(topology.fues.density * region.area, size=mc_trials)
     ends = np.cumsum(counts)
     interference = np.empty(mc_trials)
     lo = 0
@@ -217,7 +214,6 @@ def mc_d2d_success_probability(
     pairs,
     k_factor: float,
     budget: LinkBudget,
-    gamma_th_db: float,
     mc_trials: int,
     rng: np.random.Generator,
     link_distance: float = 20.0,
@@ -241,5 +237,5 @@ def mc_d2d_success_probability(
     sig_fades = rician_sample(k_factor, rng, size=(mc_trials, 1))
     interference = int_fades @ int_gains if int_gains.size else 0.0
     sinr = sig_fades @ np.array([signal_mean]) / (interference + budget.noise_watts)
-    p = float(np.count_nonzero(sinr >= db_to_linear(gamma_th_db))) / mc_trials
+    p = float(np.count_nonzero(sinr >= budget.gamma_th_linear)) / mc_trials
     return p, Z_99 * math.sqrt(p * (1.0 - p) / mc_trials)

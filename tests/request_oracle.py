@@ -46,11 +46,11 @@ def has_relay(xy, i, j, relays, th) -> bool:
     )
 
 
-def decide(config, th, d, speed, far_speed, voice, far_voice, paired, relay, local_ok):
+def decide(config, d, speed, far_speed, voice, far_voice, paired, relay, local_ok):
     """One request's mode: the architecture's gate, then for F-RAN the rules
     in order, first match wins. The far end is the D2D partner when paired;
     d is the distance to it. local_ok: local coordination can serve it."""
-    t = th.speed_threshold
+    t = config.speed_threshold
     fast = speed > t or far_speed > t
     if config.architecture is Architecture.CRAN:
         return Mode.GLOBAL_CRAN
@@ -59,11 +59,11 @@ def decide(config, th, d, speed, far_speed, voice, far_voice, paired, relay, loc
     if fast or voice or far_voice:
         return Mode.HPN
     slow = abs(speed - far_speed) <= t
-    if paired and slow and d <= th.d1:
+    if paired and slow and d <= config.d1:
         return Mode.D2D
-    if paired and slow and th.d1 < d <= th.d2 and relay:
+    if paired and slow and config.d1 < d <= config.d2 and relay:
         return Mode.FUE_RELAY
-    if local_ok and (th.d2 < d <= th.d3 or d <= th.d2 and not paired):
+    if local_ok and (config.d2 < d <= config.d3 or d <= config.d2 and not paired):
         return Mode.LOCAL_COORDINATION
     return Mode.GLOBAL_CRAN
 
@@ -102,7 +102,6 @@ def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
 def request_loop(config) -> LoopResult:
     """The layout of `run_scenario(config)`, then its requests one by one."""
     budget = config.budget()
-    thresholds = config.thresholds()
     topology = _build_topology(config)
     n_fues = len(topology.fues)
     attr_rng = derive_rng(config.master_seed, "ue_attrs")
@@ -131,7 +130,7 @@ def request_loop(config) -> LoopResult:
         if i in partner:
             j = partner[i]
             far.append((distance(xy[i], xy[j]), speeds[j], voice[j], True,
-                        has_relay(xy, i, j, relays, thresholds)))
+                        has_relay(xy, i, j, relays, config)))
         else:
             far.append((0.0, speeds[i], False, False, False))
 
@@ -163,8 +162,7 @@ def request_loop(config) -> LoopResult:
             tier = content_available(item, fue_caches[i], fap_caches[s] if s is not None else None, peers)
             local_ok = lc_feasible[i] and tier is not ContentTier.CLOUD_ONLY
             mode = decide(
-                config, thresholds, d, speeds[i], far_speed, voice[i], far_voice, paired, relay,
-                local_ok,
+                config, d, speeds[i], far_speed, voice[i], far_voice, paired, relay, local_ok,
             )
             fue_caches[i].request(item)
             if s is not None:

@@ -18,7 +18,6 @@ from frangine.channel import LinkBudget, db_to_linear
 from frangine.caching import ContentCatalog, EdgeCache, EvictionPolicy, zipf_stream
 from frangine.cli import EXIT_OK, main
 from frangine.coordination import (
-    ClusterUtilityParams,
     SffrUe,
     cellular_success_probability,
     cluster_power,
@@ -37,8 +36,8 @@ from frangine.geometry import (
     build_fap_adjacency,
     sample_ppp,
 )
-from frangine.metrics_sim import spatial_average_rate
-from frangine.mode_select import MODES, Mode, ModeThresholds, select_mode
+from frangine.metrics_sim import ScenarioConfig, spatial_average_rate
+from frangine.mode_select import MODES, Mode, select_mode
 from frangine.rng import derive_rng
 from mc_oracle import successful_access_probability
 
@@ -68,7 +67,7 @@ def _elapsed_ok(t0, budget_s):
 # 1. Mode-selection truth table
 # ---------------------------------------------------------------------------
 
-TH = ModeThresholds(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
+TH = ScenarioConfig(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
 
 
 def _rule_table_oracle(d, s_src, s_dst, cap_src, cap_dst, voice, relay, content, feasible):
@@ -118,26 +117,24 @@ def test_acceptance_1_mode_truth_table(passline):
 # ---------------------------------------------------------------------------
 
 
-def _d2d_rate_topology():
+def _d2d_rate_topology(interferer_density):
+    """No F-UE is placed; the rate reads only their density."""
     region = Region(1000.0, 1000.0)
     empty = np.empty((0, 2))
     return NetworkTopology(
         region=region,
-        hpns=NodeSet(NodeKind.HPN, np.array([[500.0, 500.0]]), 0.0),
-        faps=NodeSet(NodeKind.FAP, empty, 0.0),
-        fues=NodeSet(NodeKind.FUE, empty, 0.0),
+        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
+        faps=NodeSet(empty, 0.0),
+        fues=NodeSet(empty, interferer_density),
     )
 
 
 def test_acceptance_2_rician_rate_ordering(passline):
     t0 = time.perf_counter()
-    topo = _d2d_rate_topology()
     lam_m = 1e-6
-    low_density = 10 * lam_m
+    topo = _d2d_rate_topology(10 * lam_m)
     rates = {
-        label: spatial_average_rate(
-            topo, k_factor, BUDGET, link_distance=20.0, interferer_density=low_density
-        )
+        label: spatial_average_rate(topo, k_factor, BUDGET, link_distance=20.0)
         for label, k_factor in (
             ("K=6dB", db_to_linear(6.0)),
             ("K=2dB", db_to_linear(2.0)),
@@ -152,8 +149,8 @@ def test_acceptance_2_rician_rate_ordering(passline):
         gap = rates[hi] - rates[lo]
         assert gap > 0.1, f"{hi} vs {lo}: gap {gap:.4f} bit <= 0.1"
         gaps.append(gap)
-    low = spatial_average_rate(topo, db_to_linear(6.0), BUDGET, interferer_density=10 * lam_m)
-    high = spatial_average_rate(topo, db_to_linear(6.0), BUDGET, interferer_density=1000 * lam_m)
+    low = spatial_average_rate(topo, db_to_linear(6.0), BUDGET)
+    high = spatial_average_rate(_d2d_rate_topology(1000 * lam_m), db_to_linear(6.0), BUDGET)
     assert high < low, f"dense-interferer rate {high:.3f} not below sparse {low:.3f}"
     elapsed = _elapsed_ok(t0, 120.0)
     passline(
@@ -184,16 +181,16 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
     lam_m = 2e-6
     topo = NetworkTopology(
         region=region,
-        hpns=NodeSet(NodeKind.HPN, np.array([[500.0, 400.0]]), 0.0),
-        faps=NodeSet(NodeKind.FAP, np.empty((0, 2)), 0.0),
-        fues=NodeSet(NodeKind.FUE, np.empty((0, 2)), 0.0),
+        hpns=NodeSet(np.array([[500.0, 400.0]]), 0.0),
+        faps=NodeSet(np.empty((0, 2)), 0.0),
+        fues=NodeSet(np.empty((0, 2)), 0.0),
     )
     signal_mean = BUDGET.tx_watts(NodeKind.FUE) * 100.0 ** -BUDGET.path_loss_exponent
     n_sub, trials = 16, 50_000
     eps_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     summary = []
     for ratio in (10, 100, 1000):
-        txs = sample_ppp(ratio * lam_m, region, derive_rng(7, "tx", ratio), NodeKind.FUE)
+        txs = sample_ppp(ratio * lam_m, region, derive_rng(7, "tx", ratio))
         cross_gains = make_d2d_links(
             txs.positions, (500.0, 500.0), n_sub, BUDGET, derive_rng(7, "gains", ratio)
         )
@@ -210,7 +207,7 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
                         len(cross_gains), n_sub, eps, derive_rng(9, "drac", ratio)
                     )
                 p = cellular_success_probability(
-                    occupied, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(11, "mc", ratio)
+                    occupied, cross_gains, topo, BUDGET, trials, derive_rng(11, "mc", ratio)
                 )
                 probs.append(p)
             half_width = Z99 * math.sqrt(0.25 / trials)
@@ -245,11 +242,11 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
 
 def _make_topology(fap_positions, fue_positions=(), topo_kind=FapTopology.MESH):
     region = Region(1000.0, 1000.0)
-    faps = NodeSet(NodeKind.FAP, np.asarray(fap_positions, float).reshape(-1, 2), 0.0)
-    fues = NodeSet(NodeKind.FUE, np.asarray(fue_positions, float).reshape(-1, 2), 0.0)
+    faps = NodeSet(np.asarray(fap_positions, float).reshape(-1, 2), 0.0)
+    fues = NodeSet(np.asarray(fue_positions, float).reshape(-1, 2), 0.0)
     return NetworkTopology(
         region=region,
-        hpns=NodeSet(NodeKind.HPN, np.array([[500.0, 500.0]]), 0.0),
+        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
         faps=faps,
         fues=fues,
         fap_link_topology=topo_kind,
@@ -289,11 +286,11 @@ def _is_merge_split_stable(blocks, utility):
 
 def _ppp_cluster_topology(seed):
     region = Region(1000.0, 1000.0)
-    faps = sample_ppp(1e-5, region, derive_rng(seed, "fap"), NodeKind.FAP)
-    fues = sample_ppp(5e-5, region, derive_rng(seed, "fue"), NodeKind.FUE)
+    faps = sample_ppp(1e-5, region, derive_rng(seed, "fap"))
+    fues = sample_ppp(5e-5, region, derive_rng(seed, "fue"))
     return NetworkTopology(
         region=region,
-        hpns=NodeSet(NodeKind.HPN, np.array([[500.0, 500.0]]), 0.0),
+        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
         faps=faps,
         fues=fues,
         fap_link_topology=FapTopology.TREE,
@@ -305,7 +302,7 @@ def test_acceptance_4_merge_and_split(passline):
     t0 = time.perf_counter()
     # (a) Stability versus exhaustive partition enumeration (Bell numbers
     # stay tiny for n <= 6) on 50 random utility instances.
-    params = ClusterUtilityParams()
+    config = ScenarioConfig()
     rng = np.random.default_rng(101)
     for case in range(50):
         n = int(rng.integers(1, 7))
@@ -319,7 +316,7 @@ def test_acceptance_4_merge_and_split(passline):
                 table[key] = float(rng.uniform(0, 1)) * len(key)
             return table[key]
 
-        result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
+        result = merge_and_split(topo, config, utility_fn=utility)
         blocks = [list(b) for b in result.blocks]
         assert sorted(x for b in blocks for x in b) == list(range(n))
         assert _is_merge_split_stable(blocks, utility), (case, blocks)
@@ -332,9 +329,7 @@ def test_acceptance_4_merge_and_split(passline):
             topo = _ppp_cluster_topology(seed)
             if len(topo.faps) == 0:
                 continue
-            result = merge_and_split(
-                topo, ClusterUtilityParams(tau=tau, gamma_th_db=0.0), BUDGET
-            )
+            result = merge_and_split(topo, ScenarioConfig(tau=tau))
             sizes.append(float(np.mean(result.block_sizes())))
         mean_sizes[tau] = float(np.mean(sizes))
     assert mean_sizes[0.1] >= mean_sizes[1.0] >= mean_sizes[10.0], mean_sizes
@@ -342,7 +337,7 @@ def test_acceptance_4_merge_and_split(passline):
     # is the rate curve divided by a constant: correlation 1 up to rounding.
     topo = _ppp_cluster_topology(3)
     cluster = tuple(range(len(topo.faps)))
-    power = cluster_power(len(cluster), ClusterUtilityParams())
+    power = cluster_power(len(cluster), config)
     gammas = [-5.0, 0.0, 5.0, 10.0, 15.0]
     rates, ees = [], []
     for g in gammas:

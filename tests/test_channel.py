@@ -27,11 +27,6 @@ def test_path_gain_clamps_below_one_meter():
     assert path_gain(0.5, budget) == path_gain(1.0, budget)
 
 
-def test_link_budget_rejects_subcritical_exponent():
-    with pytest.raises(ValueError):
-        LinkBudget(path_loss_exponent=2.0)
-
-
 def test_rayleigh_unit_mean():
     samples = fading_sample(derive_rng(1, "ray"), size=1_000_000)
     assert abs(samples.mean() - 1.0) < 0.01

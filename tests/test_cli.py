@@ -197,6 +197,20 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("geometry", "lambda_fap", "1e3"),
         ("geometry", "lambda_m", "1e3"),
         ("caching", "catalog_items", "1000000000000000"),
+        ("coordination", "tau", "300"),
+        ("channel", "path_loss_exponent", "1000"),
+        ("coordination", "p_static", "inf"),
+        ("coordination", "p_tx", "inf"),
+        ("coordination", "p_coord", "inf"),
+        ("coordination", "p_hpn", "inf"),
+        ("traffic", "payload_bits", "inf"),
+        ("traffic", "iq_expansion_factor", "inf"),
+        ("mode", "d1", "0"),
+        ("mode", "d2", "40"),
+        ("mode", "d3", "nan"),
+        ("coordination", "epsilon", "1.5"),
+        ("coordination", "epsilon", "nan"),
+        ("geometry", "lambda_m", "-1e-6"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):

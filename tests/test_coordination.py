@@ -11,7 +11,6 @@ from frangine import _kernels
 from frangine.channel import LinkBudget, db_to_linear, fading_sample, path_gain
 from frangine.coordination import (
     AccessTable,
-    ClusterUtilityParams,
     SffrUe,
     _bipartitions,
     _tree_cuts,
@@ -44,9 +43,9 @@ from mc_oracle import FadeTable, successful_access_probability
 def make_topology(fap_positions, fue_positions=(), hpn_positions=((500.0, 500.0),),
                   topo=FapTopology.MESH):
     region = Region(1000.0, 1000.0)
-    faps = NodeSet(NodeKind.FAP, np.asarray(fap_positions, float).reshape(-1, 2), 0.0)
-    fues = NodeSet(NodeKind.FUE, np.asarray(fue_positions, float).reshape(-1, 2), 0.0)
-    hpns = NodeSet(NodeKind.HPN, np.asarray(hpn_positions, float).reshape(-1, 2), 0.0)
+    faps = NodeSet(np.asarray(fap_positions, float).reshape(-1, 2), 0.0)
+    fues = NodeSet(np.asarray(fue_positions, float).reshape(-1, 2), 0.0)
+    hpns = NodeSet(np.asarray(hpn_positions, float).reshape(-1, 2), 0.0)
     return NetworkTopology(
         region=region,
         hpns=hpns,
@@ -114,10 +113,10 @@ def test_cluster_utility_recomputation_oracle():
         [[400, 500], [600, 500], [500, 700]],
         fue_positions=[[405, 500], [610, 500], [500, 710]],
     )
-    params = ClusterUtilityParams(tau=1.0, gamma_th_db=0.0)
-    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET, 0.0)
+    config = ScenarioConfig(tau=1.0, gamma_th_db=0.0)
+    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET)
     cluster = [0, 1]
-    u = cluster_utility(cluster, params, table)
+    u = cluster_utility(cluster, config, table)
     # Recompute from the pieces: F-UEs 0 and 1 are served by the cluster.
     dists = pairwise_distances(topo.fues.positions, topo.faps.positions)
     gains = BUDGET.tx_watts(NodeKind.FAP) * path_gain(dists, BUDGET)
@@ -127,20 +126,17 @@ def test_cluster_utility_recomputation_oracle():
             for f in (0, 1)
         ]
     assert table.success_probabilities(cluster) == pytest.approx(probs, rel=1e-12)
-    expected = sum(probs) * math.log2(2.0) / cluster_power(2, params) ** 1.0
+    expected = sum(probs) * math.log2(2.0) / cluster_power(2, config) ** 1.0
     assert u == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError, match="threshold"):
-        cluster_utility(cluster, ClusterUtilityParams(gamma_th_db=3.0), table)
 
 
 def test_utility_decreasing_in_tau_for_power_above_one():
     topo = make_topology([[400, 500], [600, 500]], fue_positions=[[405, 500]])
-    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET, 0.0)
+    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET)
     values = []
     for tau in (0.1, 1.0, 10.0):
-        params = ClusterUtilityParams(tau=tau, gamma_th_db=0.0)
-        values.append(cluster_utility([0, 1], params, table))
-    assert cluster_power(2, ClusterUtilityParams()) > 1.0
+        values.append(cluster_utility([0, 1], ScenarioConfig(tau=tau), table))
+    assert cluster_power(2, ScenarioConfig()) > 1.0
     assert values[0] > values[1] > values[2]
 
 
@@ -189,7 +185,7 @@ def test_success_probability_erlang_two_at_midpoint():
     noise = BUDGET.noise_watts
     for gamma_db in (-10.0, 0.0, 10.0):
         theta = db_to_linear(gamma_db)
-        table = AccessTable.from_positions(faps, fue, BUDGET, gamma_db)
+        table = AccessTable.from_positions(faps, fue, LinkBudget(sinr_threshold_db=gamma_db))
         s = theta / gains[0]
         laplace = 1.0 / ((1 + s * gains[2]) * (1 + s * gains[3]))
         mean_term = gains[2] / (1 + s * gains[2]) + gains[3] / (1 + s * gains[3])
@@ -204,7 +200,7 @@ def test_success_probabilities_agree_with_monte_carlo_oracle():
     oracle = FadeTable(FOUR_FAPS, fues, BUDGET, trials, 23)
     worst = 0.0
     for gamma_db in (-5.0, 5.0):
-        table = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET, gamma_db)
+        table = AccessTable.from_positions(FOUR_FAPS, fues, LinkBudget(sinr_threshold_db=gamma_db))
         for block in _nonempty_blocks(4):
             p = table.success_probabilities(block)
             successes = oracle.success_counts(block, db_to_linear(gamma_db))
@@ -254,13 +250,13 @@ def test_fade_table_matches_slice_sum_oracle():
 
 def test_cluster_utilities_do_not_depend_on_evaluation_order():
     fues = np.random.default_rng(13).uniform(100, 900, size=(20, 2))
-    params = ClusterUtilityParams()
+    config = ScenarioConfig()
     blocks = _nonempty_blocks(4)
-    first = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET, 0.0)
-    forward = [cluster_utility(b, params, first) for b in blocks]
-    again = [cluster_utility(b, params, first) for b in reversed(blocks)][::-1]
-    fresh = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET, 0.0)
-    backward = [cluster_utility(b, params, fresh) for b in reversed(blocks)][::-1]
+    first = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET)
+    forward = [cluster_utility(b, config, first) for b in blocks]
+    again = [cluster_utility(b, config, first) for b in reversed(blocks)][::-1]
+    fresh = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET)
+    backward = [cluster_utility(b, config, fresh) for b in reversed(blocks)][::-1]
     assert forward == again == backward
     assert len(set(forward)) > 1
 
@@ -272,7 +268,7 @@ def test_access_table_builds_no_gain_tensor():
     fues = rng.uniform(0, 2000, size=(n_fues, 2))
     tracemalloc.start()
     try:
-        table = AccessTable.from_positions(faps, fues, BUDGET, 0.0)
+        table = AccessTable.from_positions(faps, fues, BUDGET)
         for block in [tuple(range(n_faps))] + [(a,) for a in range(n_faps)]:
             table.success_probabilities(block)
         _, peak = tracemalloc.get_traced_memory()
@@ -288,7 +284,7 @@ def test_access_table_builds_no_gain_tensor():
 
 def test_merge_and_split_single_fap():
     topo = make_topology([[500, 500]])
-    result = merge_and_split(topo, ClusterUtilityParams(), BUDGET)
+    result = merge_and_split(topo, ScenarioConfig())
     assert result.blocks == [(0,)]
 
 
@@ -331,17 +327,17 @@ def _is_stable(blocks, utility, allowed):
 
 def test_two_faps_merge_iff_union_improves():
     topo = make_topology([[400, 500], [600, 500]])
-    params = ClusterUtilityParams()
+    config = ScenarioConfig()
     merging = {(0,): 1.0, (1,): 1.0, (0, 1): 2.5}
-    result = merge_and_split(topo, params, BUDGET, utility_fn=lambda b: merging[b])
+    result = merge_and_split(topo, config, utility_fn=lambda b: merging[b])
     assert result.blocks == [(0, 1)]
     staying = {(0,): 1.0, (1,): 1.0, (0, 1): 1.9}
-    result = merge_and_split(topo, params, BUDGET, utility_fn=lambda b: staying[b])
+    result = merge_and_split(topo, config, utility_fn=lambda b: staying[b])
     assert result.blocks == [(0,), (1,)]
 
 
 def test_merge_and_split_stable_against_bell_enumeration():
-    params = ClusterUtilityParams()
+    config = ScenarioConfig()
     rng = np.random.default_rng(101)
     for case in range(50):
         n = int(rng.integers(1, 7))
@@ -355,7 +351,7 @@ def test_merge_and_split_stable_against_bell_enumeration():
                 table[key] = float(rng.uniform(0, 1)) * len(key)
             return table[key]
 
-        result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
+        result = merge_and_split(topo, config, utility_fn=utility)
         blocks = [list(b) for b in result.blocks]
         # Valid partition.
         flat = sorted(x for b in blocks for x in b)
@@ -368,7 +364,7 @@ def test_merge_and_split_stable_against_bell_enumeration():
 
 
 def test_tree_topology_blocks_stay_connected():
-    params = ClusterUtilityParams()
+    config = ScenarioConfig()
     rng = np.random.default_rng(55)
     for case in range(10):
         n = int(rng.integers(2, 7))
@@ -382,7 +378,7 @@ def test_tree_topology_blocks_stay_connected():
                 table[key] = float(rng.uniform(0, 2)) * len(key)
             return table[key]
 
-        result = merge_and_split(topo, params, BUDGET, utility_fn=utility)
+        result = merge_and_split(topo, config, utility_fn=utility)
         for block in result.blocks:
             assert adjacency_is_connected(topo.fap_adjacency, list(block))
 
@@ -476,8 +472,8 @@ def test_merge_candidates_match_full_rescan(topo, tau):
     # A 30 dB threshold and F-APs in tight clumps make merges pay at every
     # tau: a lone F-AP's F-UEs then see their clump's other F-APs as
     # interference. Low noise keeps the tied-gain fallback's steps few.
-    params = ClusterUtilityParams(tau=tau, gamma_th_db=30.0)
-    budget = LinkBudget(noise_power_dbm=-150.0)
+    config = ScenarioConfig(tau=tau, gamma_th_db=30.0, noise_power_dbm=-150.0)
+    budget = config.budget()
     rng = np.random.default_rng(int(tau * 10) + 7 * (topo is FapTopology.TREE))
     for case in range(6):
         n = int(rng.integers(2, 41))
@@ -486,7 +482,7 @@ def test_merge_candidates_match_full_rescan(topo, tau):
         faps = clumps[rng.integers(len(clumps), size=n)] + rng.normal(0, 10, size=(n, 2))
         fues = clumps[rng.integers(len(clumps), size=5 * n)] + rng.normal(0, 10, size=(5 * n, 2))
         topology = make_topology(faps, fues, topo=topo)
-        table = AccessTable.from_positions(faps, fues, budget, params.gamma_th_db)
+        table = AccessTable.from_positions(faps, fues, budget)
         calls = {"change": [], "oracle": []}
         scores = {}
 
@@ -494,11 +490,11 @@ def test_merge_candidates_match_full_rescan(topo, tau):
             def utility(block):
                 log.append(block)
                 if block not in scores:
-                    scores[block] = cluster_utility(block, params, table)
+                    scores[block] = cluster_utility(block, config, table)
                 return scores[block]
             return utility
 
-        result = merge_and_split(topology, params, budget, utility_fn=scorer(calls["change"]))
+        result = merge_and_split(topology, config, utility_fn=scorer(calls["change"]))
         assert result.blocks == _full_rescan(topology, scorer(calls["oracle"])), (n, case)
         assert calls["change"] == calls["oracle"], (n, case)
 
@@ -533,15 +529,8 @@ def test_seven_km_tree_merge_and_split_finishes():
     host; reading the candidates from the F-AP links takes about 0.2 s."""
     config = ScenarioConfig(region_width=7000.0, region_height=7000.0)
     topology = _build_topology(config)
-    params = ClusterUtilityParams(
-        tau=config.tau,
-        gamma_th_db=config.gamma_th_db,
-        p_static=config.p_static,
-        p_tx=config.p_tx,
-        p_coord=config.p_coord,
-    )
     with _time_limit(5.0, "merge_and_split on the 7 km tree"):
-        partition = merge_and_split(topology, params, config.budget())
+        partition = merge_and_split(topology, config)
     assert len(topology.faps) == 493
     assert sorted(v for block in partition.blocks for v in block) == list(range(493))
 
@@ -627,7 +616,7 @@ def test_cellular_success_epsilon_zero_matches_no_d2d_baseline():
     occupied = coac_assign(cross_gains, 0.0)
     trials = 100_000
     p = cellular_success_probability(
-        occupied, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(31)
+        occupied, cross_gains, topo, BUDGET, trials, derive_rng(31)
     )
     expected = _analytic_success(np.zeros(16), BUDGET, 0.0)
     ci = 2.576 * math.sqrt(expected * (1 - expected) / trials)
@@ -639,7 +628,7 @@ def test_cellular_success_epsilon_one_matches_all_d2d_baseline():
     occupied = coac_assign(cross_gains, 1.0)
     trials = 100_000
     p = cellular_success_probability(
-        occupied, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(32)
+        occupied, cross_gains, topo, BUDGET, trials, derive_rng(32)
     )
     interference = BUDGET.tx_watts(NodeKind.FUE) * cross_gains.sum(axis=0)
     expected = _analytic_success(interference, BUDGET, 0.0)
@@ -658,7 +647,7 @@ def test_cellular_interference_adds_links_as_the_per_link_loop(monkeypatch, n_li
     hpn_dists = pairwise_distances([(500.0, 500.0)], topo.hpns.positions)[0]
     signal_mean = p_fue * float(path_gain(hpn_dists.min(), BUDGET))
     for occupied in (coac_assign(cross_gains, 0.5), drac_assign(n_links, 16, 0.25, derive_rng(5))):
-        cellular_success_probability(occupied, cross_gains, topo, BUDGET, 0.0, 500, derive_rng(6))
+        cellular_success_probability(occupied, cross_gains, topo, BUDGET, 500, derive_rng(6))
         interference = np.zeros(16)
         for i, row in enumerate(occupied):
             subs = np.flatnonzero(row)
@@ -676,7 +665,7 @@ def test_coac_dominates_drac_matched_seed():
     coac = coac_assign(cross_gains, 0.5)
     drac = drac_assign(200, 16, 0.5, derive_rng(42))
     p_coac, p_drac = (
-        cellular_success_probability(occ, cross_gains, topo, BUDGET, 0.0, trials, derive_rng(43))
+        cellular_success_probability(occ, cross_gains, topo, BUDGET, trials, derive_rng(43))
         for occ in (coac, drac)
     )
     ci = 2.576 * math.sqrt(0.25 / trials)

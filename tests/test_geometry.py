@@ -7,7 +7,6 @@ import pytest
 
 from frangine.geometry import (
     FapTopology,
-    NodeKind,
     NodeSet,
     Region,
     adjacency_is_connected,
@@ -21,21 +20,9 @@ from frangine.rng import derive_rng
 from test_coordination import _time_limit
 
 
-def test_region_rejects_nonpositive_dimensions():
-    with pytest.raises(ValueError):
-        Region(0.0, 10.0)
-    with pytest.raises(ValueError):
-        Region(10.0, -1.0)
-
-
 def test_zero_density_gives_empty_nodeset():
     ns = sample_ppp(0.0, Region(1000.0, 1000.0), derive_rng(1))
     assert len(ns) == 0
-
-
-def test_negative_density_rejected():
-    with pytest.raises(ValueError):
-        sample_ppp(-1e-6, Region(100.0, 100.0), derive_rng(1))
 
 
 def test_ppp_determinism_bitwise():
@@ -72,7 +59,7 @@ def test_ppp_poisson_moments_within_five_percent():
 
 
 def _nodeset(points):
-    return NodeSet(NodeKind.FAP, np.asarray(points, dtype=float), 0.0)
+    return NodeSet(np.asarray(points, dtype=float), 0.0)
 
 
 def test_single_fap_has_empty_edge_set():
@@ -157,7 +144,6 @@ def test_pairwise_distances_bit_equal_to_stacked_difference():
 
 def test_pair_d2d_greedy_nearest_first():
     fues = NodeSet(
-        NodeKind.FUE,
         np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.5, 0.0]]),
         0.0,
     )
@@ -167,7 +153,7 @@ def test_pair_d2d_greedy_nearest_first():
 
 def test_pair_d2d_respects_capability_and_uniqueness():
     rng = np.random.default_rng(5)
-    fues = NodeSet(NodeKind.FUE, rng.uniform(0, 100, size=(21, 2)), 0.0)
+    fues = NodeSet(rng.uniform(0, 100, size=(21, 2)), 0.0)
     capable = rng.random(21) < 0.7
     pairs = pair_d2d(fues, capable)
     seen = set()
@@ -238,7 +224,7 @@ def test_tree_matches_cubic_prim_oracle():
 
 def test_pair_d2d_matches_tuple_sort_oracle():
     for rng, points in _oracle_layouts():
-        fues = NodeSet(NodeKind.FUE, points, 0.0)
+        fues = NodeSet(points, 0.0)
         for capable in (np.ones(len(points), dtype=bool), rng.random(len(points)) < 0.6):
             assert pair_d2d(fues, capable) == _pair_oracle(points, capable)
 
@@ -292,7 +278,7 @@ def _cluster_and_ring(n_cluster, n_twins):
     ],
 )
 def test_pair_d2d_large_layouts_match_oracle_in_time(name, points):
-    fues = NodeSet(NodeKind.FUE, points, 0.0)
+    fues = NodeSet(points, 0.0)
     with _time_limit(3.0, f"pair_d2d on the {len(points)}-point {name}"):
         pairs = pair_d2d(fues, np.ones(len(points), dtype=bool))
     assert 2 * len(pairs) == len(points)

@@ -22,9 +22,7 @@ from frangine.metrics_sim import (
     Architecture,
     ScenarioConfig,
     UnknownParameter,
-    ZeroPower,
     d2d_success_probability,
-    energy_efficiency,
     fronthaul_load,
     ledger_rows,
     metrics_row,
@@ -410,9 +408,9 @@ def test_hcran_gate_reads_the_partners_speed_but_not_its_voice(
     region = Region(1000.0, 1000.0)
     topology = NetworkTopology(
         region=region,
-        hpns=NodeSet(NodeKind.HPN, np.array([[100.0, 100.0]]), 0.0),
-        faps=NodeSet(NodeKind.FAP, np.array([[500.0, 500.0]]), 0.0),
-        fues=NodeSet(NodeKind.FUE, np.array([[500.0, 510.0], [500.0, 520.0]]), 0.0),
+        hpns=NodeSet(np.array([[100.0, 100.0]]), 0.0),
+        faps=NodeSet(np.array([[500.0, 500.0]]), 0.0),
+        fues=NodeSet(np.array([[500.0, 510.0], [500.0, 520.0]]), 0.0),
     )
     monkeypatch.setattr(metrics_sim, "_build_topology", lambda config: topology)
     derive = metrics_sim.derive_rng
@@ -431,26 +429,21 @@ def test_hcran_gate_reads_the_partners_speed_but_not_its_voice(
     assert modes == {Architecture.FRAN: {fran}, Architecture.HCRAN: {hcran}}
 
 
-def test_energy_efficiency_linear_and_zero_power():
-    assert energy_efficiency(10.0, 5.0) == pytest.approx(2.0)
-    assert energy_efficiency(20.0, 5.0) == pytest.approx(4.0)
-    with pytest.raises(ZeroPower):
-        energy_efficiency(1.0, 0.0)
-
-
-def _bare_topology():
+def _bare_topology(fue_density=0.0):
+    """A 1 km region without F-UEs. The spatial average rate reads only
+    their density, as the density of the D2D interferers."""
     region = Region(1000.0, 1000.0)
     empty = np.empty((0, 2))
     return NetworkTopology(
         region=region,
-        hpns=NodeSet(NodeKind.HPN, np.array([[500.0, 500.0]]), 0.0),
-        faps=NodeSet(NodeKind.FAP, np.array([[100.0, 100.0]]), 0.0),
-        fues=NodeSet(NodeKind.FUE, empty, 0.0),
+        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
+        faps=NodeSet(np.array([[100.0, 100.0]]), 0.0),
+        fues=NodeSet(empty, fue_density),
     )
 
 
-def _region_topology(width=1000.0, height=1000.0):
-    return dataclasses.replace(_bare_topology(), region=Region(width, height))
+def _region_topology(width=1000.0, height=1000.0, fue_density=0.0):
+    return dataclasses.replace(_bare_topology(fue_density), region=Region(width, height))
 
 
 def test_spatial_average_rate_no_fading_snr_one():
@@ -461,17 +454,15 @@ def test_spatial_average_rate_no_fading_snr_one():
         noise_power_dbm=-100.0,
     )
     k_factor = db_to_linear(80.0)
-    rate = spatial_average_rate(
-        _bare_topology(), k_factor, budget, link_distance=1.0, interferer_density=0.0
-    )
+    rate = spatial_average_rate(_bare_topology(), k_factor, budget, link_distance=1.0)
     assert rate == pytest.approx(1.0, abs=1e-6)
 
 
 def test_spatial_average_rate_degrades_with_interferer_density():
     budget = LinkBudget()
     k_factor = db_to_linear(6.0)
-    low = spatial_average_rate(_bare_topology(), k_factor, budget, interferer_density=1e-5)
-    high = spatial_average_rate(_bare_topology(), k_factor, budget, interferer_density=1e-3)
+    low = spatial_average_rate(_bare_topology(1e-5), k_factor, budget)
+    high = spatial_average_rate(_bare_topology(1e-3), k_factor, budget)
     assert high < low
 
 
@@ -482,9 +473,7 @@ def test_spatial_average_rate_without_interferers_is_the_rayleigh_closed_form(sn
     exp1 = pytest.importorskip("scipy.special").exp1
     budget = LinkBudget(noise_power_dbm=20.0 - snr_db)
     snr = budget.tx_watts(NodeKind.FUE) * float(path_gain(1.0, budget)) / budget.noise_watts
-    rate = spatial_average_rate(
-        _bare_topology(), 0.0, budget, link_distance=1.0, interferer_density=0.0
-    )
+    rate = spatial_average_rate(_bare_topology(), 0.0, budget, link_distance=1.0)
     exact = math.exp(1.0 / snr) * exp1(1.0 / snr) / math.log(2.0)
     assert rate == pytest.approx(exact, rel=1e-12)
 
@@ -514,9 +503,7 @@ def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
     budget = LinkBudget()
 
     def rate():
-        return spatial_average_rate(
-            _region_topology(width, height), k_factor, budget, interferer_density=density
-        )
+        return spatial_average_rate(_region_topology(width, height, density), k_factor, budget)
 
     coarse = rate()
     monkeypatch.setattr(metrics_sim, "AREA_NODES", 4 * metrics_sim.AREA_NODES)
@@ -526,9 +513,7 @@ def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
 
 def test_spatial_average_rate_is_finite_at_extremes():
     rates = [
-        spatial_average_rate(
-            _region_topology(1.5, 0.5), 0.0, LinkBudget(), interferer_density=1.0
-        ),
+        spatial_average_rate(_region_topology(1.5, 0.5, 1.0), 0.0, LinkBudget()),
         spatial_average_rate(_region_topology(3000.0, 1000.0), 0.0, LinkBudget()),
     ]
     for tx, noise in ((-150.0, -100.0), (150.0, -250.0), (20.0, 100.0), (-300.0, -300.0)):
@@ -536,10 +521,7 @@ def test_spatial_average_rate_is_finite_at_extremes():
             tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: tx}, noise_power_dbm=noise
         )
         for density in (0.0, 5e-5):
-            rates.append(spatial_average_rate(
-                _bare_topology(), db_to_linear(6.0), budget,
-                interferer_density=density,
-            ))
+            rates.append(spatial_average_rate(_bare_topology(density), db_to_linear(6.0), budget))
     assert all(math.isfinite(r) and r >= 0.0 for r in rates), rates
 
 
@@ -551,8 +533,7 @@ def test_spatial_average_rate_memory_is_bounded():
     tracemalloc.start()
     try:
         spatial_average_rate(
-            _bare_topology(), config.d2d_fading(), config.budget(),
-            interferer_density=config.lambda_fue,
+            _bare_topology(config.lambda_fue), config.d2d_fading(), config.budget()
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -568,8 +549,7 @@ def test_mc_spatial_average_rate_does_not_depend_on_chunk_size(monkeypatch, dens
     for chunk in (1, 7, mc_oracle.CHUNK, 10**9):
         monkeypatch.setattr(mc_oracle, "CHUNK", chunk)
         rates.append(mc_spatial_average_rate(
-            _bare_topology(), k_factor, budget, 400, derive_rng(9, "rate"),
-            interferer_density=density,
+            _bare_topology(density), k_factor, budget, 400, derive_rng(9, "rate")
         ))
     assert rates[1:] == rates[:-1]
 
@@ -579,8 +559,8 @@ def test_mc_spatial_average_rate_memory_is_bounded():
     tracemalloc.start()
     try:
         mc_spatial_average_rate(
-            _bare_topology(), config.d2d_fading(), config.budget(), 100_000,
-            derive_rng(1, "rate"), interferer_density=config.lambda_fue,
+            _bare_topology(config.lambda_fue), config.d2d_fading(), config.budget(), 100_000,
+            derive_rng(1, "rate"),
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -632,8 +612,8 @@ def test_spatial_average_rate_matches_rayleigh_laplace_oracle():
     config = ScenarioConfig(d2d_k_factor_db=None)
     for density, half_side in ((5e-5, 500.0), (2.5e-4, 1000.0), (1e-3, 500.0)):
         rate = spatial_average_rate(
-            _region_topology(2 * half_side, 2 * half_side), 0.0, config.budget(),
-            link_distance=config.d2d_link_distance, interferer_density=density,
+            _region_topology(2 * half_side, 2 * half_side, density), 0.0, config.budget(),
+            link_distance=config.d2d_link_distance,
         )
         exact = _rayleigh_rate(config.budget(), density, half_side, config.d2d_link_distance)
         assert rate == pytest.approx(exact, rel=2e-5), (density, half_side)
@@ -654,12 +634,11 @@ MC_RATE_CASES = [
 @pytest.mark.parametrize("i", range(len(MC_RATE_CASES)))
 def test_spatial_average_rate_matches_monte_carlo_oracle(i):
     (width, height), k_factor, density, trials = MC_RATE_CASES[i]
-    topology, budget = _region_topology(width, height), LinkBudget()
+    topology, budget = _region_topology(width, height, density), LinkBudget()
     mean, ci = mc_spatial_average_rate(
-        topology, k_factor, budget, trials, derive_rng(27, "rate-oracle", i),
-        interferer_density=density,
+        topology, k_factor, budget, trials, derive_rng(27, "rate-oracle", i)
     )
-    exact = spatial_average_rate(topology, k_factor, budget, interferer_density=density)
+    exact = spatial_average_rate(topology, k_factor, budget)
     assert abs(mean - exact) < 4.0 * ci / metrics_sim.Z_99
 
 
@@ -694,6 +673,28 @@ def test_config_validation():
         ScenarioConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(mc_trials=0)
+
+
+def test_config_bounds_tau_by_the_cluster_power():
+    # At 1 km the size ceiling expects 10 F-APs, whose cluster power is
+    # 155 W: 155^141 overflows. A lone F-AP at 0.01 W underflows: 0.01^200.
+    with pytest.raises(ValueError, match="tau"):
+        ScenarioConfig(tau=141.0)
+    with pytest.raises(ValueError, match="tau"):
+        ScenarioConfig(p_static=0.01, p_tx=0.0, tau=200.0)
+    for config in (ScenarioConfig(tau=140.0), ScenarioConfig(p_static=0.01, p_tx=0.0, tau=150.0)):
+        report = run_scenario(config)
+        assert report.mean_cluster_size >= 1.0 and math.isfinite(report.energy_efficiency)
+
+
+def test_config_bounds_the_path_loss_exponent_by_the_weakest_gain():
+    # 0.1 W F-UEs across the 1,414 m diagonal of 1 km: 0.1 x 1414^-alpha
+    # passes the smallest normal double between alpha = 97.3 and 97.4.
+    with pytest.raises(ValueError, match="path_loss_exponent"):
+        ScenarioConfig(path_loss_exponent=97.4)
+    report = run_scenario(ScenarioConfig(path_loss_exponent=97.3))
+    assert report.n_fues > 0
+    assert all(math.isfinite(v) for v in metrics_row(report))
 
 
 # dense-ue's 2 km layout: 12 F-APs, about 1,000 F-UEs.
@@ -733,13 +734,19 @@ D2D_CASES = {
 def test_d2d_success_matches_monte_carlo_oracle(case):
     overrides, k_db, gamma_db, trials = D2D_CASES[case]
     config = ScenarioConfig(**overrides, d2d_k_factor_db=k_db, gamma_th_db=gamma_db)
-    args = (*_d2d_layout(config), config.d2d_fading(), config.budget(), gamma_db)
+    args = (*_d2d_layout(config), config.d2d_fading(), config.budget())
     exact = d2d_success_probability(*args)
     estimate, _ = mc_d2d_success_probability(
         *args, trials, derive_rng(2028, "d2d-oracle", case)
     )
     assert 0.001 < exact < 0.999
     assert abs(estimate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+def _d2d_success(topology, pairs, k_factor, budget, gamma_db):
+    """d2d_success_probability with the budget's threshold set to gamma_db."""
+    budget = dataclasses.replace(budget, sinr_threshold_db=gamma_db)
+    return d2d_success_probability(topology, pairs, k_factor, budget)
 
 
 @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 20.0])
@@ -752,7 +759,7 @@ def test_d2d_success_rayleigh_is_the_closed_form(overrides, gamma_db):
     signal, gains = _d2d_gains(topology, pairs, budget)
     a = db_to_linear(gamma_db) / signal
     closed = math.exp(-a * budget.noise_watts) * float(np.prod(1.0 / (1.0 + a * gains)))
-    got = d2d_success_probability(topology, pairs, 0.0, budget, gamma_db)
+    got = _d2d_success(topology, pairs, 0.0, budget, gamma_db)
     assert got == pytest.approx(closed, rel=1e-12)
 
 
@@ -772,7 +779,7 @@ def test_d2d_success_without_interferers_is_the_rician_tail(k_db):
     k = db_to_linear(k_db)
     margins = [0.2, 0.5, 0.9, 0.99, 1.1, 1.5]
     for x, gamma_db in zip(margins, _noise_only_margins(budget, margins)):
-        got = d2d_success_probability(
+        got = _d2d_success(
             _bare_topology(), [], db_to_linear(k_db), budget, gamma_db
         )
         assert got == pytest.approx(ncx2.sf(2.0 * (1.0 + k) * x, 2, 2.0 * k), abs=1e-12)
@@ -785,7 +792,7 @@ def test_d2d_success_edge_cases():
     # No interferers, Rayleigh: exp(-theta N / S_bar).
     budget = LinkBudget()
     for x, gamma_db in zip((0.1, 2.0), _noise_only_margins(budget, (0.1, 2.0))):
-        got = d2d_success_probability(_bare_topology(), [], 0.0, budget, gamma_db)
+        got = _d2d_success(_bare_topology(), [], 0.0, budget, gamma_db)
         assert got == pytest.approx(math.exp(-x), rel=1e-12)
     # No noise: -4000 dBm is 0 W. Rayleigh is prod_k 1 / (1 + a g_k); with
     # no interferers either, the SINR is infinite.
@@ -793,11 +800,11 @@ def test_d2d_success_edge_cases():
     assert silent.noise_watts == 0.0
     signal, gains = _d2d_gains(topology, pairs, silent)
     a = db_to_linear(10.0) / signal
-    assert d2d_success_probability(topology, pairs, 0.0, silent, 10.0) == pytest.approx(
+    assert _d2d_success(topology, pairs, 0.0, silent, 10.0) == pytest.approx(
         float(np.prod(1.0 / (1.0 + a * gains))), rel=1e-12
     )
-    assert 0.0 < d2d_success_probability(topology, pairs, rician, silent, 10.0) < 1.0
-    assert d2d_success_probability(_bare_topology(), [], rician, silent, 10.0) == 1.0
+    assert 0.0 < _d2d_success(topology, pairs, rician, silent, 10.0) < 1.0
+    assert _d2d_success(_bare_topology(), [], rician, silent, 10.0) == 1.0
     # A signal power that underflows to 0 W never succeeds, with or without
     # noise, interferers and fading; nothing is NaN.
     for noise_dbm in (-100.0, -4000.0):
@@ -805,18 +812,18 @@ def test_d2d_success_edge_cases():
             tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -4000.0}, noise_power_dbm=noise_dbm
         )
         for k_factor in (0.0, rician):
-            assert d2d_success_probability(topology, pairs, k_factor, mute, 0.0) == 0.0
-            assert d2d_success_probability(_bare_topology(), [], k_factor, mute, 0.0) == 0.0
+            assert _d2d_success(topology, pairs, k_factor, mute, 0.0) == 0.0
+            assert _d2d_success(_bare_topology(), [], k_factor, mute, 0.0) == 0.0
     # A K-factor that underflows to 0 is Rayleigh; an unreachable threshold
     # gives 0, and one that underflows to 0 gives 1.
     budget = config.budget()
     tiny = db_to_linear(-4000.0)
-    assert d2d_success_probability(topology, pairs, tiny, budget, 0.0) == (
-        d2d_success_probability(topology, pairs, 0.0, budget, 0.0)
+    assert _d2d_success(topology, pairs, tiny, budget, 0.0) == (
+        _d2d_success(topology, pairs, 0.0, budget, 0.0)
     )
     for k_factor in (0.0, rician):
-        assert d2d_success_probability(topology, pairs, k_factor, budget, 400.0) == 0.0
-        assert d2d_success_probability(topology, pairs, k_factor, budget, -4000.0) == 1.0
+        assert _d2d_success(topology, pairs, k_factor, budget, 400.0) == 0.0
+        assert _d2d_success(topology, pairs, k_factor, budget, -4000.0) == 1.0
 
 
 def test_d2d_success_at_the_k_factor_ceiling_finishes():
@@ -900,7 +907,7 @@ def _full_relay_flags(xy, pairs, relay_xy, th):
 
 
 def test_pair_relays_give_select_mode_decisions_of_full_list():
-    th = ScenarioConfig().thresholds()
+    th = ScenarioConfig()
     bridged = 0
     for rng, points in _relay_layouts():
         relay_xy = points[rng.random(len(points)) < 0.5]

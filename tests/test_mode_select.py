@@ -6,17 +6,11 @@ import pytest
 
 from frangine.channel import LinkBudget, path_gain
 from frangine.geometry import NodeKind, NodeSet, distance, pairwise_distances
-from frangine.metrics_sim import _pair_relays
-from frangine.mode_select import (
-    MODES,
-    Mode,
-    ModeThresholds,
-    associate_fap,
-    select_mode,
-)
+from frangine.metrics_sim import ScenarioConfig, _pair_relays
+from frangine.mode_select import MODES, Mode, associate_fap, select_mode
 from frangine.rng import derive_rng
 
-TH = ModeThresholds(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
+TH = ScenarioConfig(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
 
 
 def _decide(d, s_src, s_dst, cap_src, cap_dst, voice, relay_present, content, feasible, th=TH):
@@ -94,17 +88,18 @@ def test_cloud_only_content_forces_global_cran():
 
 
 def test_invalid_thresholds_rejected():
-    with pytest.raises(ValueError, match="thresholds"):
-        ModeThresholds(d1=100.0, d2=50.0, d3=500.0)
+    for bad in ({"d1": 100.0, "d2": 50.0}, {"d1": 0.0}, {"d2": 600.0}, {"d3": float("nan")}):
+        with pytest.raises(ValueError, match="thresholds"):
+            ScenarioConfig(**bad)
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="speed_threshold"):
-            ModeThresholds(speed_threshold=bad)
+            ScenarioConfig(speed_threshold=bad)
 
 
 def test_mode_sequence_monotone_in_distance():
     # Narrow relay band (D2 < 2*D1) keeps the midpoint relay feasible
     # throughout, so the band sequence is exact.
-    th = ModeThresholds(d1=50.0, d2=90.0, d3=500.0, speed_threshold=10.0)
+    th = ScenarioConfig(d1=50.0, d2=90.0, d3=500.0, speed_threshold=10.0)
     expected = [Mode.D2D, Mode.FUE_RELAY, Mode.LOCAL_COORDINATION, Mode.GLOBAL_CRAN]
     for d, want in zip([25.0, 70.0, 300.0, 800.0], expected):
         assert _mode(d, 0.0, 0.0, True, True, False, True, True, True, th=th) is want, d
@@ -121,7 +116,7 @@ def test_speed_dominance_property():
 
 
 def _faps(xs):
-    return NodeSet(NodeKind.FAP, np.array([[x, 0.0] for x in xs]), 0.0)
+    return NodeSet(np.array([[x, 0.0] for x in xs]), 0.0)
 
 
 def _at(*xs):
@@ -219,7 +214,7 @@ def test_associate_matches_scalar_distance_oracle():
     for rng, points in _oracle_layouts("associate", 5):
         n_ues = max(1, len(points) // 3)
         ues = points[:n_ues]
-        faps = NodeSet(NodeKind.FAP, points[n_ues:], 0.0)
+        faps = NodeSet(points[n_ues:], 0.0)
         strongest = [_associate_oracle(ue, faps, budget, float("inf"), None) for ue in ues]
         # Limits at the leak levels the layout produces block some F-APs.
         leaks = budget.tx_watts(NodeKind.FUE) * path_gain(
@@ -250,7 +245,7 @@ def test_associate_memory_is_bounded():
     # on a 10 km tree, 39 MiB each.
     rng = derive_rng(3, "associate", "memory")
     ues = rng.uniform(0.0, 3000.0, size=(2000, 2))
-    faps = NodeSet(NodeKind.FAP, rng.uniform(0.0, 3000.0, size=(300, 2)), 0.0)
+    faps = NodeSet(rng.uniform(0.0, 3000.0, size=(300, 2)), 0.0)
     budget = LinkBudget()
     tracemalloc.start()
     try:

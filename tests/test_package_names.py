@@ -2,9 +2,12 @@
 
 A helper that only tests call is code no run executes. This test parses
 each module of the package, collects the names it defines at top level
-(functions, classes, assigned names), and fails on any that no code in
-`src/` reads outside that name's own definition. Two kinds of name are
-exempt: the targets that `scenbench/tracer.py` hooks by name (its `HOOKS`
+(functions, classes, assigned names), and fails on any that is neither
+read in its own module outside its own definition nor imported from that
+module by another (`from .module import name`, or `module.name` after
+`from . import module`). A read of the same name in another module does
+not count: there it is some other binding, such as a local variable. Two
+kinds of name are exempt: the targets that `scenbench/tracer.py` hooks by name (its `HOOKS`
 list, read from its source and never changed), and the S-FFR allocator
 that README keeps on purpose although no run calls it.
 """
@@ -41,28 +44,45 @@ def _definitions(tree):
 
 
 def _reads(tree) -> Counter:
-    """How often `tree` reads each name, as a variable or an attribute."""
+    """How often `tree` reads each variable name."""
     return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     )
 
 
+def _imports(tree) -> set:
+    """(module, name) of each package name that `tree` imports: by
+    `from .module import name`, or as `module.name` after
+    `from . import module`."""
+    modules, imported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    imported.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            imported.add((modules[node.value.id], node.attr))
+    return imported
+
+
 def unused_names(src=SRC, hooks=None):
-    """(module, name) of each top-level name of the package that nothing in
-    it reads outside the name's own definition, hook targets and the kept
-    S-FFR names aside."""
+    """(module, name) of each top-level name of the package that its own
+    module reads only inside the name's definition, if at all, and that no
+    other module imports; hook targets and the kept S-FFR names aside."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    reads = sum(map(_reads, trees.values()), Counter())
-    exempt = KEPT | set(_hook_targets() if hooks is None else hooks)
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    imported = set().union(*map(_imports, trees.values()))
+    exempt = KEPT | imported | set(_hook_targets() if hooks is None else hooks)
     return [
         (module, name)
         for module, tree in trees.items()
         for name, node in _definitions(tree)
         if not name.startswith("__") and (module, name) not in exempt
-        and reads[name] == _reads(node)[name]
+        and reads[module][name] == _reads(node)[name]
     ]
 
 
@@ -70,11 +90,25 @@ def test_every_top_level_name_is_used_by_the_package():
     assert unused_names() == []
 
 
+def test_only_hook_targets_go_unread():
+    # The tracer hooks these by name, but no code of the package reads them.
+    assert unused_names(hooks=[]) == [
+        ("_kernels", "sinr_trials"),
+        ("caching", "content_available"),
+        ("geometry", "distance"),
+        ("geometry", "adjacency_is_connected"),
+    ]
+
+
 def test_a_helper_only_tests_call_is_found(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "channel.py", "a") as fh:
         fh.write("\n\ndef watts_to_dbm(watts):\n    return 30.0 + 10.0 * np.log10(watts)\n")
-    assert unused_names(tmp_path) == [("channel", "watts_to_dbm")]
+    # `run_scenario` has a local `speeds`; it is not geometry's.
+    with open(tmp_path / "geometry.py", "a") as fh:
+        fh.write("\n\ndef speeds(n, rng):\n    return rng.exponential(2.0, size=n)\n")
+    planted = [("channel", "watts_to_dbm"), ("geometry", "speeds")]
+    assert unused_names(tmp_path) == planted
     # A hook target is exempt, as the tracer reaches it by name.
-    assert unused_names(tmp_path, [*_hook_targets(), ("channel", "watts_to_dbm")]) == []
+    assert unused_names(tmp_path, [*_hook_targets(), *planted]) == []
