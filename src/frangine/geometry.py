@@ -6,7 +6,6 @@ accepted (experiments read interior statistics).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -83,82 +82,95 @@ def pairwise_distances(positions_a: np.ndarray, positions_b: np.ndarray) -> np.n
     return np.hypot(dx, dy, out=dx)
 
 
+PAIR_CHUNK = 1 << 16  # candidate pairs held at once: O(n + PAIR_CHUNK) memory
+
+
+def _pairs_within(xy: np.ndarray, r: float):
+    """(d, lo, hi) arrays of every pair lo < hi of the n >= 1 rows of xy no
+    more than r apart. The rows are sorted along their bounding box's longer
+    side, and each one's candidates are the later rows at most r along it.
+    d is `pairwise_distances`'s hypot of the same differences, bit for bit."""
+    n = len(xy)
+    span = xy.max(axis=0) - xy.min(axis=0)
+    order = np.argsort(xy[:, int(span[1] > span[0])], kind="stable")
+    px, py = np.ascontiguousarray(xy[order].T)
+    xs = py if span[1] > span[0] else px
+    end = np.searchsorted(xs, xs + r, side="right")
+    # Rounding in xs + r may stop a window before a row whose gap is within r.
+    while (short := np.append(xs, np.inf)[end] - xs <= r).any():
+        end += short
+    # Row k's candidates are rows k + 1 .. end[k] - 1, numbered from ends[k].
+    ends = np.concatenate([[0], np.cumsum(end - np.arange(1, n + 1))])
+    found, a = [], 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + PAIR_CHUNK, side="right")) - 1)
+        i = np.repeat(np.arange(a, b), end[a:b] - np.arange(a + 1, b + 1))
+        j = np.arange(ends[a], ends[b]) - ends[i] + i + 1
+        d = np.hypot(px[i] - px[j], py[i] - py[j])  # hypot ignores the sign
+        near = d <= r
+        i, j = order[i[near]], order[j[near]]
+        found.append((d[near], np.minimum(i, j), np.maximum(i, j)))
+        a = b
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _start_radius(xy: np.ndarray) -> float:
+    """The mean spacing of the rows of xy over their bounding box's longer side."""
+    return float(np.ptp(xy, axis=0).max()) / len(xy) ** 0.5 if len(xy) else 0.0
+
+
 def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:
     """Edges between F-APs: complete graph (mesh) or Euclidean MST (tree).
 
-    Tree ties are broken toward the lower (i, j) index pair, making the MST
-    deterministic even with equidistant nodes.
+    The tree is Kruskal's over edges keyed (distance, lo, hi), a strict total
+    order, so the MST is unique. Each round takes the edges within r that join
+    two components, then doubles r: the shorter ones were all taken before.
     """
     n = len(faps)
     if mode is FapTopology.MESH:
         return {(i, j) for i in range(n) for j in range(i + 1, n)}
-    if n == 1:
-        return set()
-    # Prim's algorithm with (distance, i, j) lexicographic selection. Each
-    # vertex outside the tree keeps its best key (dist, min, max) over the
-    # tree's members; keys of distinct vertices never tie, because each one
-    # names its own vertex.
-    dist = pairwise_distances(faps.positions, faps.positions)
-    ids = np.arange(n)
-    outside = np.ones(n, dtype=bool)
-    best_d = np.full(n, np.inf)
-    best_lo = np.zeros(n, dtype=int)
-    best_hi = np.zeros(n, dtype=int)
-    edges = set()
-    u = 0
-    for _ in range(n - 1):
-        outside[u] = False
-        lo = np.minimum(ids, u)
-        hi = np.maximum(ids, u)
-        d = dist[u]
-        better = outside & (
-            (d < best_d)
-            | ((d == best_d) & ((lo < best_lo) | ((lo == best_lo) & (hi < best_hi))))
-        )
-        best_d[better] = d[better]
-        best_lo[better] = lo[better]
-        best_hi[better] = hi[better]
-        rest = np.flatnonzero(outside)
-        u = int(rest[np.lexsort((best_hi[rest], best_lo[rest], best_d[rest]))[0]])
-        edges.add((int(best_lo[u]), int(best_hi[u])))
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    # Twice the mean spacing holds nearly every F-AP's nearest neighbour.
+    edges, r = set(), 2.0 * _start_radius(faps.positions)
+    while len(edges) < n - 1:
+        component = np.array([find(v) for v in range(n)])
+        d, lo, hi = _pairs_within(faps.positions, r)
+        join = component[lo] != component[hi]
+        order = np.lexsort((hi[join], lo[join], d[join]))
+        for a, b in zip(lo[join][order].tolist(), hi[join][order].tolist()):
+            if (u := find(a)) != (v := find(b)):
+                root[u] = v
+                edges.add((a, b))
+        r *= 2.0
     return edges
 
 
 def pair_d2d(fues: NodeSet, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
-    """Greedy nearest-neighbor D2D pairing over capable F-UEs.
+    """Greedy nearest-neighbor D2D pairing over capable F-UEs: pairs are taken
+    in ascending (distance, lo, hi) order, each F-UE joining at most one.
 
-    Candidate pairs are taken in ascending distance order (ties by index);
-    each F-UE joins at most one pair. A heap holds each unpaired F-UE's
-    nearest unpaired neighbor, keyed (d, lo, hi); an entry whose neighbor was
-    paired is refreshed when popped. Keys only grow, so a fresh entry popped
-    is the least remaining candidate: no candidate list is sorted.
-    """
+    The pairs within r are a prefix of that order, so a round matches over
+    them alone, and the next takes the F-UEs left, all over r apart, with r
+    doubled: the result is the same from any starting r > 0."""
     idx = np.flatnonzero(np.asarray(d2d_capable, dtype=bool))
-    dist = pairwise_distances(fues.positions[idx], fues.positions[idx])
-    np.fill_diagonal(dist, np.inf)
-
-    def nearest(u):
-        # The first index wins a distance tie: it has the least (lo, hi).
-        v = int(dist[u].argmin())
-        return (float(dist[u, v]), min(u, v), max(u, v), u)
-
-    # Each unpaired F-UE has exactly one entry in the heap.
-    heap = [nearest(u) for u in range(idx.size)]
-    heapq.heapify(heap)
-    paired = [False] * idx.size
-    pairs = []
-    left = idx.size
-    while left > 1:
-        _, lo, hi, u = heapq.heappop(heap)
-        if paired[u]:
-            continue
-        if paired[lo + hi - u]:
-            heapq.heappush(heap, nearest(u))
-            continue
-        pairs.append((int(idx[lo]), int(idx[hi])))
-        paired[lo] = paired[hi] = True
-        dist[:, [lo, hi]] = np.inf
-        left -= 2
+    r, pairs = _start_radius(fues.positions[idx]), []
+    while idx.size > 2:
+        d, lo, hi = _pairs_within(fues.positions[idx], r)
+        paired = [False] * idx.size
+        order = np.lexsort((hi, lo, d))
+        for a, b in zip(lo[order].tolist(), hi[order].tolist()):
+            if not (paired[a] or paired[b]):
+                paired[a] = paired[b] = True
+                pairs.append((int(idx[a]), int(idx[b])))
+        idx, r = idx[np.logical_not(paired)], 2.0 * r
+    if idx.size == 2:  # the last two pair at any distance
+        pairs.append(tuple(idx.tolist()))
     return pairs
 
 

@@ -42,6 +42,7 @@ from .geometry import (
     NetworkTopology,
     NodeKind,
     NodeSet,
+    _pairs_within,
     build_fap_adjacency,
     pair_d2d,
     pairwise_distances,
@@ -60,10 +61,10 @@ DB_LIMIT = 300.0
 # The largest D2D K-factor a config takes, in dB. The exact D2D success sums
 # under K + 12 sqrt(K) + 60 terms (1,281 at 30 dB) in a Python loop.
 K_FACTOR_DB_MAX = 30.0
-# The most elements a config may expect in one dense array: today's geometry
-# builds capable x capable, F-UE x F-AP and F-AP x F-AP matrices (2 GB of
-# float64 at this ceiling). The 20 km tree and dense 20k layouts expect
-# 1.44e8, pair_d2d's capable F-UEs squared.
+# The most elements a config may expect in one dense array (2 GB of float64
+# at this ceiling), such as the F-UE x F-AP gains or the mesh's edge set.
+# The capable F-UEs squared (1.44e8 in the 20 km tree and dense 20k) stay an
+# entry, although pairing no longer builds that matrix.
 MAX_DENSE_ELEMENTS = 2.5e8
 
 
@@ -231,17 +232,20 @@ class ScenarioConfig:
                 f"tx_power_fue_dbm below {sys.float_info.min:.3g} W at the "
                 f"{diagonal:.3g} m region diagonal"
             )
-        # Every cluster utility divides by P(k)^tau, which grows with the
-        # cluster size k from one F-AP to the expected F-AP count.
+        # Every cluster utility divides up to log2(1 + gamma) per served F-UE
+        # (like the ceiling, take the expected count) by P(k)^tau, which grows
+        # with the cluster size k from one F-AP to the expected F-AP count.
+        reward = math.log2(1.0 + budget.gamma_th_linear) * max(fues, 1.0)
         for k in (1.0, faps):
             try:
                 scaled = cluster_power(k, self) ** self.tau
             except OverflowError:
                 scaled = math.inf
-            if not 0.0 < scaled < math.inf:
+            if not (0.0 < scaled < math.inf and reward / scaled < math.inf):
                 raise ValueError(
                     f"tau: cluster_power(k = {k:.3g}) of p_static, p_tx and p_coord, "
-                    f"raised to tau, is {scaled:g}, not a finite positive double"
+                    f"raised to tau, is {scaled:g}; it must be finite and positive, and so "
+                    f"must a utility of up to {reward:.3g} over it"
                 )
 
     def budget(self) -> LinkBudget:
@@ -622,10 +626,16 @@ def _pair_relays(xy, pairs, relay_xy, config: ScenarioConfig) -> np.ndarray:
     the only ones `select_mode` rule (3) reads. Neither end of such a pair
     is within D1 of the other, so neither counts as its own relay."""
     found = np.zeros(len(xy), dtype=bool)
-    for i, j in pairs:
-        if config.d1 < np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) <= config.d2:
-            near = (pairwise_distances(xy[[i, j]], relay_xy) <= config.d1).all(axis=0)
-            found[i] = found[j] = near.any()
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    d = np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1])
+    ends = np.column_stack([i, j])[(config.d1 < d) & (d <= config.d2)]
+    if ends.size and len(relay_xy):
+        # Rows 2p and 2p + 1 hold pair p's ends, then the relays: a relay within D1
+        # of both ends of pair p makes two end-relay hits with one key.
+        _, lo, hi = _pairs_within(np.concatenate([xy[ends.ravel()], relay_xy]), config.d1)
+        hit = (lo < ends.size) & (hi >= ends.size)
+        keys = np.sort(lo[hit] // 2 * len(relay_xy) + hi[hit] - ends.size, kind="stable")
+        found[ends[keys[1:][keys[1:] == keys[:-1]] // len(relay_xy)]] = True
     return found
 
 

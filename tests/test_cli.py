@@ -296,6 +296,17 @@ def test_zero_single_fap_power_exit_two(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
+def test_subnormal_cluster_power_exit_two(tmp_path, capsys):
+    # cluster_power(1) ** tau = 0.001 ** 106 is a subnormal 1e-318: every
+    # singleton utility would be inf, and no merge could ever win.
+    path = tmp_path / "subnormal.ini"
+    path.write_text("[coordination]\np_static = 0.001\np_tx = 0\np_coord = 0\ntau = 106\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert "tau" in capsys.readouterr().err
+    path.write_text("[coordination]\np_static = 0.001\np_tx = 0\np_coord = 0\ntau = 50\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
 def test_zero_total_power_exit_two(tmp_path, capsys):
     # Every F-AP asleep at zero power beside zero-power HPNs would divide by 0
     # mid-run; the config is refused before any output is made.

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from frangine import geometry
 from frangine.geometry import (
     FapTopology,
     NodeSet,
@@ -250,7 +251,7 @@ def _pair_oracle_within(points, limit):
 def _chain_of_growing_gaps(n):
     """Points on a line whose gaps grow left to right: every point but the
     first has its nearest neighbour on its left, so pairs form one at a time
-    from the left end and half the heap entries go stale before use."""
+    from the left end, and each pair's partner was another point's nearest."""
     x = np.concatenate([[0.0], np.cumsum(1.0 + 0.01 * np.arange(n - 1))])
     return np.column_stack([x, np.zeros(n)])
 
@@ -285,3 +286,113 @@ def test_pair_d2d_large_layouts_match_oracle_in_time(name, points):
     dist = pairwise_distances(points, points)
     longest = max(dist[i, j] for i, j in pairs)
     assert pairs == _pair_oracle_within(points, longest)
+
+
+def _pairs_brute(points, r):
+    """(d, lo, hi) of every pair no more than r apart, read off the dense
+    distance matrix, sorted."""
+    dist = pairwise_distances(points, points)
+    lo, hi = np.nonzero(np.triu(dist <= r, 1))
+    return sorted(zip(dist[lo, hi].tolist(), lo.tolist(), hi.tolist()))
+
+
+def _radius_layouts():
+    """(points, r): random layouts; a 10 m integer grid, where distances tie
+    and many pairs lie exactly r apart; duplicate points; collinear points;
+    tall-narrow and wide-flat regions."""
+    rng = derive_rng(1, "pairs-within")
+    for n in (1, 2, 5, 40, 300):
+        yield rng.uniform(0.0, 1000.0, size=(n, 2)), 120.0
+    grid = 10.0 * rng.integers(0, 12, size=(200, 2))
+    for r in (0.0, 10.0, 20.0, float(np.hypot(10.0, 10.0)), 50.0):
+        yield grid, r
+    twins = np.repeat(rng.uniform(0.0, 100.0, size=(30, 2)), 3, axis=0)
+    yield twins, 0.0
+    yield twins, 15.0
+    x = rng.uniform(0.0, 1000.0, 100)
+    yield np.column_stack([x, np.zeros(100)]), 30.0
+    yield np.column_stack([np.full(100, 5.0), x]), 30.0
+    yield np.column_stack([x, 2.0 * x + 1.0]), 30.0
+    yield np.column_stack([rng.uniform(0.0, 20.0, 200), rng.uniform(0.0, 5000.0, 200)]), 60.0
+    yield np.column_stack([rng.uniform(0.0, 5000.0, 200), rng.uniform(0.0, 20.0, 200)]), 60.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, geometry.PAIR_CHUNK])
+def test_pairs_within_match_dense_matrix(monkeypatch, chunk):
+    """Every pair no more than r apart, once, with the dense matrix's bits;
+    chunks of any size give the same pairs."""
+    monkeypatch.setattr(geometry, "PAIR_CHUNK", chunk)
+    for points, r in _radius_layouts():
+        d, lo, hi = geometry._pairs_within(points, r)
+        assert sorted(zip(d.tolist(), lo.tolist(), hi.tolist())) == _pairs_brute(points, r)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.5, 7.0, 1e5])
+def test_pair_d2d_same_from_any_starting_radius(monkeypatch, radius):
+    monkeypatch.setattr(geometry, "_start_radius", lambda xy: radius)
+    for rng, points in _oracle_layouts():
+        capable = rng.random(len(points)) < 0.7
+        assert pair_d2d(NodeSet(points, 0.0), capable) == _pair_oracle(points, capable)
+
+
+@pytest.mark.parametrize("radius", [None, 1e-3, 2.5])
+def test_tree_with_duplicate_points_matches_prim(monkeypatch, radius):
+    """Coincident F-APs are joined by d = 0 edges, which the first round
+    must take like any other."""
+    if radius is not None:
+        monkeypatch.setattr(geometry, "_start_radius", lambda xy: radius)
+    layouts = [np.zeros((5, 2))]
+    for seed in range(100):
+        rng = derive_rng(seed, "tree-duplicates")
+        layouts.append(rng.integers(0, 4, size=(int(rng.integers(2, 40)), 2)).astype(float))
+    for points in layouts:
+        assert build_fap_adjacency(_nodeset(points), FapTopology.TREE) == _prim_oracle(points)
+
+
+def test_tree_on_two_far_apart_clusters_matches_prim():
+    """The rounds double r past each cluster's own edges until one edge
+    bridges the gap."""
+    rng = derive_rng(2, "two-clusters")
+    for gap in (1e3, 1e6):
+        points = np.concatenate(
+            [rng.uniform(0.0, 10.0, size=(30, 2)), rng.uniform(0.0, 10.0, size=(30, 2)) + gap]
+        )
+        assert build_fap_adjacency(_nodeset(points), FapTopology.TREE) == _prim_oracle(points)
+
+
+def _peak_bytes(call, seconds, what):
+    """Run call() under `seconds` of wall time; return its result and the
+    peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        with _time_limit(seconds, what):
+            result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_pair_d2d_scales_without_a_dense_matrix():
+    """12,000 capable F-UEs at dense-20k density (0.6 x 5e-3 per m^2 on a
+    2 km square): a tenth of one n x n float64 matrix bounds the memory."""
+    n = 12_000
+    points = derive_rng(1, "scale-pairs").uniform(0.0, 2000.0, size=(n, 2))
+    pairs, peak = _peak_bytes(
+        lambda: pair_d2d(NodeSet(points, 0.0), np.ones(n, dtype=bool)), 2.0,
+        "pair_d2d on 12,000 F-UEs",
+    )
+    assert peak < n * n * 8 / 10
+    assert sorted(i for pair in pairs for i in pair) == list(range(n))
+
+
+def test_tree_scales_without_a_dense_matrix():
+    """4,000 F-APs at the default density on a 20 km square."""
+    n = 4_000
+    points = derive_rng(1, "scale-tree").uniform(0.0, 20_000.0, size=(n, 2))
+    edges, peak = _peak_bytes(
+        lambda: build_fap_adjacency(_nodeset(points), FapTopology.TREE), 1.0,
+        "the tree of 4,000 F-APs",
+    )
+    assert peak < n * n * 8 / 10
+    assert len(edges) == n - 1 and adjacency_is_connected(edges, list(range(n)))

@@ -192,6 +192,32 @@ def test_relay_search_matches_linear_scan_oracle():
     assert bridged > 100
 
 
+def test_relay_search_with_relay_ends_and_coincident_relays():
+    """Relays at the pair ends' own positions, each relay three times over,
+    and relays exactly D1 from an end: a relay counts by position, within D1
+    of both ends, and an end is never its own pair's relay."""
+    bridged = 0
+    for rng, points in _oracle_layouts("relay-ends", 16):
+        n = len(points)
+        order = rng.permutation(n).tolist()
+        pairs = list(zip(order[0::2], order[1::2]))
+        ends = np.array([k for pair in pairs for k in pair])
+        # Points D1 = 50 m east of some ends: 10 m grid points stay on the grid.
+        shifted = points[ends[rng.random(ends.size) < 0.3]] + [TH.d1, 0.0]
+        relay_xy = np.repeat(np.concatenate([points[ends], shifted]), 3, axis=0)
+        found = _pair_relays(points, pairs, relay_xy, TH)
+        want = np.zeros(n, dtype=bool)
+        for i, j in pairs:
+            if TH.d1 < distance(points[i], points[j]) <= TH.d2:
+                want[i] = want[j] = any(
+                    distance(p, points[i]) <= TH.d1 and distance(p, points[j]) <= TH.d1
+                    for p in relay_xy
+                )
+        assert found.tolist() == want.tolist()
+        bridged += int(want.sum())
+    assert bridged > 20
+
+
 def _associate_oracle(ue, faps, budget, interference_limit, capacity):
     """Scalar distances and a Python sort; None when every F-AP is blocked."""
     dists = np.array([distance(ue, p) for p in faps.positions])
