@@ -61,8 +61,6 @@ class EdgeCache:
     def __init__(self, capacity: int, policy: EvictionPolicy):
         self.capacity = capacity
         self.policy = policy
-        self.hits = 0
-        self.misses = 0
         self._clock = 0
         self._store: dict[int, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, int]] = []
@@ -106,9 +104,6 @@ class EdgeCache:
             if lfu:
                 heappush(heap, (1, clock, item))
         self._clock += len(hits)
-        n_hits = sum(hits)
-        self.hits += n_hits
-        self.misses += len(hits) - n_hits
         return hits, evictions
 
 

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import itertools
 import os
 import sys
 import tempfile
@@ -44,35 +45,16 @@ class ValidationError(Exception):
     pass
 
 
-# The INI layout: each section and its keys, in canonical order. A key's
-# type (`metrics_sim.CONFIG_TYPES`) drives its parsing.
+# The INI layout: each section and its keys, in field order. A key's section
+# is on its `ScenarioConfig` field, and its type (`metrics_sim.CONFIG_TYPES`)
+# drives its parsing.
 CONFIG_SCHEMA = {
-    "geometry": [
-        "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
-        "d2d_fraction", "fap_topology",
-    ],
-    "channel": [
-        "path_loss_exponent", "reference_gain_db", "tx_power_fap_dbm",
-        "tx_power_fue_dbm", "noise_power_dbm", "gamma_th_db", "d2d_k_factor_db",
-        "d2d_link_distance",
-    ],
-    "mode": [
-        "d1", "d2", "d3", "speed_threshold", "speed_mean", "voice_fraction",
-        "relay_fraction", "fap_capacity", "interference_limit",
-    ],
-    "caching": [
-        "catalog_items", "zipf_exponent", "cache_policy", "fue_cache_capacity",
-        "fap_cache_capacity", "cooperative_caching",
-    ],
-    "coordination": [
-        "tau", "epsilon", "n_subchannels", "scheduler", "p_static", "p_tx", "p_coord",
-        "p_hpn", "sleep_power_fraction", "mc_trials",
-    ],
-    "traffic": [
-        "requests_per_fue", "warmup_requests", "payload_bits", "iq_expansion_factor",
-    ],
-    "run": ["architecture", "master_seed"],
+    section: [f.name for f in fields]
+    for section, fields in itertools.groupby(
+        dataclasses.fields(ScenarioConfig), lambda f: f.metadata["section"]
+    )
 }
+
 
 def _parse_value(key: str, text: str):
     kind, optional = CONFIG_TYPES[key]

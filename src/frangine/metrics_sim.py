@@ -63,9 +63,28 @@ DB_LIMIT = 300.0
 K_FACTOR_DB_MAX = 30.0
 # The most elements a config may expect in one dense array (2 GB of float64
 # at this ceiling), such as the F-UE x F-AP gains or the mesh's edge set.
-# The capable F-UEs squared (1.44e8 in the 20 km tree and dense 20k) stay an
-# entry, although pairing no longer builds that matrix.
 MAX_DENSE_ELEMENTS = 2.5e8
+
+# Each single-key rule a config field may name: the check its value must
+# pass, and the message that follows the key when it fails. A field's rules
+# run in this order, after the type and threshold checks, and comparisons
+# are written so that NaN fails too.
+RULES = {
+    "fraction": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "nonnegative": (lambda v: v >= 0, "must be nonnegative"),
+    "positive": (lambda v: v > 0, "must be positive"),
+    "finite": (lambda v: math.isfinite(v or 0.0), "must be finite"),  # None: Rayleigh
+    "db": (lambda v: -DB_LIMIT <= v <= DB_LIMIT, f"must lie in [-{DB_LIMIT:g}, {DB_LIMIT:g}]"),
+    "k_factor": (lambda v: (v or 0.0) <= K_FACTOR_DB_MAX,
+                 f"must be at most {K_FACTOR_DB_MAX:g} (or none)"),
+    "at_least_one": (lambda v: v >= 1, "must be at least 1"),
+    "exponent": (lambda v: v > 2, "must exceed 2"),
+}
+
+
+def _key(default, section: str, *rules: str):
+    """A config key: its default, its INI section and the `RULES` it obeys."""
+    return field(default=default, metadata={"section": section, "rules": rules})
 
 
 class Architecture(Enum):
@@ -84,59 +103,52 @@ class InvalidGridValue(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # Geometry
-    region_width: float = 1000.0
-    region_height: float = 1000.0
-    lambda_m: float = 2e-6  # HPN density, /m^2
-    lambda_fap: float = 1e-5
-    lambda_fue: float = 5e-5
-    d2d_fraction: float = 0.6  # fraction of F-UEs that are D2D capable
-    fap_topology: FapTopology = FapTopology.TREE
-    # Channel
-    path_loss_exponent: float = 4.0
-    reference_gain_db: float = 0.0
-    tx_power_fap_dbm: float = 30.0
-    tx_power_fue_dbm: float = 20.0
-    noise_power_dbm: float = -100.0
-    gamma_th_db: float = 0.0
-    d2d_k_factor_db: float | None = 6.0  # None -> Rayleigh D2D links
-    d2d_link_distance: float = 20.0  # typical D2D link length, meters
-    # Mode selection
-    d1: float = 50.0
-    d2: float = 150.0
-    d3: float = 500.0
-    speed_threshold: float = 10.0
-    speed_mean: float = 2.0
-    voice_fraction: float = 0.1
-    relay_fraction: float = 0.5
-    fap_capacity: int = 10  # free resource blocks per F-AP
-    interference_limit: float = float("inf")
-    # Caching
-    catalog_items: int = 100
-    zipf_exponent: float = 0.8
-    cache_policy: EvictionPolicy = EvictionPolicy.LRU
-    fue_cache_capacity: int = 2
-    fap_cache_capacity: int = 5
-    cooperative_caching: bool = False
-    # Coordination
-    tau: float = 1.0
-    epsilon: float = 0.5
-    n_subchannels: int = 16
-    scheduler: SchedulerKind = SchedulerKind.COAC
-    p_static: float = 10.0
-    p_tx: float = 1.0
-    p_coord: float = 0.5
-    p_hpn: float = 20.0
-    sleep_power_fraction: float = 0.1
-    mc_trials: int = 2000  # cellular success; the rate and D2D success are exact
-    # Traffic
-    requests_per_fue: int = 5
-    warmup_requests: int = 3  # per F-UE, primes caches before accounting
-    payload_bits: float = 1e6
-    iq_expansion_factor: float = 16.0
-    # Run control
-    architecture: Architecture = Architecture.FRAN
-    master_seed: int = 1
+    region_width: float = _key(1000.0, "geometry", "positive", "finite")
+    region_height: float = _key(1000.0, "geometry", "positive", "finite")
+    lambda_m: float = _key(2e-6, "geometry", "nonnegative", "finite")  # HPN density, /m^2
+    lambda_fap: float = _key(1e-5, "geometry", "nonnegative", "finite")
+    lambda_fue: float = _key(5e-5, "geometry", "nonnegative", "finite")
+    d2d_fraction: float = _key(0.6, "geometry", "fraction")  # share of F-UEs D2D capable
+    fap_topology: FapTopology = _key(FapTopology.TREE, "geometry")
+    path_loss_exponent: float = _key(4.0, "channel", "exponent")
+    reference_gain_db: float = _key(0.0, "channel", "db")
+    tx_power_fap_dbm: float = _key(30.0, "channel", "db")
+    tx_power_fue_dbm: float = _key(20.0, "channel", "db")
+    noise_power_dbm: float = _key(-100.0, "channel", "db")
+    gamma_th_db: float = _key(0.0, "channel", "db")
+    d2d_k_factor_db: float | None = _key(6.0, "channel", "finite", "k_factor")  # None: Rayleigh
+    d2d_link_distance: float = _key(20.0, "channel", "nonnegative", "finite")  # meters
+    d1: float = _key(50.0, "mode")
+    d2: float = _key(150.0, "mode")
+    d3: float = _key(500.0, "mode")
+    speed_threshold: float = _key(10.0, "mode", "positive")
+    speed_mean: float = _key(2.0, "mode", "nonnegative", "finite")
+    voice_fraction: float = _key(0.1, "mode", "fraction")
+    relay_fraction: float = _key(0.5, "mode", "fraction")
+    fap_capacity: int = _key(10, "mode", "nonnegative")  # free resource blocks per F-AP
+    interference_limit: float = _key(float("inf"), "mode", "nonnegative")
+    catalog_items: int = _key(100, "caching", "at_least_one")
+    zipf_exponent: float = _key(0.8, "caching", "nonnegative")
+    cache_policy: EvictionPolicy = _key(EvictionPolicy.LRU, "caching")
+    fue_cache_capacity: int = _key(2, "caching", "at_least_one")
+    fap_cache_capacity: int = _key(5, "caching", "at_least_one")
+    cooperative_caching: bool = _key(False, "caching")
+    tau: float = _key(1.0, "coordination", "positive")
+    epsilon: float = _key(0.5, "coordination", "fraction")
+    n_subchannels: int = _key(16, "coordination", "at_least_one")
+    scheduler: SchedulerKind = _key(SchedulerKind.COAC, "coordination")
+    p_static: float = _key(10.0, "coordination", "nonnegative", "finite")
+    p_tx: float = _key(1.0, "coordination", "nonnegative", "finite")
+    p_coord: float = _key(0.5, "coordination", "nonnegative", "finite")
+    p_hpn: float = _key(20.0, "coordination", "nonnegative", "finite")
+    sleep_power_fraction: float = _key(0.1, "coordination", "fraction")
+    mc_trials: int = _key(2000, "coordination", "at_least_one")  # cellular success only
+    requests_per_fue: int = _key(5, "traffic", "nonnegative")
+    warmup_requests: int = _key(3, "traffic", "nonnegative")  # per F-UE, prime the caches
+    payload_bits: float = _key(1e6, "traffic", "nonnegative", "finite")
+    iq_expansion_factor: float = _key(16.0, "traffic", "finite", "at_least_one")
+    architecture: Architecture = _key(Architecture.FRAN, "run")
+    master_seed: int = _key(1, "run")
 
     def __post_init__(self):
         for name, (kind, optional) in CONFIG_TYPES.items():
@@ -152,60 +164,20 @@ class ScenarioConfig:
         # Comparisons are written so that NaN fails too.
         if not 0 < self.d1 < self.d2 < self.d3:
             raise ValueError("thresholds must satisfy 0 < d1 < d2 < d3")
-        if not self.speed_threshold > 0:
-            raise ValueError("speed_threshold must be positive")
-        for name in (
-            "epsilon", "d2d_fraction", "relay_fraction", "voice_fraction",
-            "sleep_power_fraction",
-        ):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in (
-            "lambda_m", "lambda_fap", "lambda_fue", "d2d_link_distance", "speed_mean",
-            "fap_capacity", "interference_limit", "zipf_exponent", "p_static", "p_tx",
-            "p_coord", "p_hpn", "requests_per_fue", "warmup_requests", "payload_bits",
-        ):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("region_width", "region_height", "tau"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in (
-            "region_width", "region_height", "lambda_m", "lambda_fap", "lambda_fue",
-            "d2d_k_factor_db",  # None: Rayleigh
-            "p_static", "p_tx", "p_coord", "p_hpn", "payload_bits", "iq_expansion_factor",
-        ):
-            if not math.isfinite(getattr(self, name) or 0.0):
-                raise ValueError(f"{name} must be finite")
-        for name in (
-            "reference_gain_db", "tx_power_fap_dbm", "tx_power_fue_dbm", "noise_power_dbm",
-            "gamma_th_db",
-        ):
-            if not -DB_LIMIT <= getattr(self, name) <= DB_LIMIT:
-                raise ValueError(f"{name} must lie in [-{DB_LIMIT:g}, {DB_LIMIT:g}]")
-        if not (self.d2d_k_factor_db or 0.0) <= K_FACTOR_DB_MAX:
-            raise ValueError(f"d2d_k_factor_db must be at most {K_FACTOR_DB_MAX:g} (or none)")
+        for name, check, message in _KEY_RULES:
+            if not check(getattr(self, name)):
+                raise ValueError(f"{name} {message}")
         if not self.p_static + self.p_tx > 0:  # a single F-AP's cluster power
             raise ValueError("p_static + p_tx must be positive")
         # The least power a run draws: every layout has an HPN and an F-AP,
         # and an asleep F-AP draws no more than an active one.
         if not self.p_hpn + self.sleep_power_fraction * self.p_static > 0:
             raise ValueError("p_hpn + sleep_power_fraction * p_static must be positive")
-        for name in (
-            "catalog_items", "fue_cache_capacity", "fap_cache_capacity", "n_subchannels",
-            "mc_trials", "iq_expansion_factor",
-        ):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not self.path_loss_exponent > 2:
-            raise ValueError("path_loss_exponent must exceed 2")
         area = self.region_width * self.region_height
         faps = max(self.lambda_fap * area, 1.0)  # a layout without F-APs gets one
         fues = self.lambda_fue * area
-        capable = self.d2d_fraction * fues
         region = ", region_width and region_height"
         for keys, elements, array in (
-            ("lambda_fue, d2d_fraction" + region, capable * capable, "capable F-UE distances"),
             ("lambda_fue, lambda_fap" + region, fues * faps, "F-UE x F-AP gains"),
             ("lambda_fap" + region, faps * faps, "F-AP x F-AP distances"),
             ("lambda_m" + region, self.lambda_m * area, "HPN distances"),
@@ -278,6 +250,13 @@ CONFIG_TYPES = {
 # What a key of each non-enum type takes. bool is an int to Python, so the
 # check above also keeps it out of the numeric keys.
 _ACCEPTS = {bool: bool, int: numbers.Integral, float: numbers.Real}
+# (key, check, message) of each rule a field names, in `RULES` order.
+_KEY_RULES = [
+    (f.name, check, message)
+    for rule, (check, message) in RULES.items()
+    for f in dataclasses.fields(ScenarioConfig)
+    if rule in f.metadata["rules"]
+]
 
 
 @dataclass

@@ -79,18 +79,17 @@ def associate_fap(
     positions: np.ndarray,
     faps: NodeSet,
     budget: LinkBudget,
-    interference_limit: float = float("inf"),
-    capacity=None,
+    interference_limit: float,
+    capacity,
 ) -> list[int | None]:
     """Pick each F-UE's serving F-AP, in F-UE order: strongest mean received
     power first, falling back through the power-ordered list past full or
     interference-blocked F-APs; None when no F-AP admits the F-UE.
 
-    capacity: per-F-AP free resource blocks (None means unconstrained), one
-    taken per admitted F-UE. Admission is blocked when the F-UE's estimated
-    uplink interference to the nearest other F-AP exceeds interference_limit.
+    capacity: per-F-AP free resource blocks, one taken per admitted F-UE.
+    Admission is blocked when the F-UE's estimated uplink interference to the
+    nearest other F-AP exceeds interference_limit.
     """
-    n = len(faps)
     gains = path_gain(pairwise_distances(positions, faps.positions), budget)
     # Admission to F-AP i leaks at the strongest gain to the other F-APs: the
     # row maximum, or for the F-AP holding it the second largest (-inf if
@@ -111,7 +110,7 @@ def associate_fap(
     # exactly, so the order is that of the received powers.
     gains *= -budget.tx_watts(NodeKind.FAP)
     order = np.argsort(gains, axis=1, kind="stable")
-    free = [float("inf")] * n if capacity is None else list(capacity)
+    free = list(capacity)
     serving = []
     for row, (t, stop_top, stop_rest) in zip(order, stops):
         f = next(

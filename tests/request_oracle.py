@@ -150,10 +150,9 @@ def request_loop(config) -> LoopResult:
                 fue_caches[i].request(item)
                 if serving[i] is not None:
                     fap_caches[serving[i]].request(item)
-        for cache in fue_caches + fap_caches:
-            cache.hits = cache.misses = 0
 
     decisions, tiers = [], []
+    fue_hits, fap_hits = [], []  # each traffic request's hit flag, per tier
     for i in range(n_fues):
         s = serving[i]
         d, far_speed, far_voice, paired, relay = far[i]
@@ -164,15 +163,12 @@ def request_loop(config) -> LoopResult:
             mode = decide(
                 config, d, speeds[i], far_speed, voice[i], far_voice, paired, relay, local_ok,
             )
-            fue_caches[i].request(item)
+            fue_hits.append(fue_caches[i].request(item)[0])
             if s is not None:
-                fap_caches[s].request(item)
+                fap_hits.append(fap_caches[s].request(item)[0])
             decisions.append((i, mode))
             tiers.append(tier)
 
     load, ledger = loop_fronthaul_load(decisions, tiers, config.payload_bits, config.iq_expansion_factor)
-    ratios = []
-    for caches in (fue_caches, fap_caches):
-        requests = sum(c.hits + c.misses for c in caches)
-        ratios.append(sum(c.hits for c in caches) / requests if requests else 0.0)
+    ratios = [sum(hits) / len(hits) if hits else 0.0 for hits in (fue_hits, fap_hits)]
     return LoopResult(load, ledger, *ratios)

@@ -94,7 +94,6 @@ def test_replay_equals_reference_hit_for_hit_and_victim_for_victim(policy):
         hits, evictions = cache.replay(stream)
         assert hits == [hit for hit, _ in expected], (capacity, stream)
         assert evictions == [(t, v) for t, (_, v) in enumerate(expected) if v is not None]
-        assert (cache.hits, cache.misses) == (sum(hits), len(hits) - sum(hits))
         # Replays continue where the last one stopped, as requests do.
         again = EdgeCache(capacity, policy)
         half = len(stream) // 2
@@ -215,11 +214,9 @@ def test_no_eviction_when_capacity_covers_catalog():
     for policy in EvictionPolicy:
         cache = EdgeCache(10, policy)
         trace = [0, 1, 2, 0, 1, 2, 2, 1, 0]
-        for item in trace:
-            cache.request(item)
+        hits = [cache.request(item) for item in trace]
         # After each item's first request, everything hits.
-        assert cache.misses == 3
-        assert cache.hits == len(trace) - 3
+        assert hits == [(False, None)] * 3 + [(True, None)] * (len(trace) - 3)
 
 
 def test_lru_inclusion_property():
@@ -234,8 +231,10 @@ def test_lru_inclusion_property():
             assert {i for i in range(20) if i in small} <= {i for i in range(20) if i in large}
 
 
-def _hit_ratio(cache):
-    return cache.hits / (cache.hits + cache.misses)
+def _hit_ratio(cache, trace):
+    """The share of the trace's requests that hit the cache."""
+    hits = [cache.request(item)[0] for item in trace]
+    return sum(hits) / len(hits)
 
 
 def test_lru_hit_ratio_nondecreasing_in_capacity():
@@ -243,10 +242,7 @@ def test_lru_hit_ratio_nondecreasing_in_capacity():
     trace = [int(x) for x in rng.integers(0, 30, size=1000)]
     ratios = []
     for capacity in (2, 4, 8, 16, 32):
-        cache = EdgeCache(capacity, EvictionPolicy.LRU)
-        for item in trace:
-            cache.request(item)
-        ratios.append(_hit_ratio(cache))
+        ratios.append(_hit_ratio(EdgeCache(capacity, EvictionPolicy.LRU), trace))
     assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
@@ -313,14 +309,8 @@ def test_zipf_deterministic_per_seed():
 def test_hit_ratio_trivials():
     cache = EdgeCache(4, EvictionPolicy.LRU)
     cache.request(1)
-    cache.hits = cache.misses = 0  # count from the second request on
-    for _ in range(4):
-        cache.request(1)
-    assert _hit_ratio(cache) == 1.0
-    cold = EdgeCache(2, EvictionPolicy.LRU)
-    for item in (1, 2, 3, 4):
-        cold.request(item)
-    assert _hit_ratio(cold) == 0.0
+    assert _hit_ratio(cache, [1] * 4) == 1.0  # counted from the second request on
+    assert _hit_ratio(EdgeCache(2, EvictionPolicy.LRU), (1, 2, 3, 4)) == 0.0
 
 
 def test_lru_zipf_matches_reference_exactly():
@@ -381,10 +371,7 @@ def test_caches_match_irm_approximations(n_items, s, capacity):
         cache = EdgeCache(capacity, policy)
         for item in trace[:IRM_WARMUP]:
             cache.request(item)
-        cache.hits = cache.misses = 0
-        for item in trace[IRM_WARMUP:]:
-            cache.request(item)
-        measured[policy] = _hit_ratio(cache)
+        measured[policy] = _hit_ratio(cache, trace[IRM_WARMUP:])
 
     t_lru = _characteristic_time(lambda t: -np.expm1(-p * t).sum(), capacity)
     t_fifo = _characteristic_time(lambda t: (p * t / (1 + p * t)).sum(), capacity)

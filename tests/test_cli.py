@@ -57,8 +57,40 @@ def test_invalid_thresholds_name_the_invariant(tmp_path):
 
 
 def test_schema_names_every_config_field_once_in_field_order():
+    # The schema groups the fields by section, so this also pins that each
+    # section's keys are contiguous in field order.
     keys = [key for keys in CONFIG_SCHEMA.values() for key in keys]
     assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+
+# Values that fail each rule; a field's case is the first that passes its
+# other rules, so the named rule is the only one it fails.
+FAILING = {
+    "fraction": [1.5, -0.5],
+    "nonnegative": [-1],
+    "positive": [0],
+    "finite": [math.inf, -math.inf],
+    "db": [300.5, -300.5],
+    "k_factor": [31],
+    "at_least_one": [0],
+    "exponent": [2],
+}
+
+
+def _rule_cases():
+    for f in dataclasses.fields(ScenarioConfig):
+        kind = metrics_sim.CONFIG_TYPES[f.name][0]
+        for rule in f.metadata["rules"]:
+            others = [metrics_sim.RULES[r][0] for r in f.metadata["rules"] if r != rule]
+            value = next(v for v in map(kind, FAILING[rule]) if all(ok(v) for ok in others))
+            yield f.name, rule, value
+
+
+@pytest.mark.parametrize("key,rule,value", list(_rule_cases()))
+def test_each_field_rule_rejects_a_value_failing_only_it(key, rule, value):
+    with pytest.raises(ValueError) as info:
+        ScenarioConfig(**{key: value})
+    assert str(info.value) == f"{key} {metrics_sim.RULES[rule][1]}"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -211,6 +243,8 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("coordination", "epsilon", "1.5"),
         ("coordination", "epsilon", "nan"),
         ("geometry", "lambda_m", "-1e-6"),
+        ("channel", "d2d_link_distance", "inf"),
+        ("mode", "speed_mean", "inf"),
     ],
 )
 def test_out_of_range_key_exit_two(tmp_path, capsys, section, key, value):
@@ -231,6 +265,7 @@ DENSE = {"region_width": 2000.0, "region_height": 2000.0, "lambda_fap": 3e-6,
         {"region_width": 20_000.0, "region_height": 20_000.0},  # 20 km tree
         DENSE | {"lambda_fue": 1.25e-3},  # dense 5k
         DENSE | {"lambda_fue": 5e-3},  # dense 20k
+        DENSE | {"lambda_fue": 7e-3},  # 16.8k capable F-UEs, no capable x capable array
     ],
 )
 def test_size_ceiling_accepts_the_ladder(overrides):
@@ -238,13 +273,13 @@ def test_size_ceiling_accepts_the_ladder(overrides):
 
 
 def test_size_ceiling_bounds_the_largest_dense_array():
-    # Dense at 2 km: 0.6 * lambda_fue * 4e6 capable F-UEs, squared.
-    edge = math.sqrt(metrics_sim.MAX_DENSE_ELEMENTS) / (0.6 * 4e6)
+    # Dense at 2 km: lambda_fue * 4e6 F-UEs x 12 F-APs of gains.
+    edge = metrics_sim.MAX_DENSE_ELEMENTS / (4e6 * 12)
     ScenarioConfig(**DENSE, lambda_fue=edge * 0.99)
-    with pytest.raises(ValueError, match="lambda_fue, d2d_fraction"):
+    with pytest.raises(ValueError, match="lambda_fue, lambda_fap"):
         ScenarioConfig(**DENSE, lambda_fue=edge * 1.01)
-    # Without D2D-capable F-UEs the F-UE x F-AP gains bound lambda_fue.
-    ScenarioConfig(**DENSE, lambda_fue=edge * 1.01, d2d_fraction=0.0)
+    # Every F-UE D2D capable: the ceiling does not count capable pairs.
+    ScenarioConfig(**DENSE, lambda_fue=edge * 0.99, d2d_fraction=1.0)
     # 0 * an infinite area is NaN, which is not under the ceiling.
     with pytest.raises(ValueError, match="region_width"):
         ScenarioConfig(region_width=1e300, region_height=1e300, lambda_m=0.0, lambda_fap=0.0,

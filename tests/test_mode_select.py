@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -124,31 +125,32 @@ def _at(*xs):
 
 
 def test_associate_single_fap_with_capacity():
-    assert associate_fap(_at(0.0), _faps([10.0]), LinkBudget(), capacity=[1]) == [0]
+    assert associate_fap(_at(0.0), _faps([10.0]), LinkBudget(), math.inf, [1]) == [0]
 
 
 def test_associate_falls_back_when_nearest_full():
     faps = _faps([10.0, 50.0])
-    assert associate_fap(_at(0.0), faps, LinkBudget(), capacity=[0, 1]) == [1]
+    assert associate_fap(_at(0.0), faps, LinkBudget(), math.inf, [0, 1]) == [1]
     # The first F-UE takes F-AP 0's last block; the second falls back.
-    assert associate_fap(_at(0.0, 0.0), faps, LinkBudget(), capacity=[1, 1]) == [0, 1]
+    assert associate_fap(_at(0.0, 0.0), faps, LinkBudget(), math.inf, [1, 1]) == [0, 1]
 
 
 def test_associate_all_full_returns_none():
     faps = _faps([10.0, 50.0])
-    assert associate_fap(_at(0.0), faps, LinkBudget(), capacity=[0, 0]) == [None]
-    assert associate_fap(_at(0.0, 0.0, 0.0), faps, LinkBudget(), capacity=[1, 1]) == [0, 1, None]
+    assert associate_fap(_at(0.0), faps, LinkBudget(), math.inf, [0, 0]) == [None]
+    assert associate_fap(_at(0.0, 0.0, 0.0), faps, LinkBudget(), math.inf, [1, 1]) == [0, 1, None]
 
 
 def test_associate_prefers_strongest_power():
-    assert associate_fap(_at(30.0), _faps([0.0, 35.0, 100.0]), LinkBudget()) == [1]
+    faps = _faps([0.0, 35.0, 100.0])
+    assert associate_fap(_at(30.0), faps, LinkBudget(), math.inf, [1, 1, 1]) == [1]
 
 
 def test_associate_interference_limit_blocks_admission():
     # Admission to F-AP 0 leaks into F-AP 1 at 20 m; a tight limit blocks it.
     faps = _faps([5.0, 20.0])
     budget = LinkBudget()
-    assert associate_fap(_at(0.0), faps, budget, interference_limit=1e-30) == [None]
+    assert associate_fap(_at(0.0), faps, budget, 1e-30, [1, 1]) == [None]
 
 
 def _relay_oracle(points, i, j, th, relays):
@@ -223,7 +225,7 @@ def _associate_oracle(ue, faps, budget, interference_limit, capacity):
     dists = np.array([distance(ue, p) for p in faps.positions])
     rx_power = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
     for i in sorted(range(len(faps)), key=lambda i: (-rx_power[i], i)):
-        if capacity is not None and capacity[i] <= 0:
+        if capacity[i] <= 0:
             continue
         others = np.delete(dists, i)
         if others.size:
@@ -241,19 +243,20 @@ def test_associate_matches_scalar_distance_oracle():
         n_ues = max(1, len(points) // 3)
         ues = points[:n_ues]
         faps = NodeSet(points[n_ues:], 0.0)
-        strongest = [_associate_oracle(ue, faps, budget, float("inf"), None) for ue in ues]
+        unlimited = [n_ues] * len(faps)  # no F-AP fills
+        strongest = [_associate_oracle(ue, faps, budget, math.inf, unlimited) for ue in ues]
         # Limits at the leak levels the layout produces block some F-APs.
         leaks = budget.tx_watts(NodeKind.FUE) * path_gain(
             pairwise_distances(points[:n_ues], faps.positions), budget
         )
         for limit in (float("inf"), *rng.choice(leaks.ravel(), size=3)):
-            for capacity in (None, rng.integers(0, 3, size=len(faps))):
+            for capacity in (unlimited, rng.integers(0, 3, size=len(faps))):
                 # The oracle F-UE by F-UE, each admission taking one block.
-                free = None if capacity is None else list(capacity)
+                free = list(capacity)
                 want = []
                 for ue in ues:
                     f = _associate_oracle(ue, faps, budget, limit, free)
-                    if f is not None and free is not None:
+                    if f is not None:
                         free[f] -= 1
                     want.append(f)
                 got = associate_fap(points[:n_ues], faps, budget, limit, capacity)

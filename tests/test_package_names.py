@@ -10,6 +10,9 @@ not count: there it is some other binding, such as a local variable. Two
 kinds of name are exempt: the targets that `scenbench/tracer.py` hooks by name (its `HOOKS`
 list, read from its source and never changed), and the S-FFR allocator
 that README keeps on purpose although no run calls it.
+
+The same goes for attributes: an attribute that the package assigns on
+`self` must be read somewhere in the package or in `scenbench/`.
 """
 
 import ast
@@ -86,6 +89,28 @@ def unused_names(src=SRC, hooks=None):
     ]
 
 
+def unread_attributes(src=SRC):
+    """(module, attribute) of each `self.<attribute>` that a module of the
+    package assigns but that no code in the package or in `scenbench/`
+    reads, as `<anything>.<attribute>` or by `getattr`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    bench = (ast.parse(path.read_text()) for path in (ROOT / "scenbench").glob("*.py"))
+    readers = [*trees.values(), *bench]
+    read = set()
+    for node in (node for tree in readers for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+            read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
+    return sorted({
+        (module, node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self" and node.attr not in read
+    })
+
+
 def test_every_top_level_name_is_used_by_the_package():
     assert unused_names() == []
 
@@ -112,3 +137,16 @@ def test_a_helper_only_tests_call_is_found(tmp_path):
     assert unused_names(tmp_path) == planted
     # A hook target is exempt, as the tracer reaches it by name.
     assert unused_names(tmp_path, [*_hook_targets(), *planted]) == []
+
+
+def test_every_assigned_attribute_is_read(tmp_path):
+    assert unread_attributes() == []
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # A counter that only tests read, as `EdgeCache.hits` and `misses` were.
+    cache = (tmp_path / "caching.py").read_text()
+    clock = "        self._clock = 0\n"
+    planted = cache.replace(clock, clock + "        self.spare = 0\n", 1)
+    assert planted != cache
+    (tmp_path / "caching.py").write_text(planted)
+    assert unread_attributes(tmp_path) == [("caching", "spare")]
