@@ -30,7 +30,7 @@ class ContentTier(Enum):
 @dataclass(frozen=True)
 class ContentCatalog:
     n_items: int
-    zipf_exponent: float = 0.8
+    zipf_exponent: float
 
     def popularity(self) -> np.ndarray:
         """p(i) proportional to (i+1)^(-s) over item ids 0..n-1, summing to 1."""

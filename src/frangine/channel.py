@@ -1,10 +1,10 @@
-"""Link budget and small-scale fading.
+"""Path gain and small-scale fading.
 
-Fades have unit mean power, so the link budget alone sets mean received
-power. Only Rayleigh fades are sampled at run time: the static D2D cross
-gains (`coordination.make_d2d_links`) and the cellular success check
-(`coordination.cellular_success_probability`) draw them here. A D2D
-link's Rician fading is a plain linear K-factor
+Fades have unit mean power, so the config's powers and `path_gain` alone
+set mean received power. Only Rayleigh fades are sampled at run time: the
+static D2D cross gains (`coordination.make_d2d_links`) and the cellular
+success check (`coordination.cellular_success_probability`) draw them
+here. A D2D link's Rician fading is a plain linear K-factor
 (`metrics_sim.ScenarioConfig.d2d_fading`), and
 `metrics_sim.spatial_average_rate` and
 `metrics_sim.d2d_success_probability` draw no fades: they are exact, from
@@ -13,11 +13,12 @@ the Rician moment generating function and its Poisson-mixture form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import NodeKind
+if TYPE_CHECKING:
+    from .metrics_sim import ScenarioConfig
 
 
 def db_to_linear(db: float) -> float:
@@ -28,34 +29,12 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    path_loss_exponent: float = 4.0
-    reference_gain_db: float = 0.0  # at 1 m
-    tx_power_dbm: dict = field(
-        default_factory=lambda: {NodeKind.FAP: 30.0, NodeKind.FUE: 20.0}
-    )
-    noise_power_dbm: float = -100.0
-    sinr_threshold_db: float = 0.0
-
-    @property
-    def noise_watts(self) -> float:
-        return dbm_to_watts(self.noise_power_dbm)
-
-    @property
-    def gamma_th_linear(self) -> float:
-        return db_to_linear(self.sinr_threshold_db)
-
-    def tx_watts(self, kind: NodeKind) -> float:
-        return dbm_to_watts(self.tx_power_dbm[kind])
-
-
-def path_gain(d: float, budget: LinkBudget) -> float:
+def path_gain(d: float, config: ScenarioConfig) -> float:
     """Power-law path gain, clamped at 1 m to avoid the d -> 0 singularity."""
     # In place on one new array: a distance matrix needs no second copy.
     gain = np.maximum(d, 1.0)
-    gain **= -budget.path_loss_exponent
-    gain *= db_to_linear(budget.reference_gain_db)
+    gain **= -config.path_loss_exponent
+    gain *= db_to_linear(config.reference_gain_db)
     return gain
 
 

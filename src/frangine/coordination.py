@@ -19,13 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .channel import LinkBudget, fading_sample, path_gain
-from .geometry import (
-    FapTopology,
-    NetworkTopology,
-    NodeKind,
-    pairwise_distances,
-)
+from .channel import fading_sample, path_gain
+from .geometry import FapTopology, NetworkTopology, NodeKind, pairwise_distances
 
 if TYPE_CHECKING:
     from .metrics_sim import ScenarioConfig
@@ -76,14 +71,12 @@ class AccessTable:
         self.log_products = np.full(self.gains.shape, np.nan)
 
     @classmethod
-    def from_positions(cls, fap_positions, fue_positions, budget: LinkBudget) -> "AccessTable":
+    def from_positions(cls, fap_xy, fue_xy, config: ScenarioConfig) -> "AccessTable":
         """Each F-UE served by its nearest F-AP, the strongest under uniform power."""
-        dists = pairwise_distances(fue_positions, fap_positions)
+        dists = pairwise_distances(fue_xy, fap_xy)
         return cls(
-            budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget),
-            np.argmin(dists, axis=1),
-            budget.noise_watts,
-            budget.gamma_th_linear,
+            config.fap_watts * path_gain(dists, config), np.argmin(dists, axis=1),
+            config.noise_watts, config.theta,
         )
 
     def success_probabilities(self, cluster) -> np.ndarray:
@@ -241,13 +234,12 @@ def merge_and_split(
     utility_fn, when given, replaces the cluster utility; it is called with
     a sorted tuple of F-AP indices and must be deterministic. The default
     scores every block on one AccessTable of the topology's F-UEs, under
-    the config's link budget. Each distinct block is evaluated once.
+    the config's powers and path gain. Each distinct block is evaluated
+    once.
     """
     n = len(topology.faps)
     if utility_fn is None:
-        table = AccessTable.from_positions(
-            topology.faps.positions, topology.fues.positions, config.budget()
-        )
+        table = AccessTable.from_positions(topology.faps, topology.fues, config)
 
         def utility_fn(block: tuple) -> float:
             return cluster_utility(block, config, table)
@@ -259,7 +251,7 @@ def merge_and_split(
             cache[block] = utility_fn(block)
         return cache[block]
 
-    tree = topology.fap_link_topology is FapTopology.TREE
+    tree = config.fap_topology is FapTopology.TREE
     neighbors = topology.fap_neighbors()
 
     blocks = [(i,) for i in range(n)]
@@ -311,29 +303,22 @@ class SchedulerKind(Enum):
     DRAC = "drac"
 
 
-def make_d2d_links(
-    tx_positions,
-    victim_position,
-    n_subchannels: int,
-    budget: LinkBudget,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def make_d2d_links(tx_xy, config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """(links, n_subchannels) linear power gains from each D2D transmitter
-    to the victim cellular receiver: path gain x static Rayleigh fading,
-    drawn once."""
-    tx_positions = np.asarray(tx_positions, dtype=float).reshape(-1, 2)
-    dists = pairwise_distances(tx_positions, [victim_position])[:, 0]
-    return path_gain(dists, budget)[:, None] * fading_sample(
-        rng, size=(tx_positions.shape[0], n_subchannels)
+    (row of tx_xy) to the victim cellular receiver at the region centre:
+    path gain x static Rayleigh fading, drawn once."""
+    dists = pairwise_distances(tx_xy, [config.region().center])[:, 0]
+    return path_gain(dists, config)[:, None] * fading_sample(
+        rng, size=(dists.size, config.n_subchannels)
     )
 
 
-def coac_assign(cross_gains: np.ndarray, epsilon: float) -> np.ndarray:
+def coac_assign(cross_gains: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """Centralized opportunistic assignment: each link (row of the cross
     gains) takes the round(eps*N) subchannels on which it interferes least
     with the victim (ascending cross gain, ties by lower subchannel index).
     Returns the (links, N) occupancy mask."""
-    m = round_half_away(epsilon * cross_gains.shape[1])
+    m = round_half_away(config.epsilon * cross_gains.shape[1])
     occupied = np.zeros(cross_gains.shape, dtype=bool)
     np.put_along_axis(
         occupied, np.argsort(cross_gains, axis=1, kind="stable")[:, :m], True, axis=1
@@ -341,47 +326,43 @@ def coac_assign(cross_gains: np.ndarray, epsilon: float) -> np.ndarray:
     return occupied
 
 
-def drac_assign(
-    n_links: int, n_subchannels: int, epsilon: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Distributed random assignment: a uniform round(eps*N)-subset per link,
-    one permutation per link in link order. Returns the (links, N)
-    occupancy mask."""
-    m = round_half_away(epsilon * n_subchannels)
-    occupied = np.zeros((n_links, n_subchannels), dtype=bool)
+def drac_assign(n_links: int, config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Distributed random assignment: a uniform round(eps*N)-subset of the
+    N = n_subchannels per link, one permutation per link in link order.
+    Returns the (links, N) occupancy mask."""
+    n = config.n_subchannels
+    m = round_half_away(config.epsilon * n)
+    occupied = np.zeros((n_links, n), dtype=bool)
     for row in occupied:
-        row[rng.permutation(n_subchannels)[:m]] = True
+        row[rng.permutation(n)[:m]] = True
     return occupied
 
 
 def cellular_success_probability(
     occupied: np.ndarray,
     cross_gains: np.ndarray,
-    topology: NetworkTopology,
-    budget: LinkBudget,
-    mc_trials: int,
+    hpns: np.ndarray,
+    config: ScenarioConfig,
     rng: np.random.Generator,
 ) -> float:
-    """Monte-Carlo success probability of the typical cellular uplink.
+    """Monte-Carlo success probability of the typical cellular uplink, over
+    the config's mc_trials.
 
-    The typical user at the region center transmits to its nearest HPN with
-    per-trial Rayleigh fading, on a uniformly chosen subchannel; the D2D
-    links occupying it (the (links, N) mask `occupied`) interfere through
-    their static cross gains.
+    The typical user at the region center transmits to its nearest HPN (row
+    of hpns) with per-trial Rayleigh fading, on a uniformly chosen
+    subchannel; the D2D links occupying it (the (links, N) mask `occupied`)
+    interfere through their static cross gains.
     """
-    user_xy = (topology.region.width / 2.0, topology.region.height / 2.0)
-    hpn_dists = pairwise_distances([user_xy], topology.hpns.positions)[0]
-    signal_mean = budget.tx_watts(NodeKind.FUE) * float(
-        path_gain(hpn_dists.min(), budget)
-    )
+    hpn_dists = pairwise_distances([config.region().center], hpns)[0]
+    p_fue = config.fue_watts
+    signal_mean = p_fue * float(path_gain(hpn_dists.min(), config))
     # Aggregate D2D interference per subchannel (static over trials); an
     # axis-0 sum adds the links in link order.
-    p_d2d = budget.tx_watts(NodeKind.FUE)
-    interference = np.where(occupied, p_d2d * cross_gains, 0.0).sum(axis=0)
-    sub_choice = rng.integers(0, cross_gains.shape[1], size=mc_trials)
-    fades = fading_sample(rng, size=mc_trials)
-    trial_sinr = signal_mean * fades / (interference[sub_choice] + budget.noise_watts)
-    return _kernels.success_fraction(trial_sinr, budget.gamma_th_linear)
+    interference = np.where(occupied, p_fue * cross_gains, 0.0).sum(axis=0)
+    sub_choice = rng.integers(0, cross_gains.shape[1], size=config.mc_trials)
+    fades = fading_sample(rng, size=config.mc_trials)
+    trial_sinr = signal_mean * fades / (interference[sub_choice] + config.noise_watts)
+    return _kernels.success_fraction(trial_sinr, config.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -32,23 +32,18 @@ class Region:
     def area(self) -> float:
         return self.width * self.height
 
-
-@dataclass
-class NodeSet:
-    positions: np.ndarray  # (n, 2) meters
-    density: float  # nodes per square meter
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
+    @property
+    def center(self) -> tuple[float, float]:
+        """The middle of the region: where the typical D2D link and the
+        cellular victim sit."""
+        return (self.width / 2.0, self.height / 2.0)
 
 
 @dataclass
 class NetworkTopology:
-    region: Region
-    hpns: NodeSet
-    faps: NodeSet
-    fues: NodeSet
-    fap_link_topology: FapTopology = FapTopology.TREE
+    hpns: np.ndarray  # (n, 2) positions, meters
+    faps: np.ndarray
+    fues: np.ndarray
     fap_adjacency: set = field(default_factory=set)  # frozenset of (i, j), i < j
 
     def fap_neighbors(self) -> list[list[int]]:
@@ -60,12 +55,13 @@ class NetworkTopology:
         return neighbors
 
 
-def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> NodeSet:
-    """Homogeneous PPP sample: Poisson(density*area) points, uniform i.i.d."""
+def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous PPP sample: the (n, 2) positions of Poisson(density*area)
+    points, uniform i.i.d."""
     n = rng.poisson(density * region.area)
     xs = rng.uniform(0.0, region.width, size=n)
     ys = rng.uniform(0.0, region.height, size=n)
-    return NodeSet(positions=np.column_stack([xs, ys]), density=density)
+    return np.column_stack([xs, ys])
 
 
 def distance(a, b) -> float:
@@ -119,14 +115,14 @@ def _start_radius(xy: np.ndarray) -> float:
     return float(np.ptp(xy, axis=0).max()) / len(xy) ** 0.5 if len(xy) else 0.0
 
 
-def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:
+def build_fap_adjacency(xy: np.ndarray, mode: FapTopology) -> set:
     """Edges between F-APs: complete graph (mesh) or Euclidean MST (tree).
 
     The tree is Kruskal's over edges keyed (distance, lo, hi), a strict total
     order, so the MST is unique. Each round takes the edges within r that join
     two components, then doubles r: the shorter ones were all taken before.
     """
-    n = len(faps)
+    n = len(xy)
     if mode is FapTopology.MESH:
         return {(i, j) for i in range(n) for j in range(i + 1, n)}
     root = list(range(n))
@@ -137,10 +133,10 @@ def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:
         return v
 
     # Twice the mean spacing holds nearly every F-AP's nearest neighbour.
-    edges, r = set(), 2.0 * _start_radius(faps.positions)
+    edges, r = set(), 2.0 * _start_radius(xy)
     while len(edges) < n - 1:
         component = np.array([find(v) for v in range(n)])
-        d, lo, hi = _pairs_within(faps.positions, r)
+        d, lo, hi = _pairs_within(xy, r)
         join = component[lo] != component[hi]
         order = np.lexsort((hi[join], lo[join], d[join]))
         for a, b in zip(lo[join][order].tolist(), hi[join][order].tolist()):
@@ -151,17 +147,18 @@ def build_fap_adjacency(faps: NodeSet, mode: FapTopology) -> set:
     return edges
 
 
-def pair_d2d(fues: NodeSet, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
-    """Greedy nearest-neighbor D2D pairing over capable F-UEs: pairs are taken
-    in ascending (distance, lo, hi) order, each F-UE joining at most one.
+def pair_d2d(xy: np.ndarray, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy nearest-neighbor D2D pairing over the capable F-UEs, rows of
+    xy: pairs are taken in ascending (distance, lo, hi) order, each F-UE
+    joining at most one.
 
     The pairs within r are a prefix of that order, so a round matches over
     them alone, and the next takes the F-UEs left, all over r apart, with r
     doubled: the result is the same from any starting r > 0."""
     idx = np.flatnonzero(np.asarray(d2d_capable, dtype=bool))
-    r, pairs = _start_radius(fues.positions[idx]), []
+    r, pairs = _start_radius(xy[idx]), []
     while idx.size > 2:
-        d, lo, hi = _pairs_within(fues.positions[idx], r)
+        d, lo, hi = _pairs_within(xy[idx], r)
         paired = [False] * idx.size
         order = np.lexsort((hi, lo, d))
         for a, b in zip(lo[order].tolist(), hi[order].tolist()):

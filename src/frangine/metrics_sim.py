@@ -27,7 +27,7 @@ from .caching import (
     replay_lanes,
     zipf_stream,
 )
-from .channel import LinkBudget, db_to_linear, path_gain
+from .channel import db_to_linear, dbm_to_watts, path_gain
 from .coordination import (
     SchedulerKind,
     cellular_success_probability,
@@ -40,8 +40,6 @@ from .coordination import (
 from .geometry import (
     FapTopology,
     NetworkTopology,
-    NodeKind,
-    NodeSet,
     _pairs_within,
     build_fap_adjacency,
     pair_d2d,
@@ -192,13 +190,20 @@ class ScenarioConfig:
                     f"{keys} expect {elements:.3g} {array}, "
                     f"over the {MAX_DENSE_ELEMENTS:.3g} elements one dense array may hold"
                 )
+        # The fronthaul total, the largest load sum, adds at most payload_bits
+        # * iq_expansion_factor (>= 1) per request; MAX_DENSE_ELEMENTS stands
+        # in for the request count, so that no layout overflows it.
+        if not self.payload_bits * self.iq_expansion_factor * MAX_DENSE_ELEMENTS < math.inf:
+            raise ValueError(
+                f"payload_bits * iq_expansion_factor over {MAX_DENSE_ELEMENTS:.3g} "
+                "requests must be finite"
+            )
         # No link of a layout is longer than the region's diagonal. Its mean
         # received power must stay a normal double: a gain that underflows to
         # 0 W stalls the exact evaluators.
-        budget = self.budget()
-        weakest = min(budget.tx_watts(NodeKind.FAP), budget.tx_watts(NodeKind.FUE))
         diagonal = math.hypot(self.region_width, self.region_height)
-        if not weakest * float(path_gain(diagonal, budget)) >= sys.float_info.min:
+        weakest = min(self.fap_watts, self.fue_watts)
+        if not weakest * float(path_gain(diagonal, self)) >= sys.float_info.min:
             raise ValueError(
                 "path_loss_exponent leaves the weaker of tx_power_fap_dbm and "
                 f"tx_power_fue_dbm below {sys.float_info.min:.3g} W at the "
@@ -207,7 +212,7 @@ class ScenarioConfig:
         # Every cluster utility divides up to log2(1 + gamma) per served F-UE
         # (like the ceiling, take the expected count) by P(k)^tau, which grows
         # with the cluster size k from one F-AP to the expected F-AP count.
-        reward = math.log2(1.0 + budget.gamma_th_linear) * max(fues, 1.0)
+        reward = math.log2(1.0 + self.theta) * max(fues, 1.0)
         for k in (1.0, faps):
             try:
                 scaled = cluster_power(k, self) ** self.tau
@@ -220,17 +225,22 @@ class ScenarioConfig:
                     f"must a utility of up to {reward:.3g} over it"
                 )
 
-    def budget(self) -> LinkBudget:
-        return LinkBudget(
-            path_loss_exponent=self.path_loss_exponent,
-            reference_gain_db=self.reference_gain_db,
-            tx_power_dbm={
-                NodeKind.FAP: self.tx_power_fap_dbm,
-                NodeKind.FUE: self.tx_power_fue_dbm,
-            },
-            noise_power_dbm=self.noise_power_dbm,
-            sinr_threshold_db=self.gamma_th_db,
-        )
+    @property
+    def fap_watts(self) -> float:
+        return dbm_to_watts(self.tx_power_fap_dbm)
+
+    @property
+    def fue_watts(self) -> float:
+        return dbm_to_watts(self.tx_power_fue_dbm)
+
+    @property
+    def noise_watts(self) -> float:
+        return dbm_to_watts(self.noise_power_dbm)
+
+    @property
+    def theta(self) -> float:
+        """The linear SINR threshold gamma."""
+        return db_to_linear(self.gamma_th_db)
 
     def d2d_fading(self) -> float:
         """The D2D links' linear Rician K-factor; 0.0 (no key) is Rayleigh."""
@@ -326,20 +336,21 @@ def _ordered_sum(values) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
-def fronthaul_load(fue_ids, mode_codes, tier_codes, payload_bits: float,
-                   iq_expansion_factor: float):
+def fronthaul_load(fue_ids, mode_codes, tier_codes, config: ScenarioConfig):
     """Per-request fronthaul/backhaul accounting, with the `Ledger` of every
     request. Request k is F-UE fue_ids[k] in mode MODES[mode_codes[k]]
-    fetching content of tier TIERS[tier_codes[k]] (integer arrays). Payload
-    is always served by exactly one of {bbu, edge, hpn}, so payload
-    conservation holds by construction. Each (mode, tier) route is worked
-    out once, and every total adds in request order.
+    fetching content of tier TIERS[tier_codes[k]] (integer arrays), each of
+    the config's payload_bits. Payload is always served by exactly one of
+    {bbu, edge, hpn}, so payload conservation holds by construction. Each
+    (mode, tier) route is worked out once, and every total adds in request
+    order.
     """
+    payload_bits = config.payload_bits
     routes = []  # by code: the ledger's CSV values, then the processed bits
     for mode in MODES:
         for tier in TIERS:
             if mode is Mode.GLOBAL_CRAN:
-                fh = payload_bits * iq_expansion_factor
+                fh = payload_bits * config.iq_expansion_factor
                 route = (fh, 0.0, "bbu", fh)
             elif mode is Mode.HPN:
                 route = (0.0, payload_bits, "hpn", 0.0)
@@ -430,19 +441,14 @@ def _region_area_nodes(half_width: float, half_height: float):
     return r, np.concatenate(weights) * angle * r
 
 
-def spatial_average_rate(
-    topology: NetworkTopology,
-    k_factor: float,
-    budget: LinkBudget,
-    link_distance: float = 20.0,
-) -> float:
+def spatial_average_rate(config: ScenarioConfig) -> float:
     """Mean Shannon rate E log2(1 + S/(I + N)) of the typical D2D link at the
     region centre, in bit/s/Hz, computed exactly by quadrature.
 
-    The signal S is Rician with linear K-factor `k_factor` (unit mean fade,
-    mean S_bar); the interferers are a PPP of D2D transmitters over the
-    region at the F-UE density, Rayleigh faded, with path gains clamped at
-    1 m. Hamdi's lemma (IEEE TCOM 2010) gives
+    The signal S is Rician with the config's linear K-factor K (unit mean
+    fade, mean S_bar at the D2D link distance); the interferers are a PPP of
+    D2D transmitters over the region at the F-UE density, Rayleigh faded,
+    with path gains clamped at 1 m. Hamdi's lemma (IEEE TCOM 2010) gives
 
         E ln(1 + S/(I + N)) = int_0^inf (1 - M_S(z)) M_I(z) exp(-zN) dz / z,
 
@@ -454,14 +460,10 @@ def spatial_average_rate(
     double precision, in Gauss-Legendre panels; the area integral is radial
     (`_region_area_nodes`).
     """
-    density = topology.fues.density
-    p_fue = budget.tx_watts(NodeKind.FUE)
-    signal_mean = p_fue * float(path_gain(link_distance, budget))
-    noise = budget.noise_watts
+    k_factor, p_fue, noise = config.d2d_fading(), config.fue_watts, config.noise_watts
+    signal_mean = p_fue * float(path_gain(config.d2d_link_distance, config))
     if signal_mean == 0.0:
         return 0.0
-    if noise == 0.0 or signal_mean == math.inf:  # I = 0 has P > 0 on a finite region
-        return math.inf
     lo = math.log(1e-18) - math.log(signal_mean)
     hi = math.log(800.0) - math.log(noise)
     if hi <= lo:
@@ -474,12 +476,11 @@ def spatial_average_rate(
     zs = z * signal_mean
     log_m_s = -np.log1p(zs / (1.0 + k_factor)) - k_factor * zs / (1.0 + k_factor + zs)
     log_integrand = -z * noise
-    if density > 0:
-        region = topology.region
-        r, area = _region_area_nodes(region.width / 2.0, region.height / 2.0)
-        zg = z[:, None] * (p_fue * path_gain(r, budget))
+    if config.lambda_fue > 0:
+        r, area = _region_area_nodes(*config.region().center)
+        zg = z[:, None] * (p_fue * path_gain(r, config))
         zg /= zg + 1.0  # in place: under 1 MiB per (z, r) array by default
-        log_integrand -= density * (zg @ area)
+        log_integrand -= config.lambda_fue * (zg @ area)
     integrand = -np.expm1(log_m_s) * np.exp(log_integrand)
     return float(integrand @ np.tile(width * w, len(edges) - 1)) / math.log(2.0)
 
@@ -510,23 +511,17 @@ def _poisson_tail(k: float) -> np.ndarray:
     return tail[: np.count_nonzero(tail >= POISSON_TAIL)]
 
 
-def d2d_success_probability(
-    topology: NetworkTopology,
-    pairs,
-    k_factor: float,
-    budget: LinkBudget,
-    link_distance: float = 20.0,
-) -> float:
+def d2d_success_probability(tx_xy, config: ScenarioConfig) -> float:
     """Probability that the typical D2D link at the region centre reaches
-    SINR theta against the co-channel D2D transmitters (the first F-UE of
-    each pair), computed exactly.
+    SINR theta against the co-channel D2D transmitters at the rows of tx_xy
+    (the first F-UE of each pair), computed exactly.
 
-    The signal S is Rician with linear K-factor `k_factor` (unit mean fade,
-    mean S_bar); interferer k has mean received power g_k and a Rayleigh
-    fade. With a = (1 + K) theta / S_bar, success is (1 + K) S / S_bar >=
-    y = a (I + N), and (1 + K) S / S_bar is a Poisson(K) mixture of
-    Gamma(J + 1, 1) (Simon & Alouini, the Rician case; K = 0 is Rayleigh).
-    So
+    The signal S is Rician with the config's linear K-factor K (unit mean
+    fade, mean S_bar at the D2D link distance); interferer k has mean
+    received power g_k and a Rayleigh fade. With a = (1 + K) theta / S_bar,
+    success is (1 + K) S / S_bar >= y = a (I + N), and (1 + K) S / S_bar is
+    a Poisson(K) mixture of Gamma(J + 1, 1) (Simon & Alouini, the Rician
+    case; K = 0 is Rayleigh). So
 
         P = sum_m Q_K(m) T_m,  Q_K(m) = P(Poisson(K) >= m),
 
@@ -539,18 +534,13 @@ def d2d_success_probability(
     nonnegative terms. Rayleigh is T_0 alone. The T_m sum to 1, so the
     terms with Q_K(m) < POISSON_TAIL change P by at most that.
     """
-    region = topology.region
-    center = (region.width / 2.0, region.height / 2.0)
-    p_fue = budget.tx_watts(NodeKind.FUE)
-    signal_mean = p_fue * float(path_gain(link_distance, budget))
-    noise = budget.noise_watts
-    tx_positions = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2)
-    gains = p_fue * path_gain(pairwise_distances(tx_positions, [center])[:, 0], budget)
+    k_factor, p_fue, noise = config.d2d_fading(), config.fue_watts, config.noise_watts
+    signal_mean = p_fue * float(path_gain(config.d2d_link_distance, config))
+    dists = pairwise_distances(tx_xy, [config.region().center])[:, 0]
+    gains = p_fue * path_gain(dists, config)
     if signal_mean == 0.0:
         return 0.0
-    if noise == 0.0 and not gains.any():
-        return 1.0  # nothing to beat: the SINR is infinite
-    a = (1.0 + k_factor) * budget.gamma_th_linear / signal_mean
+    a = (1.0 + k_factor) * config.theta / signal_mean
     b = a * gains
     # By Markov's inequality on each term of y alone, P <= (1 + K) / max(a N,
     # b_k). Past that test every step of the recursion below grows its terms
@@ -582,21 +572,12 @@ def _build_topology(config: ScenarioConfig) -> NetworkTopology:
     hpns = sample_ppp(config.lambda_m, region, derive_rng(config.master_seed, "hpn"))
     faps = sample_ppp(config.lambda_fap, region, derive_rng(config.master_seed, "fap"))
     fues = sample_ppp(config.lambda_fue, region, derive_rng(config.master_seed, "fue"))
-    center = np.array([[region.width / 2.0, region.height / 2.0]])
     # Guarantee coverage: desk-scale densities can sample zero nodes.
     if len(hpns) == 0:
-        hpns = NodeSet(center.copy(), config.lambda_m)
+        hpns = np.array([region.center])
     if len(faps) == 0:
-        faps = NodeSet(center.copy(), config.lambda_fap)
-    adjacency = build_fap_adjacency(faps, config.fap_topology)
-    return NetworkTopology(
-        region=region,
-        hpns=hpns,
-        faps=faps,
-        fues=fues,
-        fap_link_topology=config.fap_topology,
-        fap_adjacency=adjacency,
-    )
+        faps = np.array([region.center])
+    return NetworkTopology(hpns, faps, fues, build_fap_adjacency(faps, config.fap_topology))
 
 
 def _pair_relays(xy, pairs, relay_xy, config: ScenarioConfig) -> np.ndarray:
@@ -715,7 +696,6 @@ def _content_tiers(config: ScenarioConfig, serving, neighbors):
 def run_scenario(config: ScenarioConfig) -> MetricsReport:
     """One full deterministic scenario run: place, pair, associate, decide
     modes, serve caches, coordinate, and aggregate metrics."""
-    budget = config.budget()
     topology = _build_topology(config)
     n_fues = len(topology.fues)
     report = MetricsReport(
@@ -730,8 +710,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     relay_willing = attr_rng.random(n_fues) < config.relay_fraction
     voice = attr_rng.random(n_fues) < config.voice_fraction
 
-    xy = topology.fues.positions
-    pairs = pair_d2d(topology.fues, d2d_capable)
+    xy = topology.fues
+    pairs = pair_d2d(xy, d2d_capable)
     report.n_d2d_pairs = len(pairs)
     # An unpaired F-UE is its own far end: co-located and without a D2D
     # partner, so the rules route it through local coordination or C-RAN.
@@ -739,16 +719,13 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     for i, j in pairs:
         partner[i], partner[j] = j, i
 
-    serving = associate_fap(
-        xy, topology.faps, budget, config.interference_limit,
-        [config.fap_capacity] * len(topology.faps),
-    )
+    serving = associate_fap(xy, topology.faps, config)
     # Local coordination needs the serving F-AP's mean SNR to reach gamma.
     served = [i for i, s in enumerate(serving) if s is not None]
-    gap = xy[served] - topology.faps.positions[[serving[i] for i in served]]
-    snr = budget.tx_watts(NodeKind.FAP) * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
+    gap = xy[served] - topology.faps[[serving[i] for i in served]]
+    snr = config.fap_watts * path_gain(np.hypot(gap[:, 0], gap[:, 1]), config)
     lc_feasible = np.zeros(n_fues, dtype=bool)
-    lc_feasible[served] = snr / budget.noise_watts >= budget.gamma_th_linear
+    lc_feasible[served] = snr / config.noise_watts >= config.theta
 
     relays = _pair_relays(xy, pairs, xy[relay_willing & d2d_capable], config)
 
@@ -777,41 +754,29 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     fue_ids = np.repeat(np.arange(n_fues), config.requests_per_fue)
     cloud = (tiers == _CLOUD_ONLY).astype(np.intp).ravel()
     report.load, report.ledger = fronthaul_load(
-        fue_ids, decided[fue_ids, cloud], tiers.ravel(), config.payload_bits,
-        config.iq_expansion_factor,
+        fue_ids, decided[fue_ids, cloud], tiers.ravel(), config
     )
 
     # Coalitional clustering of F-APs.
     partition = merge_and_split(topology, config)
     report.mean_cluster_size = float(np.mean(partition.block_sizes()))
 
-    # D2D subchannel scheduling and the cellular victim's success.
-    center = (config.region_width / 2.0, config.region_height / 2.0)
-    cross_gains = make_d2d_links(
-        xy[[i for i, _ in pairs]], center, config.n_subchannels, budget,
-        derive_rng(config.master_seed, "crossgains"),
-    )
+    # D2D subchannel scheduling and the cellular victim's success. The
+    # first F-UE of each pair transmits.
+    tx_xy = xy[[i for i, _ in pairs]]
+    cross_gains = make_d2d_links(tx_xy, config, derive_rng(config.master_seed, "crossgains"))
     if config.scheduler is SchedulerKind.COAC:
-        occupied = coac_assign(cross_gains, config.epsilon)
+        occupied = coac_assign(cross_gains, config)
     else:
-        occupied = drac_assign(
-            len(pairs), config.n_subchannels, config.epsilon,
-            derive_rng(config.master_seed, "drac"),
-        )
+        occupied = drac_assign(len(pairs), config, derive_rng(config.master_seed, "drac"))
     report.cellular_success_probability = cellular_success_probability(
-        occupied, cross_gains, topology, budget, config.mc_trials,
-        derive_rng(config.master_seed, "cellular"),
+        occupied, cross_gains, topology.hpns, config, derive_rng(config.master_seed, "cellular")
     )
     report.cellular_ci = _prob_ci(report.cellular_success_probability, config.mc_trials)
 
     # Exact, so rate_ci and d2d_ci stay 0.0: neither has Monte-Carlo error.
-    report.spatial_average_rate = spatial_average_rate(
-        topology, config.d2d_fading(), budget, link_distance=config.d2d_link_distance
-    )
-
-    report.d2d_success_probability = d2d_success_probability(
-        topology, pairs, config.d2d_fading(), budget, link_distance=config.d2d_link_distance,
-    )
+    report.spatial_average_rate = spatial_average_rate(config)
+    report.d2d_success_probability = d2d_success_probability(tx_xy, config)
 
     # Energy efficiency: active F-APs at full power, idle ones asleep. The
     # config's power checks, with one HPN and one F-AP in every layout, make

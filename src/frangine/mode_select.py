@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import LinkBudget, path_gain
-from .geometry import NodeKind, NodeSet, pairwise_distances
+from .channel import path_gain
+from .geometry import pairwise_distances
 
 if TYPE_CHECKING:
     from .metrics_sim import ScenarioConfig
@@ -75,22 +75,16 @@ def select_mode(
     )
 
 
-def associate_fap(
-    positions: np.ndarray,
-    faps: NodeSet,
-    budget: LinkBudget,
-    interference_limit: float,
-    capacity,
-) -> list[int | None]:
+def associate_fap(fue_xy, fap_xy, config: ScenarioConfig) -> list[int | None]:
     """Pick each F-UE's serving F-AP, in F-UE order: strongest mean received
     power first, falling back through the power-ordered list past full or
     interference-blocked F-APs; None when no F-AP admits the F-UE.
 
-    capacity: per-F-AP free resource blocks, one taken per admitted F-UE.
-    Admission is blocked when the F-UE's estimated uplink interference to the
-    nearest other F-AP exceeds interference_limit.
+    Each F-AP has the config's fap_capacity free resource blocks, one taken
+    per admitted F-UE. Admission is blocked when the F-UE's estimated uplink
+    interference to the nearest other F-AP exceeds interference_limit.
     """
-    gains = path_gain(pairwise_distances(positions, faps.positions), budget)
+    gains = path_gain(pairwise_distances(fue_xy, fap_xy), config)
     # Admission to F-AP i leaks at the strongest gain to the other F-APs: the
     # row maximum, or for the F-AP holding it the second largest (-inf if
     # none), read with the maximum masked in place and then restored.
@@ -100,17 +94,17 @@ def associate_fap(
     gains[rows, top] = -np.inf
     second = gains.max(axis=1)
     gains[rows, top] = best
-    p_fue = budget.tx_watts(NodeKind.FUE)
+    p_fue, limit = config.fue_watts, config.interference_limit
     stops = zip(
         top.tolist(),
-        (p_fue * second > interference_limit).tolist(),  # blocks the top F-AP
-        (p_fue * best > interference_limit).tolist(),  # blocks every other
+        (p_fue * second > limit).tolist(),  # blocks the top F-AP
+        (p_fue * best > limit).tolist(),  # blocks every other
     )
     # Descending power, ties by lower index (a stable sort); -(p g) = g (-p)
     # exactly, so the order is that of the received powers.
-    gains *= -budget.tx_watts(NodeKind.FAP)
+    gains *= -config.fap_watts
     order = np.argsort(gains, axis=1, kind="stable")
-    free = list(capacity)
+    free = [config.fap_capacity] * len(fap_xy)
     serving = []
     for row, (t, stop_top, stop_rest) in zip(order, stops):
         f = next(

@@ -24,10 +24,10 @@ import math
 
 import numpy as np
 
-from frangine.channel import LinkBudget, db_to_linear, fading_sample, path_gain
+from frangine.channel import fading_sample, path_gain
 from frangine.coordination import served_fue_indices
-from frangine.geometry import NetworkTopology, NodeKind, pairwise_distances
-from frangine.metrics_sim import Z_99
+from frangine.geometry import pairwise_distances
+from frangine.metrics_sim import Z_99, ScenarioConfig
 from frangine.rng import derive_rng
 
 # Most interferers `mc_spatial_average_rate` draws at once. It bounds memory
@@ -70,7 +70,7 @@ class FadeTable:
     U serving indices; the U x T x F fade tensor is never built.
     """
 
-    def __init__(self, fap_positions, fue_positions, budget: LinkBudget, trials: int,
+    def __init__(self, fap_positions, fue_positions, config: ScenarioConfig, trials: int,
                  base_seed: int, serving=None):
         """serving[u] is the F-AP serving F-UE u; by default the nearest
         F-AP, which is the strongest under uniform F-AP transmit power."""
@@ -80,8 +80,8 @@ class FadeTable:
         self.serving = np.asarray(serving, dtype=np.intp)
         self.base_seed = base_seed
         self.trials = trials
-        self.noise_watts = budget.noise_watts
-        self.gains = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
+        self.noise_watts = config.noise_watts
+        self.gains = config.fap_watts * path_gain(dists, config)
         self.total = np.empty((self.serving.size, trials))
         every_fap = range(dists.shape[1])
         for a in np.unique(self.serving):
@@ -119,17 +119,16 @@ class FadeTable:
 
 def successful_access_probability(
     cluster,
-    topology: NetworkTopology,
-    budget: LinkBudget,
+    fap_positions,
+    config: ScenarioConfig,
     fue_positions,
     mc_trials: int,
     rng: np.random.Generator,
-    gamma_th_db: float | None = None,
 ) -> float:
-    """Monte-Carlo probability that a cluster-served F-UE reaches the SINR
-    threshold under Rayleigh fading, with joint (summed-power) transmission
-    from all cluster F-APs and every out-of-cluster F-AP acting as an
-    interferer.
+    """Monte-Carlo probability that a cluster-served F-UE reaches the
+    config's SINR threshold under Rayleigh fading, with joint (summed-power)
+    transmission from all cluster F-APs and every out-of-cluster F-AP acting
+    as an interferer.
 
     Averaged over the given served F-UE positions; 0.0 if none are served.
     The positions form one group of a FadeTable, served by the cluster.
@@ -142,34 +141,24 @@ def successful_access_probability(
     fue_positions = np.asarray(fue_positions, dtype=float).reshape(-1, 2)
     if fue_positions.shape[0] == 0:
         return 0.0
-    gamma_lin = db_to_linear(
-        budget.sinr_threshold_db if gamma_th_db is None else gamma_th_db
-    )
     table = FadeTable(
-        topology.faps.positions,
+        fap_positions,
         fue_positions,
-        budget,
+        config,
         mc_trials,
         int(rng.integers(0, 2**63)),
         serving=np.full(fue_positions.shape[0], cluster[0]),
     )
-    return float(np.mean(table.success_counts(cluster, gamma_lin))) / mc_trials
+    return float(np.mean(table.success_counts(cluster, config.theta))) / mc_trials
 
 
-def mc_spatial_average_rate(
-    topology: NetworkTopology,
-    k_factor: float,
-    budget: LinkBudget,
-    mc_trials: int,
-    rng: np.random.Generator,
-    link_distance: float = 20.0,
-):
+def mc_spatial_average_rate(config: ScenarioConfig, mc_trials: int, rng: np.random.Generator):
     """Monte-Carlo mean Shannon rate of the typical D2D link at the region
     center.
 
-    Per trial: the signal link fades Rician with linear K-factor
-    `k_factor`; co-channel interferers are a fresh PPP of D2D transmitters
-    (Rayleigh faded) over the region at the F-UE density.
+    Per trial: the signal link, at the D2D link distance, fades Rician with
+    the config's linear K-factor; co-channel interferers are a fresh PPP of
+    D2D transmitters (Rayleigh faded) over the region at the F-UE density.
     The field is drawn in chunks of whole trials holding at most `CHUNK`
     interferers (a larger trial is a chunk of its own), each from one
     uniform draw of three columns: x, y, and the Rayleigh power fade
@@ -178,16 +167,16 @@ def mc_spatial_average_rate(
     """
     if mc_trials < 1:
         raise ValueError("mc_trials must be at least 1")
-    region = topology.region
-    center = np.array([region.width / 2.0, region.height / 2.0])
-    p_fue = budget.tx_watts(NodeKind.FUE)
-    signal_mean = p_fue * float(path_gain(link_distance, budget))
+    region = config.region()
+    center = np.array(region.center)
+    p_fue = config.fue_watts
+    signal_mean = p_fue * float(path_gain(config.d2d_link_distance, config))
     # Signal fading first: the draw count is K-independent (two normals per
     # trial), so matched seeds stay paired across fading models and the
     # interferer field below starts from the same generator state for every K.
-    sig_fades = rician_sample(k_factor, rng, size=mc_trials)
+    sig_fades = rician_sample(config.d2d_fading(), rng, size=mc_trials)
 
-    counts = rng.poisson(topology.fues.density * region.area, size=mc_trials)
+    counts = rng.poisson(config.lambda_fue * region.area, size=mc_trials)
     ends = np.cumsum(counts)
     interference = np.empty(mc_trials)
     lo = 0
@@ -197,12 +186,12 @@ def mc_spatial_average_rate(
         u = rng.random((int(ends[hi - 1] - start), 3))
         dx = region.width * u[:, 0] - center[0]
         dy = region.height * u[:, 1] - center[1]
-        gains = p_fue * path_gain(np.sqrt(dx * dx + dy * dy), budget) * -np.log1p(-u[:, 2])
+        gains = p_fue * path_gain(np.sqrt(dx * dx + dy * dy), config) * -np.log1p(-u[:, 2])
         trial_of = np.repeat(np.arange(hi - lo), counts[lo:hi])
         interference[lo:hi] = np.bincount(trial_of, weights=gains, minlength=hi - lo)
         lo = hi
 
-    trial_sinr = signal_mean * sig_fades / (interference + budget.noise_watts)
+    trial_sinr = signal_mean * sig_fades / (interference + config.noise_watts)
     rates = np.log2(1.0 + trial_sinr)
     mean = float(rates.mean())
     ci = Z_99 * float(rates.std(ddof=1)) / math.sqrt(mc_trials) if mc_trials > 1 else 0.0
@@ -210,16 +199,11 @@ def mc_spatial_average_rate(
 
 
 def mc_d2d_success_probability(
-    topology: NetworkTopology,
-    pairs,
-    k_factor: float,
-    budget: LinkBudget,
-    mc_trials: int,
-    rng: np.random.Generator,
-    link_distance: float = 20.0,
+    tx_positions, config: ScenarioConfig, mc_trials: int, rng: np.random.Generator
 ):
     """Monte-Carlo success probability of the typical D2D link at the region
-    centre against the first F-UE of each pair, Rayleigh faded per trial.
+    centre against the D2D transmitters at the rows of tx_positions (the
+    first F-UE of each pair), Rayleigh faded per trial.
 
     Draws the (mc_trials, pairs) interferer fades, then the (mc_trials, 1)
     signal fades, from `rng`, in that order.
@@ -227,15 +211,13 @@ def mc_d2d_success_probability(
     """
     if mc_trials < 1:
         raise ValueError("mc_trials must be at least 1")
-    region = topology.region
-    center = (region.width / 2.0, region.height / 2.0)
-    p_fue = budget.tx_watts(NodeKind.FUE)
-    signal_mean = p_fue * float(path_gain(link_distance, budget))
-    tx_positions = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2)
-    int_gains = p_fue * path_gain(pairwise_distances(tx_positions, [center])[:, 0], budget)
+    p_fue = config.fue_watts
+    signal_mean = p_fue * float(path_gain(config.d2d_link_distance, config))
+    center = config.region().center
+    int_gains = p_fue * path_gain(pairwise_distances(tx_positions, [center])[:, 0], config)
     int_fades = fading_sample(rng, size=(mc_trials, int_gains.size))
-    sig_fades = rician_sample(k_factor, rng, size=(mc_trials, 1))
+    sig_fades = rician_sample(config.d2d_fading(), rng, size=(mc_trials, 1))
     interference = int_fades @ int_gains if int_gains.size else 0.0
-    sinr = sig_fades @ np.array([signal_mean]) / (interference + budget.noise_watts)
-    p = float(np.count_nonzero(sinr >= budget.gamma_th_linear)) / mc_trials
+    sinr = sig_fades @ np.array([signal_mean]) / (interference + config.noise_watts)
+    p = float(np.count_nonzero(sinr >= config.theta)) / mc_trials
     return p, Z_99 * math.sqrt(p * (1.0 - p) / mc_trials)

@@ -23,7 +23,7 @@ from frangine.caching import (
     content_available,
     zipf_stream,
 )
-from frangine.geometry import NodeKind, distance, pair_d2d
+from frangine.geometry import distance, pair_d2d
 from frangine.channel import path_gain
 from frangine.metrics_sim import Architecture, LoadReport, _build_topology
 from frangine.mode_select import Mode, associate_fap
@@ -68,9 +68,10 @@ def decide(config, d, speed, far_speed, voice, far_voice, paired, relay, local_o
     return Mode.GLOBAL_CRAN
 
 
-def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
+def loop_fronthaul_load(decisions, tiers, config):
     """The load of (F-UE, mode) decisions and their tiers, and the ledger's
     CSV rows, one row at a time."""
+    payload_bits = config.payload_bits
     report = LoadReport()
     ledger = []
     fronthaul = backhaul = total = 0.0
@@ -78,7 +79,7 @@ def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
     processed = dict(payload)
     for idx, ((fue_id, mode), tier) in enumerate(zip(decisions, tiers)):
         if mode is Mode.GLOBAL_CRAN:
-            fh = payload_bits * iq_expansion_factor
+            fh = payload_bits * config.iq_expansion_factor
             fh, bh, served, work = fh, 0.0, "bbu", fh
         elif mode is Mode.HPN:
             fh, bh, served, work = 0.0, payload_bits, "hpn", 0.0
@@ -101,7 +102,6 @@ def loop_fronthaul_load(decisions, tiers, payload_bits, iq_expansion_factor):
 
 def request_loop(config) -> LoopResult:
     """The layout of `run_scenario(config)`, then its requests one by one."""
-    budget = config.budget()
     topology = _build_topology(config)
     n_fues = len(topology.fues)
     attr_rng = derive_rng(config.master_seed, "ue_attrs")
@@ -109,17 +109,14 @@ def request_loop(config) -> LoopResult:
     d2d_capable = attr_rng.random(n_fues) < config.d2d_fraction
     relay_willing = attr_rng.random(n_fues) < config.relay_fraction
     voice = attr_rng.random(n_fues) < config.voice_fraction
-    xy = topology.fues.positions
-    pairs = pair_d2d(topology.fues, d2d_capable)
+    xy = topology.fues
+    pairs = pair_d2d(xy, d2d_capable)
     partner = {i: j for i, j in pairs} | {j: i for i, j in pairs}
-    serving = associate_fap(
-        xy, topology.faps, budget, config.interference_limit,
-        [config.fap_capacity] * len(topology.faps),
-    )
+    serving = associate_fap(xy, topology.faps, config)
     lc_feasible = [
-        s is not None and budget.tx_watts(NodeKind.FAP) * float(path_gain(
-            distance(xy[i], topology.faps.positions[s]), budget
-        )) / budget.noise_watts >= budget.gamma_th_linear
+        s is not None and config.fap_watts * float(path_gain(
+            distance(xy[i], topology.faps[s]), config
+        )) / config.noise_watts >= config.theta
         for i, s in enumerate(serving)
     ]
     relays = [k for k in range(n_fues) if relay_willing[k] and d2d_capable[k]]
@@ -137,7 +134,7 @@ def request_loop(config) -> LoopResult:
     catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
     fue_caches = [EdgeCache(config.fue_cache_capacity, config.cache_policy) for _ in xy]
     fap_caches = [
-        EdgeCache(config.fap_cache_capacity, config.cache_policy) for _ in topology.faps.positions
+        EdgeCache(config.fap_cache_capacity, config.cache_policy) for _ in topology.faps
     ]
     neighbors = topology.fap_neighbors()
     warm, traffic = (
@@ -169,6 +166,6 @@ def request_loop(config) -> LoopResult:
             decisions.append((i, mode))
             tiers.append(tier)
 
-    load, ledger = loop_fronthaul_load(decisions, tiers, config.payload_bits, config.iq_expansion_factor)
+    load, ledger = loop_fronthaul_load(decisions, tiers, config)
     ratios = [sum(hits) / len(hits) if hits else 0.0 for hits in (fue_hits, fap_hits)]
     return LoopResult(load, ledger, *ratios)

@@ -6,6 +6,7 @@ inline; statistical checks use 99% Monte-Carlo confidence intervals.
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 import os
@@ -14,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget, db_to_linear
 from frangine.caching import ContentCatalog, EdgeCache, EvictionPolicy, zipf_stream
 from frangine.cli import EXIT_OK, main
 from frangine.coordination import (
@@ -31,7 +31,6 @@ from frangine.geometry import (
     FapTopology,
     NetworkTopology,
     NodeKind,
-    NodeSet,
     Region,
     build_fap_adjacency,
     sample_ppp,
@@ -42,7 +41,7 @@ from frangine.rng import derive_rng
 from mc_oracle import successful_access_probability
 
 Z99 = 2.5758293035489004
-BUDGET = LinkBudget()
+CONFIG = ScenarioConfig()
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
@@ -117,29 +116,19 @@ def test_acceptance_1_mode_truth_table(passline):
 # ---------------------------------------------------------------------------
 
 
-def _d2d_rate_topology(interferer_density):
-    """No F-UE is placed; the rate reads only their density."""
-    region = Region(1000.0, 1000.0)
-    empty = np.empty((0, 2))
-    return NetworkTopology(
-        region=region,
-        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
-        faps=NodeSet(empty, 0.0),
-        fues=NodeSet(empty, interferer_density),
-    )
+def _d2d_rate_config(interferer_density, k_db=6.0):
+    """The 1 km default, with its 20 m D2D links, at the given D2D
+    interferer density (the F-UE density) and K-factor in dB, None for
+    Rayleigh."""
+    return ScenarioConfig(lambda_fue=interferer_density, d2d_k_factor_db=k_db)
 
 
 def test_acceptance_2_rician_rate_ordering(passline):
     t0 = time.perf_counter()
     lam_m = 1e-6
-    topo = _d2d_rate_topology(10 * lam_m)
     rates = {
-        label: spatial_average_rate(topo, k_factor, BUDGET, link_distance=20.0)
-        for label, k_factor in (
-            ("K=6dB", db_to_linear(6.0)),
-            ("K=2dB", db_to_linear(2.0)),
-            ("Rayleigh", 0.0),
-        )
+        label: spatial_average_rate(_d2d_rate_config(10 * lam_m, k_db))
+        for label, k_db in (("K=6dB", 6.0), ("K=2dB", 2.0), ("Rayleigh", None))
     }
     # The rate is exact, so the ordering must hold by a margin that no
     # quadrature error could explain (the gaps are about 0.25 bit).
@@ -149,8 +138,8 @@ def test_acceptance_2_rician_rate_ordering(passline):
         gap = rates[hi] - rates[lo]
         assert gap > 0.1, f"{hi} vs {lo}: gap {gap:.4f} bit <= 0.1"
         gaps.append(gap)
-    low = spatial_average_rate(topo, db_to_linear(6.0), BUDGET)
-    high = spatial_average_rate(_d2d_rate_topology(1000 * lam_m), db_to_linear(6.0), BUDGET)
+    low = spatial_average_rate(_d2d_rate_config(10 * lam_m))
+    high = spatial_average_rate(_d2d_rate_config(1000 * lam_m))
     assert high < low, f"dense-interferer rate {high:.3f} not below sparse {low:.3f}"
     elapsed = _elapsed_ok(t0, 120.0)
     passline(
@@ -171,7 +160,7 @@ def _analytic_cellular_success(interference_per_sub, signal_mean, gamma_db):
     # P(success) = mean over subchannels of exp(-gamma (I_s + N) / S).
     g = 10 ** (gamma_db / 10.0)
     return float(np.mean(
-        np.exp(-g * (interference_per_sub + BUDGET.noise_watts) / signal_mean)
+        np.exp(-g * (interference_per_sub + CONFIG.noise_watts) / signal_mean)
     ))
 
 
@@ -179,35 +168,28 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
     t0 = time.perf_counter()
     region = Region(1000.0, 1000.0)
     lam_m = 2e-6
-    topo = NetworkTopology(
-        region=region,
-        hpns=NodeSet(np.array([[500.0, 400.0]]), 0.0),
-        faps=NodeSet(np.empty((0, 2)), 0.0),
-        fues=NodeSet(np.empty((0, 2)), 0.0),
-    )
-    signal_mean = BUDGET.tx_watts(NodeKind.FUE) * 100.0 ** -BUDGET.path_loss_exponent
+    hpns = np.array([[500.0, 400.0]])  # 100 m from the victim at the centre
     n_sub, trials = 16, 50_000
+    config = ScenarioConfig(n_subchannels=n_sub, mc_trials=trials)
+    signal_mean = config.fue_watts * 100.0 ** -config.path_loss_exponent
     eps_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     summary = []
     for ratio in (10, 100, 1000):
         txs = sample_ppp(ratio * lam_m, region, derive_rng(7, "tx", ratio))
-        cross_gains = make_d2d_links(
-            txs.positions, (500.0, 500.0), n_sub, BUDGET, derive_rng(7, "gains", ratio)
-        )
+        cross_gains = make_d2d_links(txs, config, derive_rng(7, "gains", ratio))
         curves = {}
         for kind in ("coac", "drac"):
             probs = []
             for eps in eps_grid:
+                point = dataclasses.replace(config, epsilon=eps)
                 if kind == "coac":
-                    occupied = coac_assign(cross_gains, eps)
+                    occupied = coac_assign(cross_gains, point)
                 else:
                     # One stream per density: the random subsets are nested
                     # prefixes across epsilon, the matched-seed coupling.
-                    occupied = drac_assign(
-                        len(cross_gains), n_sub, eps, derive_rng(9, "drac", ratio)
-                    )
+                    occupied = drac_assign(len(cross_gains), point, derive_rng(9, "drac", ratio))
                 p = cellular_success_probability(
-                    occupied, cross_gains, topo, BUDGET, trials, derive_rng(11, "mc", ratio)
+                    occupied, cross_gains, hpns, point, derive_rng(11, "mc", ratio)
                 )
                 probs.append(p)
             half_width = Z99 * math.sqrt(0.25 / trials)
@@ -220,7 +202,7 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
             )
         # Endpoint baselines computed analytically, not by simulation.
         upper = _analytic_cellular_success(np.zeros(n_sub), signal_mean, 0.0)
-        full = BUDGET.tx_watts(NodeKind.FUE) * cross_gains.sum(axis=0)
+        full = config.fue_watts * cross_gains.sum(axis=0)
         lower = _analytic_cellular_success(full, signal_mean, 0.0)
         for kind in ("coac", "drac"):
             for got, want in ((curves[kind][0], upper), (curves[kind][-1], lower)):
@@ -241,16 +223,10 @@ def test_acceptance_3_coac_drac_epsilon_sweep(passline):
 
 
 def _make_topology(fap_positions, fue_positions=(), topo_kind=FapTopology.MESH):
-    region = Region(1000.0, 1000.0)
-    faps = NodeSet(np.asarray(fap_positions, float).reshape(-1, 2), 0.0)
-    fues = NodeSet(np.asarray(fue_positions, float).reshape(-1, 2), 0.0)
+    faps = np.asarray(fap_positions, float).reshape(-1, 2)
+    fues = np.asarray(fue_positions, float).reshape(-1, 2)
     return NetworkTopology(
-        region=region,
-        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
-        faps=faps,
-        fues=fues,
-        fap_link_topology=topo_kind,
-        fap_adjacency=build_fap_adjacency(faps, topo_kind),
+        np.array([[500.0, 500.0]]), faps, fues, build_fap_adjacency(faps, topo_kind)
     )
 
 
@@ -289,20 +265,15 @@ def _ppp_cluster_topology(seed):
     faps = sample_ppp(1e-5, region, derive_rng(seed, "fap"))
     fues = sample_ppp(5e-5, region, derive_rng(seed, "fue"))
     return NetworkTopology(
-        region=region,
-        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
-        faps=faps,
-        fues=fues,
-        fap_link_topology=FapTopology.TREE,
-        fap_adjacency=build_fap_adjacency(faps, FapTopology.TREE),
+        np.array([[500.0, 500.0]]), faps, fues, build_fap_adjacency(faps, FapTopology.TREE)
     )
 
 
 def test_acceptance_4_merge_and_split(passline):
     t0 = time.perf_counter()
     # (a) Stability versus exhaustive partition enumeration (Bell numbers
-    # stay tiny for n <= 6) on 50 random utility instances.
-    config = ScenarioConfig()
+    # stay tiny for n <= 6) on 50 random utility instances, on F-AP meshes.
+    config = ScenarioConfig(fap_topology=FapTopology.MESH)
     rng = np.random.default_rng(101)
     for case in range(50):
         n = int(rng.integers(1, 7))
@@ -329,7 +300,7 @@ def test_acceptance_4_merge_and_split(passline):
             topo = _ppp_cluster_topology(seed)
             if len(topo.faps) == 0:
                 continue
-            result = merge_and_split(topo, ScenarioConfig(tau=tau))
+            result = merge_and_split(topo, ScenarioConfig(tau=tau))  # a tree
             sizes.append(float(np.mean(result.block_sizes())))
         mean_sizes[tau] = float(np.mean(sizes))
     assert mean_sizes[0.1] >= mean_sizes[1.0] >= mean_sizes[10.0], mean_sizes
@@ -342,8 +313,8 @@ def test_acceptance_4_merge_and_split(passline):
     rates, ees = [], []
     for g in gammas:
         prob = successful_access_probability(
-            cluster, topo, BUDGET, topo.fues.positions, 2000,
-            derive_rng(17, "ee", int(g)), gamma_th_db=g,
+            cluster, topo.faps, ScenarioConfig(gamma_th_db=g), topo.fues, 2000,
+            derive_rng(17, "ee", int(g)),
         )
         rate = prob * math.log2(1.0 + 10 ** (g / 10.0)) * len(topo.fues)
         rates.append(rate)

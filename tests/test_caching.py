@@ -295,7 +295,7 @@ def test_zipf_stream_equals_generator_choice():
 
 
 def test_zipf_empty_stream():
-    catalog = ContentCatalog(10)
+    catalog = ContentCatalog(10, zipf_exponent=0.8)
     assert zipf_stream(catalog, 0, derive_rng(7)).size == 0
 
 

@@ -6,25 +6,26 @@ import pytest
 from scipy import stats
 
 from frangine._kernels import sinr_trials, success_fraction
-from frangine.channel import LinkBudget, db_to_linear, dbm_to_watts, fading_sample, path_gain
+from frangine.channel import db_to_linear, dbm_to_watts, fading_sample, path_gain
+from frangine.metrics_sim import ScenarioConfig
 from frangine.rng import derive_rng
 from mc_oracle import rician_sample
 
 
 def test_path_gain_reference_distance():
-    budget = LinkBudget(path_loss_exponent=4.0, reference_gain_db=0.0)
-    assert path_gain(1.0, budget) == pytest.approx(1.0)
+    config = ScenarioConfig(path_loss_exponent=4.0, reference_gain_db=0.0)
+    assert path_gain(1.0, config) == pytest.approx(1.0)
 
 
 def test_path_gain_power_law():
-    budget = LinkBudget(path_loss_exponent=4.0, reference_gain_db=0.0)
-    assert path_gain(10.0, budget) == pytest.approx(1e-4)
+    config = ScenarioConfig(path_loss_exponent=4.0, reference_gain_db=0.0)
+    assert path_gain(10.0, config) == pytest.approx(1e-4)
 
 
 def test_path_gain_clamps_below_one_meter():
-    budget = LinkBudget()
-    assert path_gain(0.0, budget) == path_gain(1.0, budget)
-    assert path_gain(0.5, budget) == path_gain(1.0, budget)
+    config = ScenarioConfig()
+    assert path_gain(0.0, config) == path_gain(1.0, config)
+    assert path_gain(0.5, config) == path_gain(1.0, config)
 
 
 def test_rayleigh_unit_mean():

@@ -237,6 +237,9 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("coordination", "p_hpn", "inf"),
         ("traffic", "payload_bits", "inf"),
         ("traffic", "iq_expansion_factor", "inf"),
+        # Finite, but the fronthaul total over them is not.
+        ("traffic", "iq_expansion_factor", "1e300"),
+        ("traffic", "payload_bits", "1e307"),
         ("mode", "d1", "0"),
         ("mode", "d2", "40"),
         ("mode", "d3", "nan"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from frangine import _kernels
-from frangine.channel import LinkBudget, db_to_linear, fading_sample, path_gain
+from frangine.channel import db_to_linear, fading_sample, path_gain
 from frangine.coordination import (
     AccessTable,
     SffrUe,
@@ -29,8 +29,6 @@ from frangine.geometry import (
     FapTopology,
     NetworkTopology,
     NodeKind,
-    NodeSet,
-    Region,
     adjacency_is_connected,
     build_fap_adjacency,
     pairwise_distances,
@@ -42,33 +40,26 @@ from mc_oracle import FadeTable, successful_access_probability
 
 def make_topology(fap_positions, fue_positions=(), hpn_positions=((500.0, 500.0),),
                   topo=FapTopology.MESH):
-    region = Region(1000.0, 1000.0)
-    faps = NodeSet(np.asarray(fap_positions, float).reshape(-1, 2), 0.0)
-    fues = NodeSet(np.asarray(fue_positions, float).reshape(-1, 2), 0.0)
-    hpns = NodeSet(np.asarray(hpn_positions, float).reshape(-1, 2), 0.0)
-    return NetworkTopology(
-        region=region,
-        hpns=hpns,
-        faps=faps,
-        fues=fues,
-        fap_link_topology=topo,
-        fap_adjacency=build_fap_adjacency(faps, topo),
+    """A layout on the default 1 km square, whose centre is (500, 500)."""
+    hpns, faps, fues = (
+        np.asarray(xy, float).reshape(-1, 2)
+        for xy in (hpn_positions, fap_positions, fue_positions)
     )
+    return NetworkTopology(hpns, faps, fues, build_fap_adjacency(faps, topo))
 
 
-BUDGET = LinkBudget()
+CONFIG = ScenarioConfig()
+MESH = ScenarioConfig(fap_topology=FapTopology.MESH)
 
 
 def test_success_probability_gamma_limits():
-    topo = make_topology([[480, 500], [520, 500]], fue_positions=[[500, 500]])
-    common = dict(
-        topology=topo, budget=BUDGET, fue_positions=[[500, 500]], mc_trials=2000
-    )
+    common = dict(fap_positions=[[480, 500], [520, 500]], fue_positions=[[500, 500]],
+                  mc_trials=2000)
     assert successful_access_probability(
-        [0], rng=derive_rng(1), gamma_th_db=-1000.0, **common
+        [0], config=ScenarioConfig(gamma_th_db=-300.0), rng=derive_rng(1), **common
     ) == 1.0
     assert successful_access_probability(
-        [0], rng=derive_rng(1), gamma_th_db=1000.0, **common
+        [0], config=ScenarioConfig(gamma_th_db=300.0), rng=derive_rng(1), **common
     ) == 0.0
 
 
@@ -76,17 +67,15 @@ def test_success_probability_symmetric_half():
     # One signal F-AP and one interferer at equal distance, Rayleigh fading,
     # negligible noise, gamma = 0 dB: success iff X > Y for i.i.d.
     # exponentials, so probability 1/2.
-    topo = make_topology([[480, 500], [520, 500]], fue_positions=[[500, 500]])
-    budget = LinkBudget(noise_power_dbm=-250.0)
+    config = ScenarioConfig(noise_power_dbm=-250.0, gamma_th_db=0.0)
     p = successful_access_probability(
-        [0], topo, budget, [[500, 500]], 100_000, derive_rng(2), gamma_th_db=0.0
+        [0], [[480, 500], [520, 500]], config, [[500, 500]], 100_000, derive_rng(2)
     )
     assert abs(p - 0.5) < 0.02
 
 
 def test_success_probability_empty_served_set():
-    topo = make_topology([[100, 100]])
-    assert successful_access_probability([0], topo, BUDGET, [], 10, derive_rng(3)) == 0.0
+    assert successful_access_probability([0], [[100, 100]], CONFIG, [], 10, derive_rng(3)) == 0.0
 
 
 def _reference_probability(mp, gains, cluster, theta, noise):
@@ -114,15 +103,15 @@ def test_cluster_utility_recomputation_oracle():
         fue_positions=[[405, 500], [610, 500], [500, 710]],
     )
     config = ScenarioConfig(tau=1.0, gamma_th_db=0.0)
-    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET)
+    table = AccessTable.from_positions(topo.faps, topo.fues, config)
     cluster = [0, 1]
     u = cluster_utility(cluster, config, table)
     # Recompute from the pieces: F-UEs 0 and 1 are served by the cluster.
-    dists = pairwise_distances(topo.fues.positions, topo.faps.positions)
-    gains = BUDGET.tx_watts(NodeKind.FAP) * path_gain(dists, BUDGET)
+    dists = pairwise_distances(topo.fues, topo.faps)
+    gains = config.fap_watts * path_gain(dists, config)
     with mp.workdps(120):
         probs = [
-            _reference_probability(mp, gains[f], cluster, 1.0, BUDGET.noise_watts)
+            _reference_probability(mp, gains[f], cluster, 1.0, config.noise_watts)
             for f in (0, 1)
         ]
     assert table.success_probabilities(cluster) == pytest.approx(probs, rel=1e-12)
@@ -132,7 +121,7 @@ def test_cluster_utility_recomputation_oracle():
 
 def test_utility_decreasing_in_tau_for_power_above_one():
     topo = make_topology([[400, 500], [600, 500]], fue_positions=[[405, 500]])
-    table = AccessTable.from_positions(topo.faps.positions, topo.fues.positions, BUDGET)
+    table = AccessTable.from_positions(topo.faps, topo.fues, CONFIG)
     values = []
     for tau in (0.1, 1.0, 10.0):
         values.append(cluster_utility([0, 1], ScenarioConfig(tau=tau), table))
@@ -162,10 +151,10 @@ def test_success_probabilities_match_mpmath_reference():
             gains[1:min(size, 3)] = gains[0]
         theta = db_to_linear(float(rng.uniform(-10, 15)))
         cluster = tuple(range(size))
-        table = AccessTable(gains[None, :], [0], BUDGET.noise_watts, theta)
+        table = AccessTable(gains[None, :], [0], CONFIG.noise_watts, theta)
         (p,) = table.success_probabilities(cluster)
         with mp.workdps(120):
-            expected = _reference_probability(mp, gains, cluster, theta, BUDGET.noise_watts)
+            expected = _reference_probability(mp, gains, cluster, theta, CONFIG.noise_watts)
         assert 0.0 <= p <= 1.0
         assert abs(p - expected) < 1e-9, (case, kind, p, expected)
         kinds[kind] += 0.0 < expected < 1.0
@@ -179,13 +168,12 @@ def test_success_probability_erlang_two_at_midpoint():
     # E[I exp(-s I)] = that product times sum g_k/(1 + s g_k), at s = theta/g.
     faps = [[400, 500], [600, 500], [500, 800], [150, 250]]
     fue = [[500, 500]]
-    gains = (BUDGET.tx_watts(NodeKind.FAP)
-             * path_gain(pairwise_distances(fue, faps), BUDGET))[0]
+    gains = (CONFIG.fap_watts * path_gain(pairwise_distances(fue, faps), CONFIG))[0]
     assert gains[0] == gains[1]
-    noise = BUDGET.noise_watts
+    noise = CONFIG.noise_watts
     for gamma_db in (-10.0, 0.0, 10.0):
         theta = db_to_linear(gamma_db)
-        table = AccessTable.from_positions(faps, fue, LinkBudget(sinr_threshold_db=gamma_db))
+        table = AccessTable.from_positions(faps, fue, ScenarioConfig(gamma_th_db=gamma_db))
         s = theta / gains[0]
         laplace = 1.0 / ((1 + s * gains[2]) * (1 + s * gains[3]))
         mean_term = gains[2] / (1 + s * gains[2]) + gains[3] / (1 + s * gains[3])
@@ -197,10 +185,10 @@ def test_success_probability_erlang_two_at_midpoint():
 def test_success_probabilities_agree_with_monte_carlo_oracle():
     fues = np.random.default_rng(22).uniform(100, 900, size=(16, 2))
     trials = 20_000
-    oracle = FadeTable(FOUR_FAPS, fues, BUDGET, trials, 23)
+    oracle = FadeTable(FOUR_FAPS, fues, CONFIG, trials, 23)
     worst = 0.0
     for gamma_db in (-5.0, 5.0):
-        table = AccessTable.from_positions(FOUR_FAPS, fues, LinkBudget(sinr_threshold_db=gamma_db))
+        table = AccessTable.from_positions(FOUR_FAPS, fues, ScenarioConfig(gamma_th_db=gamma_db))
         for block in _nonempty_blocks(4):
             p = table.success_probabilities(block)
             successes = oracle.success_counts(block, db_to_linear(gamma_db))
@@ -215,11 +203,11 @@ def test_success_probabilities_agree_with_monte_carlo_oracle():
 def test_fade_table_matches_slice_sum_oracle():
     fues = np.random.default_rng(12).uniform(100, 900, size=(24, 2))
     trials, seed = 400, 99
-    table = FadeTable(FOUR_FAPS, fues, BUDGET, trials, seed)
+    table = FadeTable(FOUR_FAPS, fues, CONFIG, trials, seed)
     dists = np.linalg.norm(fues[:, None, :] - np.asarray(FOUR_FAPS, float)[None], axis=2)
     nearest = np.argmin(dists, axis=1)
     assert np.array_equal(table.serving, nearest)
-    gains = BUDGET.tx_watts(NodeKind.FAP) * path_gain(dists, BUDGET)
+    gains = CONFIG.fap_watts * path_gain(dists, CONFIG)
     # Every (group, F-AP) slab, regenerated from its own named stream.
     groups = {a: np.flatnonzero(nearest == a).tolist() for a in range(4)}
     slabs = {
@@ -242,7 +230,7 @@ def test_fade_table_matches_slice_sum_oracle():
                 signal = sum(power[j] for j in block)
                 interference = sum((power[j] for j in range(4) if j not in block),
                                    np.zeros(trials))
-                sinr = signal / (interference + BUDGET.noise_watts)
+                sinr = signal / (interference + CONFIG.noise_watts)
                 expected.append(int(np.count_nonzero(sinr >= gamma)))
             assert table.success_counts(block, gamma).tolist() == expected, (gamma_db, block)
             assert served_fue_indices(block, table).size == len(expected)
@@ -252,10 +240,10 @@ def test_cluster_utilities_do_not_depend_on_evaluation_order():
     fues = np.random.default_rng(13).uniform(100, 900, size=(20, 2))
     config = ScenarioConfig()
     blocks = _nonempty_blocks(4)
-    first = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET)
+    first = AccessTable.from_positions(FOUR_FAPS, fues, config)
     forward = [cluster_utility(b, config, first) for b in blocks]
     again = [cluster_utility(b, config, first) for b in reversed(blocks)][::-1]
-    fresh = AccessTable.from_positions(FOUR_FAPS, fues, BUDGET)
+    fresh = AccessTable.from_positions(FOUR_FAPS, fues, config)
     backward = [cluster_utility(b, config, fresh) for b in reversed(blocks)][::-1]
     assert forward == again == backward
     assert len(set(forward)) > 1
@@ -268,7 +256,7 @@ def test_access_table_builds_no_gain_tensor():
     fues = rng.uniform(0, 2000, size=(n_fues, 2))
     tracemalloc.start()
     try:
-        table = AccessTable.from_positions(faps, fues, BUDGET)
+        table = AccessTable.from_positions(faps, fues, CONFIG)
         for block in [tuple(range(n_faps))] + [(a,) for a in range(n_faps)]:
             table.success_probabilities(block)
         _, peak = tracemalloc.get_traced_memory()
@@ -327,7 +315,7 @@ def _is_stable(blocks, utility, allowed):
 
 def test_two_faps_merge_iff_union_improves():
     topo = make_topology([[400, 500], [600, 500]])
-    config = ScenarioConfig()
+    config = MESH
     merging = {(0,): 1.0, (1,): 1.0, (0, 1): 2.5}
     result = merge_and_split(topo, config, utility_fn=lambda b: merging[b])
     assert result.blocks == [(0, 1)]
@@ -337,7 +325,7 @@ def test_two_faps_merge_iff_union_improves():
 
 
 def test_merge_and_split_stable_against_bell_enumeration():
-    config = ScenarioConfig()
+    config = MESH
     rng = np.random.default_rng(101)
     for case in range(50):
         n = int(rng.integers(1, 7))
@@ -409,7 +397,7 @@ def test_tree_cuts_equal_connected_bipartitions():
         assert len(expected) == len(block) - 1
 
 
-def _full_rescan(topology, utility_fn):
+def _full_rescan(topology, tree, utility_fn):
     """Oracle: merge-and-split as it ran before merge candidates were read
     from the F-AP links. Every merge pass rescans all pairs of blocks, and
     in tree topology tests each union for connectivity."""
@@ -421,7 +409,6 @@ def _full_rescan(topology, utility_fn):
             cache[key] = utility_fn(tuple(sorted(block)))
         return cache[key]
 
-    tree = topology.fap_link_topology is FapTopology.TREE
     neighbors = {i: [] for i in range(len(topology.faps))}
     for i, j in topology.fap_adjacency:
         neighbors[i].append(j)
@@ -472,8 +459,7 @@ def test_merge_candidates_match_full_rescan(topo, tau):
     # A 30 dB threshold and F-APs in tight clumps make merges pay at every
     # tau: a lone F-AP's F-UEs then see their clump's other F-APs as
     # interference. Low noise keeps the tied-gain fallback's steps few.
-    config = ScenarioConfig(tau=tau, gamma_th_db=30.0, noise_power_dbm=-150.0)
-    budget = config.budget()
+    config = ScenarioConfig(tau=tau, gamma_th_db=30.0, noise_power_dbm=-150.0, fap_topology=topo)
     rng = np.random.default_rng(int(tau * 10) + 7 * (topo is FapTopology.TREE))
     for case in range(6):
         n = int(rng.integers(2, 41))
@@ -482,7 +468,7 @@ def test_merge_candidates_match_full_rescan(topo, tau):
         faps = clumps[rng.integers(len(clumps), size=n)] + rng.normal(0, 10, size=(n, 2))
         fues = clumps[rng.integers(len(clumps), size=5 * n)] + rng.normal(0, 10, size=(5 * n, 2))
         topology = make_topology(faps, fues, topo=topo)
-        table = AccessTable.from_positions(faps, fues, budget)
+        table = AccessTable.from_positions(faps, fues, config)
         calls = {"change": [], "oracle": []}
         scores = {}
 
@@ -495,7 +481,8 @@ def test_merge_candidates_match_full_rescan(topo, tau):
             return utility
 
         result = merge_and_split(topology, config, utility_fn=scorer(calls["change"]))
-        assert result.blocks == _full_rescan(topology, scorer(calls["oracle"])), (n, case)
+        tree = topo is FapTopology.TREE
+        assert result.blocks == _full_rescan(topology, tree, scorer(calls["oracle"])), (n, case)
         assert calls["change"] == calls["oracle"], (n, case)
 
 
@@ -535,6 +522,11 @@ def test_seven_km_tree_merge_and_split_finishes():
     assert sorted(v for block in partition.blocks for v in block) == list(range(493))
 
 
+def _assignment(epsilon, n_subchannels=16):
+    """A config of the given subchannel share and count."""
+    return ScenarioConfig(epsilon=epsilon, n_subchannels=n_subchannels)
+
+
 def test_round_half_away():
     assert round_half_away(0.5) == 1
     assert round_half_away(1.5) == 2
@@ -543,95 +535,95 @@ def test_round_half_away():
 
 
 def test_coac_epsilon_zero_empty():
-    assert not coac_assign(np.ones((3, 4)), 0.0).any()
+    assert not coac_assign(np.ones((3, 4)), _assignment(0.0)).any()
 
 
 def test_coac_epsilon_one_full_and_equals_drac():
-    coac = coac_assign(np.random.default_rng(1).uniform(size=(3, 4)), 1.0)
-    drac = drac_assign(3, 4, 1.0, derive_rng(1))
+    coac = coac_assign(np.random.default_rng(1).uniform(size=(3, 4)), _assignment(1.0))
+    drac = drac_assign(3, _assignment(1.0, 4), derive_rng(1))
     assert coac.shape == drac.shape == (3, 4)
     assert coac.all() and drac.all()
 
 
 def test_coac_picks_least_interfering_subchannels():
-    occupied = coac_assign(np.array([[0.4, 0.1, 0.3, 0.2]]), 0.5)
+    occupied = coac_assign(np.array([[0.4, 0.1, 0.3, 0.2]]), _assignment(0.5))
     assert np.array_equal(np.flatnonzero(occupied[0]), [1, 3])
 
 
 def test_coac_ties_break_by_lower_subchannel_index():
-    occupied = coac_assign(np.array([[0.5, 0.5, 0.5, 0.5]]), 0.5)
+    occupied = coac_assign(np.array([[0.5, 0.5, 0.5, 0.5]]), _assignment(0.5))
     assert np.array_equal(np.flatnonzero(occupied[0]), [0, 1])
 
 
 def test_coac_matches_sort_oracle_random():
     rng = np.random.default_rng(77)
     gains = rng.uniform(size=(20, 8))
-    occupied = coac_assign(gains, 0.5)
+    occupied = coac_assign(gains, _assignment(0.5))
     for i in range(20):
         expected = np.sort(np.lexsort((np.arange(8), gains[i]))[:4])
         assert np.array_equal(np.flatnonzero(occupied[i]), expected)
 
 
 def test_coac_and_drac_without_links():
-    assert coac_assign(np.ones((0, 5)), 0.5).shape == (0, 5)
-    assert drac_assign(0, 5, 0.5, derive_rng(1)).shape == (0, 5)
+    assert coac_assign(np.ones((0, 5)), _assignment(0.5)).shape == (0, 5)
+    assert drac_assign(0, _assignment(0.5, 5), derive_rng(1)).shape == (0, 5)
 
 
 def test_drac_one_permutation_per_link_in_link_order():
     rng = derive_rng(3, "drac-order")
     expected = [np.sort(rng.permutation(7)[:4]) for _ in range(6)]
-    occupied = drac_assign(6, 7, 0.5, derive_rng(3, "drac-order"))
+    occupied = drac_assign(6, _assignment(0.5, 7), derive_rng(3, "drac-order"))
     for row, subs in zip(occupied, expected):
         assert np.array_equal(np.flatnonzero(row), subs)
 
 
 def test_drac_uniform_occupation_frequency():
-    occupied = drac_assign(100_000, 10, 0.5, derive_rng(9, "drac"))
+    occupied = drac_assign(100_000, _assignment(0.5, 10), derive_rng(9, "drac"))
     freq = occupied.sum(axis=0) / 100_000
     assert np.all(np.abs(freq - 0.5) < 0.01)
 
 
 def test_drac_epsilon_extremes():
-    assert not drac_assign(5, 6, 0.0, derive_rng(10)).any()
-    assert drac_assign(5, 6, 1.0, derive_rng(10)).all()
+    assert not drac_assign(5, _assignment(0.0, 6), derive_rng(10)).any()
+    assert drac_assign(5, _assignment(1.0, 6), derive_rng(10)).all()
 
 
 def _victim_setup(n_links=50, n_sub=16, seed=21):
     topo = make_topology([[100, 100]], hpn_positions=[[500, 400]])
     rng = np.random.default_rng(seed)
     tx = rng.uniform(0, 1000, size=(n_links, 2))
-    cross_gains = make_d2d_links(tx, (500.0, 500.0), n_sub, BUDGET, derive_rng(seed, "links"))
+    cross_gains = make_d2d_links(
+        tx, ScenarioConfig(n_subchannels=n_sub), derive_rng(seed, "links")
+    )
     return topo, cross_gains
 
 
-def _analytic_success(interference_per_sub, budget, gamma_db):
+def _analytic_success(interference_per_sub, config):
     # Rayleigh signal fading: P(success) = mean_s exp(-g (I_s + N) / S).
-    signal = budget.tx_watts(NodeKind.FUE) * 100.0 ** (-4.0)  # victim 100 m from HPN
-    g = 10 ** (gamma_db / 10.0)
-    return float(np.mean(np.exp(-g * (interference_per_sub + budget.noise_watts) / signal)))
+    signal = config.fue_watts * 100.0 ** (-4.0)  # victim 100 m from HPN
+    g = config.theta
+    return float(np.mean(np.exp(-g * (interference_per_sub + config.noise_watts) / signal)))
 
 
 def test_cellular_success_epsilon_zero_matches_no_d2d_baseline():
     topo, cross_gains = _victim_setup()
-    occupied = coac_assign(cross_gains, 0.0)
+    occupied = coac_assign(cross_gains, _assignment(0.0))
     trials = 100_000
-    p = cellular_success_probability(
-        occupied, cross_gains, topo, BUDGET, trials, derive_rng(31)
-    )
-    expected = _analytic_success(np.zeros(16), BUDGET, 0.0)
+    config = ScenarioConfig(mc_trials=trials)
+    p = cellular_success_probability(occupied, cross_gains, topo.hpns, config, derive_rng(31))
+    expected = _analytic_success(np.zeros(16), config)
     ci = 2.576 * math.sqrt(expected * (1 - expected) / trials)
     assert abs(p - expected) < 2 * ci + 1e-9
 
 
 def test_cellular_success_epsilon_one_matches_all_d2d_baseline():
     topo, cross_gains = _victim_setup()
-    occupied = coac_assign(cross_gains, 1.0)
+    occupied = coac_assign(cross_gains, _assignment(1.0))
     trials = 100_000
-    p = cellular_success_probability(
-        occupied, cross_gains, topo, BUDGET, trials, derive_rng(32)
-    )
-    interference = BUDGET.tx_watts(NodeKind.FUE) * cross_gains.sum(axis=0)
-    expected = _analytic_success(interference, BUDGET, 0.0)
+    config = ScenarioConfig(mc_trials=trials)
+    p = cellular_success_probability(occupied, cross_gains, topo.hpns, config, derive_rng(32))
+    interference = config.fue_watts * cross_gains.sum(axis=0)
+    expected = _analytic_success(interference, config)
     ci = 2.576 * math.sqrt(max(expected * (1 - expected), 1e-12) / trials)
     assert abs(p - expected) < 2 * ci + 0.005
 
@@ -643,11 +635,15 @@ def test_cellular_interference_adds_links_as_the_per_link_loop(monkeypatch, n_li
     topo, cross_gains = _victim_setup(n_links=n_links, seed=n_links)
     seen = []
     monkeypatch.setattr(_kernels, "success_fraction", lambda sinr, gamma: seen.append(sinr) or 0.0)
-    p_fue = BUDGET.tx_watts(NodeKind.FUE)
-    hpn_dists = pairwise_distances([(500.0, 500.0)], topo.hpns.positions)[0]
-    signal_mean = p_fue * float(path_gain(hpn_dists.min(), BUDGET))
-    for occupied in (coac_assign(cross_gains, 0.5), drac_assign(n_links, 16, 0.25, derive_rng(5))):
-        cellular_success_probability(occupied, cross_gains, topo, BUDGET, 500, derive_rng(6))
+    config = ScenarioConfig(mc_trials=500)
+    p_fue = config.fue_watts
+    hpn_dists = pairwise_distances([(500.0, 500.0)], topo.hpns)[0]
+    signal_mean = p_fue * float(path_gain(hpn_dists.min(), config))
+    for occupied in (
+        coac_assign(cross_gains, _assignment(0.5)),
+        drac_assign(n_links, _assignment(0.25), derive_rng(5)),
+    ):
+        cellular_success_probability(occupied, cross_gains, topo.hpns, config, derive_rng(6))
         interference = np.zeros(16)
         for i, row in enumerate(occupied):
             subs = np.flatnonzero(row)
@@ -655,17 +651,18 @@ def test_cellular_interference_adds_links_as_the_per_link_loop(monkeypatch, n_li
         rng = derive_rng(6)
         sub_choice = rng.integers(0, 16, size=500)
         fades = fading_sample(rng, size=500)
-        expected = signal_mean * fades / (interference[sub_choice] + BUDGET.noise_watts)
+        expected = signal_mean * fades / (interference[sub_choice] + config.noise_watts)
         assert seen[-1].tobytes() == expected.tobytes()
 
 
 def test_coac_dominates_drac_matched_seed():
     topo, cross_gains = _victim_setup(n_links=200, seed=41)
     trials = 50_000
-    coac = coac_assign(cross_gains, 0.5)
-    drac = drac_assign(200, 16, 0.5, derive_rng(42))
+    coac = coac_assign(cross_gains, _assignment(0.5))
+    drac = drac_assign(200, _assignment(0.5), derive_rng(42))
+    config = ScenarioConfig(mc_trials=trials)
     p_coac, p_drac = (
-        cellular_success_probability(occ, cross_gains, topo, BUDGET, trials, derive_rng(43))
+        cellular_success_probability(occ, cross_gains, topo.hpns, config, derive_rng(43))
         for occ in (coac, drac)
     )
     ci = 2.576 * math.sqrt(0.25 / trials)

@@ -8,7 +8,6 @@ import pytest
 from frangine import geometry
 from frangine.geometry import (
     FapTopology,
-    NodeSet,
     Region,
     adjacency_is_connected,
     build_fap_adjacency,
@@ -21,7 +20,7 @@ from frangine.rng import derive_rng
 from test_coordination import _time_limit
 
 
-def test_zero_density_gives_empty_nodeset():
+def test_zero_density_gives_no_points():
     ns = sample_ppp(0.0, Region(1000.0, 1000.0), derive_rng(1))
     assert len(ns) == 0
 
@@ -30,14 +29,15 @@ def test_ppp_determinism_bitwise():
     region = Region(500.0, 400.0)
     a = sample_ppp(1e-4, region, derive_rng(42, "ppp"))
     b = sample_ppp(1e-4, region, derive_rng(42, "ppp"))
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
 
 
 def test_ppp_points_inside_region():
     region = Region(300.0, 200.0)
-    ns = sample_ppp(1e-3, region, derive_rng(3))
-    assert np.all(ns.positions[:, 0] >= 0) and np.all(ns.positions[:, 0] <= 300.0)
-    assert np.all(ns.positions[:, 1] >= 0) and np.all(ns.positions[:, 1] <= 200.0)
+    xy = sample_ppp(1e-3, region, derive_rng(3))
+    assert xy.shape == (len(xy), 2)
+    assert np.all(xy[:, 0] >= 0) and np.all(xy[:, 0] <= 300.0)
+    assert np.all(xy[:, 1] >= 0) and np.all(xy[:, 1] <= 200.0)
 
 
 def test_ppp_count_mean_within_three_standard_errors():
@@ -59,17 +59,13 @@ def test_ppp_poisson_moments_within_five_percent():
     assert abs(counts.var() - 10.0) / 10.0 < 0.05
 
 
-def _nodeset(points):
-    return NodeSet(np.asarray(points, dtype=float), 0.0)
-
-
 def test_single_fap_has_empty_edge_set():
     for mode in (FapTopology.MESH, FapTopology.TREE):
-        assert build_fap_adjacency(_nodeset([[0.0, 0.0]]), mode) == set()
+        assert build_fap_adjacency(np.zeros((1, 2)), mode) == set()
 
 
 def test_mesh_is_complete():
-    edges = build_fap_adjacency(_nodeset([[0, 0], [1, 0], [0, 1], [1, 1]]), FapTopology.MESH)
+    edges = build_fap_adjacency(np.array([[0, 0], [1, 0], [0, 1], [1, 1]]), FapTopology.MESH)
     assert edges == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
 
@@ -90,7 +86,7 @@ def test_tree_matches_exhaustive_mst_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10):
         points = rng.uniform(0, 100, size=(5, 2))
-        edges = build_fap_adjacency(_nodeset(points), FapTopology.TREE)
+        edges = build_fap_adjacency(points, FapTopology.TREE)
         weight = sum(distance(points[i], points[j]) for i, j in edges)
         assert math.isclose(weight, _brute_force_mst_weight(points), rel_tol=1e-12)
 
@@ -100,7 +96,7 @@ def test_tree_connected_and_acyclic_random_instances():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 51))
         points = rng.uniform(0, 1000, size=(n, 2))
-        edges = build_fap_adjacency(_nodeset(points), FapTopology.TREE)
+        edges = build_fap_adjacency(points, FapTopology.TREE)
         assert len(edges) == n - 1
         assert adjacency_is_connected(edges, list(range(n)))
         assert all(i < j for i, j in edges)
@@ -144,17 +140,14 @@ def test_pairwise_distances_bit_equal_to_stacked_difference():
 
 
 def test_pair_d2d_greedy_nearest_first():
-    fues = NodeSet(
-        np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.5, 0.0]]),
-        0.0,
-    )
+    fues = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.5, 0.0]])
     pairs = pair_d2d(fues, np.array([True, True, True, True]))
     assert pairs == [(2, 3), (0, 1)]
 
 
 def test_pair_d2d_respects_capability_and_uniqueness():
     rng = np.random.default_rng(5)
-    fues = NodeSet(rng.uniform(0, 100, size=(21, 2)), 0.0)
+    fues = rng.uniform(0, 100, size=(21, 2))
     capable = rng.random(21) < 0.7
     pairs = pair_d2d(fues, capable)
     seen = set()
@@ -219,15 +212,14 @@ def _oracle_layouts():
 
 def test_tree_matches_cubic_prim_oracle():
     for _, points in _oracle_layouts():
-        edges = build_fap_adjacency(_nodeset(points), FapTopology.TREE)
+        edges = build_fap_adjacency(points, FapTopology.TREE)
         assert edges == _prim_oracle(points)
 
 
 def test_pair_d2d_matches_tuple_sort_oracle():
     for rng, points in _oracle_layouts():
-        fues = NodeSet(points, 0.0)
         for capable in (np.ones(len(points), dtype=bool), rng.random(len(points)) < 0.6):
-            assert pair_d2d(fues, capable) == _pair_oracle(points, capable)
+            assert pair_d2d(points, capable) == _pair_oracle(points, capable)
 
 
 def _pair_oracle_within(points, limit):
@@ -279,9 +271,8 @@ def _cluster_and_ring(n_cluster, n_twins):
     ],
 )
 def test_pair_d2d_large_layouts_match_oracle_in_time(name, points):
-    fues = NodeSet(points, 0.0)
     with _time_limit(3.0, f"pair_d2d on the {len(points)}-point {name}"):
-        pairs = pair_d2d(fues, np.ones(len(points), dtype=bool))
+        pairs = pair_d2d(points, np.ones(len(points), dtype=bool))
     assert 2 * len(pairs) == len(points)
     dist = pairwise_distances(points, points)
     longest = max(dist[i, j] for i, j in pairs)
@@ -332,7 +323,7 @@ def test_pair_d2d_same_from_any_starting_radius(monkeypatch, radius):
     monkeypatch.setattr(geometry, "_start_radius", lambda xy: radius)
     for rng, points in _oracle_layouts():
         capable = rng.random(len(points)) < 0.7
-        assert pair_d2d(NodeSet(points, 0.0), capable) == _pair_oracle(points, capable)
+        assert pair_d2d(points, capable) == _pair_oracle(points, capable)
 
 
 @pytest.mark.parametrize("radius", [None, 1e-3, 2.5])
@@ -346,7 +337,7 @@ def test_tree_with_duplicate_points_matches_prim(monkeypatch, radius):
         rng = derive_rng(seed, "tree-duplicates")
         layouts.append(rng.integers(0, 4, size=(int(rng.integers(2, 40)), 2)).astype(float))
     for points in layouts:
-        assert build_fap_adjacency(_nodeset(points), FapTopology.TREE) == _prim_oracle(points)
+        assert build_fap_adjacency(points, FapTopology.TREE) == _prim_oracle(points)
 
 
 def test_tree_on_two_far_apart_clusters_matches_prim():
@@ -357,7 +348,7 @@ def test_tree_on_two_far_apart_clusters_matches_prim():
         points = np.concatenate(
             [rng.uniform(0.0, 10.0, size=(30, 2)), rng.uniform(0.0, 10.0, size=(30, 2)) + gap]
         )
-        assert build_fap_adjacency(_nodeset(points), FapTopology.TREE) == _prim_oracle(points)
+        assert build_fap_adjacency(points, FapTopology.TREE) == _prim_oracle(points)
 
 
 def _peak_bytes(call, seconds, what):
@@ -379,7 +370,7 @@ def test_pair_d2d_scales_without_a_dense_matrix():
     n = 12_000
     points = derive_rng(1, "scale-pairs").uniform(0.0, 2000.0, size=(n, 2))
     pairs, peak = _peak_bytes(
-        lambda: pair_d2d(NodeSet(points, 0.0), np.ones(n, dtype=bool)), 2.0,
+        lambda: pair_d2d(points, np.ones(n, dtype=bool)), 2.0,
         "pair_d2d on 12,000 F-UEs",
     )
     assert peak < n * n * 8 / 10
@@ -391,7 +382,7 @@ def test_tree_scales_without_a_dense_matrix():
     n = 4_000
     points = derive_rng(1, "scale-tree").uniform(0.0, 20_000.0, size=(n, 2))
     edges, peak = _peak_bytes(
-        lambda: build_fap_adjacency(_nodeset(points), FapTopology.TREE), 1.0,
+        lambda: build_fap_adjacency(points, FapTopology.TREE), 1.0,
         "the tree of 4,000 F-APs",
     )
     assert peak < n * n * 8 / 10

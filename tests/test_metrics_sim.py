@@ -5,13 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget, db_to_linear, path_gain
+from frangine.channel import db_to_linear, path_gain
 from frangine.geometry import (
     FapTopology,
     NetworkTopology,
-    NodeKind,
-    NodeSet,
-    Region,
     pair_d2d,
     pairwise_distances,
 )
@@ -142,24 +139,27 @@ def _codes(modes, tiers):
     )
 
 
+PAYLOAD_100 = ScenarioConfig(payload_bits=100.0, iq_expansion_factor=16.0)
+
+
 def test_fronthaul_load_single_rule_cases():
     modes, tiers = _codes([Mode.GLOBAL_CRAN] * 4, [ContentTier.CLOUD_ONLY] * 4)
-    report, ledger = fronthaul_load(np.zeros(4, int), modes, tiers, 100.0, 16.0)
+    report, ledger = fronthaul_load(np.zeros(4, int), modes, tiers, PAYLOAD_100)
     assert report.fronthaul_bits == pytest.approx(4 * 100.0 * 16.0)
     assert report.conserved()
     modes, tiers = _codes([Mode.D2D] * 3, [ContentTier.CLOUD_ONLY] * 3)
-    report, _ = fronthaul_load(np.zeros(3, int), modes, tiers, 100.0, 16.0)
+    report, _ = fronthaul_load(np.zeros(3, int), modes, tiers, PAYLOAD_100)
     assert report.fronthaul_bits == 0.0
     assert report.edge_processed_bits == pytest.approx(300.0)
 
 
 def test_fronthaul_local_coordination_miss_fetches_once():
     report, _ = fronthaul_load(
-        [0], *_codes([Mode.LOCAL_COORDINATION], [ContentTier.CLOUD_ONLY]), 100.0, 16.0
+        [0], *_codes([Mode.LOCAL_COORDINATION], [ContentTier.CLOUD_ONLY]), PAYLOAD_100
     )
     assert report.fronthaul_bits == pytest.approx(100.0)
     report, _ = fronthaul_load(
-        [0], *_codes([Mode.LOCAL_COORDINATION], [ContentTier.AT_FAP]), 100.0, 16.0
+        [0], *_codes([Mode.LOCAL_COORDINATION], [ContentTier.AT_FAP]), PAYLOAD_100
     )
     assert report.fronthaul_bits == 0.0
 
@@ -171,7 +171,9 @@ def test_fronthaul_load_totals_add_left_to_right():
     rng = np.random.default_rng(4)
     modes = rng.choice([Mode.GLOBAL_CRAN, Mode.HPN, Mode.LOCAL_COORDINATION, Mode.D2D], n)
     tiers = rng.choice(list(ContentTier), n)
-    report, ledger = fronthaul_load(np.arange(n), *_codes(modes, tiers), 0.1, 16.0)
+    report, ledger = fronthaul_load(
+        np.arange(n), *_codes(modes, tiers), ScenarioConfig(payload_bits=0.1)
+    )
     rows = ledger_rows(metrics_sim.MetricsReport(ledger=ledger))
     ledger = [dict(zip(LEDGER_COLUMNS, row)) for row in rows]
 
@@ -264,12 +266,8 @@ def test_request_pipeline_covers_unadmitted_fues_and_no_warmup():
     assert any(c.interference_limit < math.inf for c in configs)
     unadmitted = 0
     for config in configs:
-        budget = config.budget()
         topology = metrics_sim._build_topology(config)
-        serving = associate_fap(
-            topology.fues.positions, topology.faps, budget, config.interference_limit,
-            [config.fap_capacity] * len(topology.faps),
-        )
+        serving = associate_fap(topology.fues, topology.faps, config)
         unadmitted += serving.count(None)
     assert unadmitted > 0
 
@@ -364,10 +362,7 @@ def test_content_tiers_allocate_for_the_requests_not_the_capacities():
         _cooperative_config(1), fue_cache_capacity=10**12, fap_cache_capacity=10**12
     )
     topology = metrics_sim._build_topology(config)
-    serving = associate_fap(
-        topology.fues.positions, topology.faps, config.budget(), config.interference_limit,
-        [config.fap_capacity] * len(topology.faps),
-    )
+    serving = associate_fap(topology.fues, topology.faps, config)
     requests = len(serving) * (config.warmup_requests + config.requests_per_fue)
     tracemalloc.start()
     try:
@@ -405,12 +400,10 @@ def test_hcran_gate_reads_the_partners_speed_but_not_its_voice(
 ):
     """Two D2D-capable F-UEs 10 m apart beside one F-AP: F-UE 0 is slow and
     not on voice, and its partner, F-UE 1, has the given speed and voice."""
-    region = Region(1000.0, 1000.0)
     topology = NetworkTopology(
-        region=region,
-        hpns=NodeSet(np.array([[100.0, 100.0]]), 0.0),
-        faps=NodeSet(np.array([[500.0, 500.0]]), 0.0),
-        fues=NodeSet(np.array([[500.0, 510.0], [500.0, 520.0]]), 0.0),
+        hpns=np.array([[100.0, 100.0]]),
+        faps=np.array([[500.0, 500.0]]),
+        fues=np.array([[500.0, 510.0], [500.0, 520.0]]),
     )
     monkeypatch.setattr(metrics_sim, "_build_topology", lambda config: topology)
     derive = metrics_sim.derive_rng
@@ -429,40 +422,36 @@ def test_hcran_gate_reads_the_partners_speed_but_not_its_voice(
     assert modes == {Architecture.FRAN: {fran}, Architecture.HCRAN: {hcran}}
 
 
-def _bare_topology(fue_density=0.0):
-    """A 1 km region without F-UEs. The spatial average rate reads only
-    their density, as the density of the D2D interferers."""
-    region = Region(1000.0, 1000.0)
-    empty = np.empty((0, 2))
-    return NetworkTopology(
-        region=region,
-        hpns=NodeSet(np.array([[500.0, 500.0]]), 0.0),
-        faps=NodeSet(np.array([[100.0, 100.0]]), 0.0),
-        fues=NodeSet(empty, fue_density),
-    )
-
-
-def _region_topology(width=1000.0, height=1000.0, fue_density=0.0):
-    return dataclasses.replace(_bare_topology(fue_density), region=Region(width, height))
+def _rate_config(width=1000.0, height=1000.0, lambda_fue=0.0, k_db=None, **keys):
+    """A region, its D2D interferer density and the D2D link's K-factor in
+    dB (None: Rayleigh), as the spatial average rate reads them."""
+    return ScenarioConfig(region_width=width, region_height=height, lambda_fue=lambda_fue,
+                          d2d_k_factor_db=k_db, **keys)
 
 
 def test_spatial_average_rate_no_fading_snr_one():
-    # Huge-K Rician is effectively unfaded; tx power equal to noise at the
-    # 1 m reference distance gives SNR = 1 and rate log2(2) = 1.
-    budget = LinkBudget(
-        tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -100.0},
-        noise_power_dbm=-100.0,
-    )
-    k_factor = db_to_linear(80.0)
-    rate = spatial_average_rate(_bare_topology(), k_factor, budget, link_distance=1.0)
-    assert rate == pytest.approx(1.0, abs=1e-6)
+    # The D2D transmit power equals the noise at the 1 m reference distance,
+    # so the mean SNR is 1. Against the rate over the Rician law: 2 (1 + K)
+    # X is noncentral chi-square with 2 degrees of freedom and noncentrality
+    # 2K, for unit-mean X. At the K-factor ceiling the rate is nearly the
+    # unfaded log2(2) = 1.
+    stats = pytest.importorskip("scipy.stats")
+    integrate = pytest.importorskip("scipy.integrate")
+    k_db = metrics_sim.K_FACTOR_DB_MAX
+    config = _rate_config(k_db=k_db, tx_power_fue_dbm=-100.0, noise_power_dbm=-100.0,
+                          d2d_link_distance=1.0)
+    k = db_to_linear(k_db)
+    law = stats.ncx2(2, 2.0 * k, scale=1.0 / (2.0 * (1.0 + k)))
+    exact, _ = integrate.quad(lambda x: math.log2(1.0 + x) * law.pdf(x), 0.0, 3.0,
+                              points=[1.0], epsabs=1e-14, epsrel=1e-13, limit=200)
+    rate = spatial_average_rate(config)
+    assert rate == pytest.approx(exact, rel=1e-12)
+    assert rate == pytest.approx(1.0, abs=1e-3)
 
 
 def test_spatial_average_rate_degrades_with_interferer_density():
-    budget = LinkBudget()
-    k_factor = db_to_linear(6.0)
-    low = spatial_average_rate(_bare_topology(1e-5), k_factor, budget)
-    high = spatial_average_rate(_bare_topology(1e-3), k_factor, budget)
+    low = spatial_average_rate(_rate_config(lambda_fue=1e-5, k_db=6.0))
+    high = spatial_average_rate(_rate_config(lambda_fue=1e-3, k_db=6.0))
     assert high < low
 
 
@@ -471,20 +460,20 @@ def test_spatial_average_rate_without_interferers_is_the_rayleigh_closed_form(sn
     # E log2(1 + snr X), X ~ Exp(1), is exp(1/snr) E1(1/snr) / ln 2. The
     # signal is 20 dBm at 1 m with unit gain.
     exp1 = pytest.importorskip("scipy.special").exp1
-    budget = LinkBudget(noise_power_dbm=20.0 - snr_db)
-    snr = budget.tx_watts(NodeKind.FUE) * float(path_gain(1.0, budget)) / budget.noise_watts
-    rate = spatial_average_rate(_bare_topology(), 0.0, budget, link_distance=1.0)
+    config = _rate_config(noise_power_dbm=20.0 - snr_db, d2d_link_distance=1.0)
+    snr = config.fue_watts * float(path_gain(1.0, config)) / config.noise_watts
+    rate = spatial_average_rate(config)
     exact = math.exp(1.0 / snr) * exp1(1.0 / snr) / math.log(2.0)
     assert rate == pytest.approx(exact, rel=1e-12)
 
 
 RATE_CASES = {
-    "1 km, Rayleigh": ((1000.0, 1000.0), 0.0, 5e-5),
-    "1 km, K = 10 dB": ((1000.0, 1000.0), db_to_linear(10.0), 5e-5),
-    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), db_to_linear(6.0), 2.5e-4),
-    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), db_to_linear(3.0), 5e-5),
-    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), db_to_linear(0.0), 1e-5),
-    "1.6 x 1 m": ((1.6, 1.0), 0.0, 0.3),
+    "1 km, Rayleigh": ((1000.0, 1000.0), None, 5e-5),
+    "1 km, K = 10 dB": ((1000.0, 1000.0), 10.0, 5e-5),
+    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), 6.0, 2.5e-4),
+    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), 3.0, 5e-5),
+    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), 0.0, 1e-5),
+    "1.6 x 1 m": ((1.6, 1.0), None, 0.3),
 }
 
 
@@ -499,29 +488,24 @@ def test_region_area_nodes_integrate_the_rectangle(half_sides):
 
 @pytest.mark.parametrize("case", sorted(RATE_CASES))
 def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
-    (width, height), k_factor, density = RATE_CASES[case]
-    budget = LinkBudget()
-
-    def rate():
-        return spatial_average_rate(_region_topology(width, height, density), k_factor, budget)
-
-    coarse = rate()
+    (width, height), k_db, density = RATE_CASES[case]
+    config = _rate_config(width, height, density, k_db)
+    coarse = spatial_average_rate(config)
     monkeypatch.setattr(metrics_sim, "AREA_NODES", 4 * metrics_sim.AREA_NODES)
     monkeypatch.setattr(metrics_sim, "Z_NODES", 4 * metrics_sim.Z_NODES)
-    assert coarse == pytest.approx(rate(), rel=1e-10)
+    assert coarse == pytest.approx(spatial_average_rate(config), rel=1e-10)
 
 
 def test_spatial_average_rate_is_finite_at_extremes():
     rates = [
-        spatial_average_rate(_region_topology(1.5, 0.5, 1.0), 0.0, LinkBudget()),
-        spatial_average_rate(_region_topology(3000.0, 1000.0), 0.0, LinkBudget()),
+        spatial_average_rate(_rate_config(1.5, 0.5, 1.0)),
+        spatial_average_rate(_rate_config(3000.0, 1000.0)),
     ]
     for tx, noise in ((-150.0, -100.0), (150.0, -250.0), (20.0, 100.0), (-300.0, -300.0)):
-        budget = LinkBudget(
-            tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: tx}, noise_power_dbm=noise
-        )
         for density in (0.0, 5e-5):
-            rates.append(spatial_average_rate(_bare_topology(density), db_to_linear(6.0), budget))
+            rates.append(spatial_average_rate(_rate_config(
+                lambda_fue=density, k_db=6.0, tx_power_fue_dbm=tx, noise_power_dbm=noise
+            )))
     assert all(math.isfinite(r) and r >= 0.0 for r in rates), rates
 
 
@@ -529,12 +513,10 @@ def test_spatial_average_rate_memory_is_bounded():
     # The (z, r) arrays of the default case: 512 z nodes by 96 radii,
     # 384 KiB each, and two of them at once.
     config = ScenarioConfig()
-    spatial_average_rate(_bare_topology(), config.d2d_fading(), config.budget())  # node tables
+    spatial_average_rate(ScenarioConfig(lambda_fue=0.0))  # node tables
     tracemalloc.start()
     try:
-        spatial_average_rate(
-            _bare_topology(config.lambda_fue), config.d2d_fading(), config.budget()
-        )
+        spatial_average_rate(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -543,14 +525,11 @@ def test_spatial_average_rate_memory_is_bounded():
 
 @pytest.mark.parametrize("density", [5e-5, 1e-6])  # default; most trials empty
 def test_mc_spatial_average_rate_does_not_depend_on_chunk_size(monkeypatch, density):
-    budget = ScenarioConfig().budget()
-    k_factor = ScenarioConfig().d2d_fading()
+    config = ScenarioConfig(lambda_fue=density)
     rates = []
     for chunk in (1, 7, mc_oracle.CHUNK, 10**9):
         monkeypatch.setattr(mc_oracle, "CHUNK", chunk)
-        rates.append(mc_spatial_average_rate(
-            _bare_topology(density), k_factor, budget, 400, derive_rng(9, "rate")
-        ))
+        rates.append(mc_spatial_average_rate(config, 400, derive_rng(9, "rate")))
     assert rates[1:] == rates[:-1]
 
 
@@ -558,10 +537,7 @@ def test_mc_spatial_average_rate_memory_is_bounded():
     config = ScenarioConfig()
     tracemalloc.start()
     try:
-        mc_spatial_average_rate(
-            _bare_topology(config.lambda_fue), config.d2d_fading(), config.budget(), 100_000,
-            derive_rng(1, "rate"),
-        )
+        mc_spatial_average_rate(config, 100_000, derive_rng(1, "rate"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -574,15 +550,15 @@ def _gauss_legendre(lo, hi, n):
     return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
 
 
-def _rayleigh_rate(budget, density, half_side, link_distance):
+def _rayleigh_rate(config, half_side):
     """E log2(1 + SINR) of a Rayleigh-faded link at the centre of a square
     of the given half side, against a PPP of Rayleigh-faded interferers
-    with path gains clamped at 1 m: the integral over t of
-    P(SINR > theta) = exp(-theta N / S) L_I(theta / S), theta = 2^t - 1,
+    at the F-UE density, with path gains clamped at 1 m: the integral over
+    t of P(SINR > theta) = exp(-theta N / S) L_I(theta / S), theta = 2^t - 1,
     where log L_I(s) = -density * int_square s g / (1 + s g) dA
     (Andrews, Baccelli & Ganti, IEEE TCOM 2011; Haenggi, ch. 5)."""
-    p_fue = budget.tx_watts(NodeKind.FUE)
-    signal = p_fue * float(path_gain(link_distance, budget))
+    p_fue = config.fue_watts
+    signal = p_fue * float(path_gain(config.d2d_link_distance, config))
     nodes = [_gauss_legendre(lo, lo + 4.0, 64) for lo in np.arange(0.0, 48.0, 4.0)]
     t = np.concatenate([x for x, _ in nodes])
     t_weights = np.concatenate([w for _, w in nodes])
@@ -602,43 +578,39 @@ def _rayleigh_rate(budget, density, half_side, link_distance):
         v_weights * 2.0 * math.pi * circle_r**2,
         w_weights * arc_angle * arc_r * 2.0 * (corner - half_side) * w,
     ])
-    g = p_fue * path_gain(r, budget)
-    log_laplace = -density * ((s * g / (1.0 + s * g)) @ area)
-    return float(np.exp(log_laplace - s[:, 0] * budget.noise_watts) @ t_weights)
+    g = p_fue * path_gain(r, config)
+    log_laplace = -config.lambda_fue * ((s * g / (1.0 + s * g)) @ area)
+    return float(np.exp(log_laplace - s[:, 0] * config.noise_watts) @ t_weights)
 
 
 def test_spatial_average_rate_matches_rayleigh_laplace_oracle():
     # The oracle's own accuracy is about 1e-5 relative at the densest case.
-    config = ScenarioConfig(d2d_k_factor_db=None)
     for density, half_side in ((5e-5, 500.0), (2.5e-4, 1000.0), (1e-3, 500.0)):
-        rate = spatial_average_rate(
-            _region_topology(2 * half_side, 2 * half_side, density), 0.0, config.budget(),
-            link_distance=config.d2d_link_distance,
-        )
-        exact = _rayleigh_rate(config.budget(), density, half_side, config.d2d_link_distance)
+        config = _rate_config(2 * half_side, 2 * half_side, density)
+        rate = spatial_average_rate(config)
+        exact = _rayleigh_rate(config, half_side)
         assert rate == pytest.approx(exact, rel=2e-5), (density, half_side)
 
 
-# (region, k_factor, interferer density, trials); seeds derive_rng(27,
-# "rate-oracle", i) for case i, fixed before the cases were first run.
+# (region, K in dB or None for Rayleigh, interferer density, trials); seeds
+# derive_rng(27, "rate-oracle", i) for case i, fixed before the cases were
+# first run.
 MC_RATE_CASES = [
-    ((1000.0, 1000.0), 0.0, 5e-5, 200_000),
-    ((1000.0, 1000.0), db_to_linear(6.0), 5e-5, 200_000),
-    ((1000.0, 1000.0), db_to_linear(10.0), 1e-3, 10_000),
-    ((2000.0, 2000.0), db_to_linear(0.0), 2.5e-4, 10_000),
-    ((3000.0, 1000.0), db_to_linear(3.0), 5e-5, 50_000),
-    ((1000.0, 1000.0), 0.0, 1e-6, 200_000),
+    ((1000.0, 1000.0), None, 5e-5, 200_000),
+    ((1000.0, 1000.0), 6.0, 5e-5, 200_000),
+    ((1000.0, 1000.0), 10.0, 1e-3, 10_000),
+    ((2000.0, 2000.0), 0.0, 2.5e-4, 10_000),
+    ((3000.0, 1000.0), 3.0, 5e-5, 50_000),
+    ((1000.0, 1000.0), None, 1e-6, 200_000),
 ]
 
 
 @pytest.mark.parametrize("i", range(len(MC_RATE_CASES)))
 def test_spatial_average_rate_matches_monte_carlo_oracle(i):
-    (width, height), k_factor, density, trials = MC_RATE_CASES[i]
-    topology, budget = _region_topology(width, height, density), LinkBudget()
-    mean, ci = mc_spatial_average_rate(
-        topology, k_factor, budget, trials, derive_rng(27, "rate-oracle", i)
-    )
-    exact = spatial_average_rate(topology, k_factor, budget)
+    (width, height), k_db, density, trials = MC_RATE_CASES[i]
+    config = _rate_config(width, height, density, k_db)
+    mean, ci = mc_spatial_average_rate(config, trials, derive_rng(27, "rate-oracle", i))
+    exact = spatial_average_rate(config)
     assert abs(mean - exact) < 4.0 * ci / metrics_sim.Z_99
 
 
@@ -702,20 +674,23 @@ DENSE = dict(region_width=2000.0, region_height=2000.0, lambda_fap=3e-6, lambda_
 
 
 def _d2d_layout(config):
-    """A run's topology and D2D pairs; the capable F-UEs come from a stream
-    of this test's own."""
-    topology = metrics_sim._build_topology(config)
-    capable = derive_rng(config.master_seed, "test-capable").random(len(topology.fues))
-    return topology, pair_d2d(topology.fues, capable < config.d2d_fraction)
+    """The D2D transmitters of a run's layout: the first F-UE of each pair.
+    The capable F-UEs come from a stream of this test's own."""
+    fues = metrics_sim._build_topology(config).fues
+    capable = derive_rng(config.master_seed, "test-capable").random(len(fues))
+    return fues[[i for i, _ in pair_d2d(fues, capable < config.d2d_fraction)]]
 
 
-def _d2d_gains(topology, pairs, budget, link_distance=20.0):
+NO_TX = np.empty((0, 2))
+
+
+def _d2d_gains(tx_xy, config):
     """(mean signal power, mean power of each interferer) at the centre."""
-    p_fue = budget.tx_watts(NodeKind.FUE)
-    centre = np.array([topology.region.width, topology.region.height]) / 2.0
-    gap = topology.fues.positions[[i for i, _ in pairs]].reshape(-1, 2) - centre
-    gains = p_fue * path_gain(np.hypot(gap[:, 0], gap[:, 1]), budget)
-    return p_fue * float(path_gain(link_distance, budget)), gains
+    p_fue = config.fue_watts
+    centre = np.array([config.region_width, config.region_height]) / 2.0
+    gap = tx_xy - centre
+    gains = p_fue * path_gain(np.hypot(gap[:, 0], gap[:, 1]), config)
+    return p_fue * float(path_gain(config.d2d_link_distance, config)), gains
 
 
 # (config overrides, K in dB or None for Rayleigh, threshold in dB, trials);
@@ -734,19 +709,18 @@ D2D_CASES = {
 def test_d2d_success_matches_monte_carlo_oracle(case):
     overrides, k_db, gamma_db, trials = D2D_CASES[case]
     config = ScenarioConfig(**overrides, d2d_k_factor_db=k_db, gamma_th_db=gamma_db)
-    args = (*_d2d_layout(config), config.d2d_fading(), config.budget())
-    exact = d2d_success_probability(*args)
+    tx_xy = _d2d_layout(config)
+    exact = d2d_success_probability(tx_xy, config)
     estimate, _ = mc_d2d_success_probability(
-        *args, trials, derive_rng(2028, "d2d-oracle", case)
+        tx_xy, config, trials, derive_rng(2028, "d2d-oracle", case)
     )
     assert 0.001 < exact < 0.999
     assert abs(estimate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
 
-def _d2d_success(topology, pairs, k_factor, budget, gamma_db):
-    """d2d_success_probability with the budget's threshold set to gamma_db."""
-    budget = dataclasses.replace(budget, sinr_threshold_db=gamma_db)
-    return d2d_success_probability(topology, pairs, k_factor, budget)
+def _d2d_success(tx_xy, config, **keys):
+    """d2d_success_probability with the given config keys replaced."""
+    return d2d_success_probability(tx_xy, dataclasses.replace(config, **keys))
 
 
 @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 20.0])
@@ -754,19 +728,18 @@ def _d2d_success(topology, pairs, k_factor, budget, gamma_db):
 def test_d2d_success_rayleigh_is_the_closed_form(overrides, gamma_db):
     # P = exp(-a N) prod_k 1 / (1 + a g_k), a = theta / S_bar.
     config = ScenarioConfig(**overrides, d2d_k_factor_db=None)
-    topology, pairs = _d2d_layout(config)
-    budget = config.budget()
-    signal, gains = _d2d_gains(topology, pairs, budget)
+    tx_xy = _d2d_layout(config)
+    signal, gains = _d2d_gains(tx_xy, config)
     a = db_to_linear(gamma_db) / signal
-    closed = math.exp(-a * budget.noise_watts) * float(np.prod(1.0 / (1.0 + a * gains)))
-    got = _d2d_success(topology, pairs, 0.0, budget, gamma_db)
+    closed = math.exp(-a * config.noise_watts) * float(np.prod(1.0 / (1.0 + a * gains)))
+    got = _d2d_success(tx_xy, config, gamma_th_db=gamma_db)
     assert got == pytest.approx(closed, rel=1e-12)
 
 
-def _noise_only_margins(budget, margins):
+def _noise_only_margins(config, margins):
     """Thresholds in dB at which theta N / S_bar takes each given value."""
-    signal, _ = _d2d_gains(_bare_topology(), [], budget)
-    return [10.0 * math.log10(x * signal / budget.noise_watts) for x in margins]
+    signal, _ = _d2d_gains(NO_TX, config)
+    return [10.0 * math.log10(x * signal / config.noise_watts) for x in margins]
 
 
 @pytest.mark.parametrize("k_db", [0.0, 6.0, 20.0, 30.0])
@@ -775,55 +748,52 @@ def test_d2d_success_without_interferers_is_the_rician_tail(k_db):
     # with 2 degrees of freedom and noncentrality 2K. At 30 dB and x = 0.9,
     # T_0 = exp(-901) underflows, and only the rescaled recursion gets 0.989.
     ncx2 = pytest.importorskip("scipy.stats").ncx2
-    budget = LinkBudget()
+    config = ScenarioConfig(d2d_k_factor_db=k_db)
     k = db_to_linear(k_db)
     margins = [0.2, 0.5, 0.9, 0.99, 1.1, 1.5]
-    for x, gamma_db in zip(margins, _noise_only_margins(budget, margins)):
-        got = _d2d_success(
-            _bare_topology(), [], db_to_linear(k_db), budget, gamma_db
-        )
+    for x, gamma_db in zip(margins, _noise_only_margins(config, margins)):
+        got = _d2d_success(NO_TX, config, gamma_th_db=gamma_db)
         assert got == pytest.approx(ncx2.sf(2.0 * (1.0 + k) * x, 2, 2.0 * k), abs=1e-12)
 
 
 def test_d2d_success_edge_cases():
     config = ScenarioConfig()
-    topology, pairs = _d2d_layout(config)
-    rician = config.d2d_fading()
+    rayleigh = ScenarioConfig(d2d_k_factor_db=None)
+    tx_xy = _d2d_layout(config)
     # No interferers, Rayleigh: exp(-theta N / S_bar).
-    budget = LinkBudget()
-    for x, gamma_db in zip((0.1, 2.0), _noise_only_margins(budget, (0.1, 2.0))):
-        got = _d2d_success(_bare_topology(), [], 0.0, budget, gamma_db)
+    for x, gamma_db in zip((0.1, 2.0), _noise_only_margins(rayleigh, (0.1, 2.0))):
+        got = _d2d_success(NO_TX, rayleigh, gamma_th_db=gamma_db)
         assert got == pytest.approx(math.exp(-x), rel=1e-12)
-    # No noise: -4000 dBm is 0 W. Rayleigh is prod_k 1 / (1 + a g_k); with
-    # no interferers either, the SINR is infinite.
-    silent = LinkBudget(noise_power_dbm=-4000.0)
-    assert silent.noise_watts == 0.0
-    signal, gains = _d2d_gains(topology, pairs, silent)
+    # The least noise a config takes, -300 dBm, is 1e-33 W. Rayleigh is then
+    # prod_k 1 / (1 + a g_k) to double precision; with no interferers
+    # either, success is certain.
+    silent = ScenarioConfig(noise_power_dbm=-300.0, gamma_th_db=10.0)
+    signal, gains = _d2d_gains(tx_xy, silent)
     a = db_to_linear(10.0) / signal
-    assert _d2d_success(topology, pairs, 0.0, silent, 10.0) == pytest.approx(
+    assert _d2d_success(tx_xy, silent, d2d_k_factor_db=None) == pytest.approx(
         float(np.prod(1.0 / (1.0 + a * gains))), rel=1e-12
     )
-    assert 0.0 < _d2d_success(topology, pairs, rician, silent, 10.0) < 1.0
-    assert _d2d_success(_bare_topology(), [], rician, silent, 10.0) == 1.0
-    # A signal power that underflows to 0 W never succeeds, with or without
-    # noise, interferers and fading; nothing is NaN.
-    for noise_dbm in (-100.0, -4000.0):
-        mute = LinkBudget(
-            tx_power_dbm={NodeKind.FAP: 30.0, NodeKind.FUE: -4000.0}, noise_power_dbm=noise_dbm
-        )
-        for k_factor in (0.0, rician):
-            assert _d2d_success(topology, pairs, k_factor, mute, 0.0) == 0.0
-            assert _d2d_success(_bare_topology(), [], k_factor, mute, 0.0) == 0.0
-    # A K-factor that underflows to 0 is Rayleigh; an unreachable threshold
-    # gives 0, and one that underflows to 0 gives 1.
-    budget = config.budget()
-    tiny = db_to_linear(-4000.0)
-    assert _d2d_success(topology, pairs, tiny, budget, 0.0) == (
-        _d2d_success(topology, pairs, 0.0, budget, 0.0)
-    )
-    for k_factor in (0.0, rician):
-        assert _d2d_success(topology, pairs, k_factor, budget, 400.0) == 0.0
-        assert _d2d_success(topology, pairs, k_factor, budget, -4000.0) == 1.0
+    assert 0.0 < d2d_success_probability(tx_xy, silent) < 1.0
+    assert d2d_success_probability(NO_TX, silent) == 1.0
+    # A signal power that underflows to 0 W, over a 1e300 m link, never
+    # succeeds, with or without noise, interferers and fading; nothing is NaN.
+    for noise_dbm in (-100.0, -300.0):
+        for k_db in (None, 6.0):
+            mute = ScenarioConfig(
+                d2d_link_distance=1e300, noise_power_dbm=noise_dbm, d2d_k_factor_db=k_db
+            )
+            assert _d2d_gains(NO_TX, mute)[0] == 0.0
+            assert d2d_success_probability(tx_xy, mute) == 0.0
+            assert d2d_success_probability(NO_TX, mute) == 0.0
+    # A K-factor that underflows to 0 is Rayleigh; the highest threshold a
+    # config takes, 300 dB, is unreachable, and the lowest, -300 dB, is
+    # always met.
+    tiny = ScenarioConfig(d2d_k_factor_db=-4000.0)
+    assert tiny.d2d_fading() == 0.0
+    assert d2d_success_probability(tx_xy, tiny) == d2d_success_probability(tx_xy, rayleigh)
+    for k_db in (None, 6.0):
+        assert _d2d_success(tx_xy, config, d2d_k_factor_db=k_db, gamma_th_db=300.0) == 0.0
+        assert _d2d_success(tx_xy, config, d2d_k_factor_db=k_db, gamma_th_db=-300.0) == 1.0
 
 
 def test_d2d_success_at_the_k_factor_ceiling_finishes():

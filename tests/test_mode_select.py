@@ -1,12 +1,11 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from frangine.channel import LinkBudget, path_gain
-from frangine.geometry import NodeKind, NodeSet, distance, pairwise_distances
+from frangine.channel import path_gain
+from frangine.geometry import distance, pairwise_distances
 from frangine.metrics_sim import ScenarioConfig, _pair_relays
 from frangine.mode_select import MODES, Mode, associate_fap, select_mode
 from frangine.rng import derive_rng
@@ -116,41 +115,36 @@ def test_speed_dominance_property():
     assert (codes == MODES.index(Mode.HPN)).all()
 
 
-def _faps(xs):
-    return NodeSet(np.array([[x, 0.0] for x in xs]), 0.0)
-
-
 def _at(*xs):
     return np.array([[x, 0.0] for x in xs])
 
 
+ONE_BLOCK = ScenarioConfig(fap_capacity=1)
+
+
 def test_associate_single_fap_with_capacity():
-    assert associate_fap(_at(0.0), _faps([10.0]), LinkBudget(), math.inf, [1]) == [0]
+    assert associate_fap(_at(0.0), _at(10.0), ONE_BLOCK) == [0]
 
 
 def test_associate_falls_back_when_nearest_full():
-    faps = _faps([10.0, 50.0])
-    assert associate_fap(_at(0.0), faps, LinkBudget(), math.inf, [0, 1]) == [1]
     # The first F-UE takes F-AP 0's last block; the second falls back.
-    assert associate_fap(_at(0.0, 0.0), faps, LinkBudget(), math.inf, [1, 1]) == [0, 1]
+    assert associate_fap(_at(0.0, 0.0), _at(10.0, 50.0), ONE_BLOCK) == [0, 1]
 
 
 def test_associate_all_full_returns_none():
-    faps = _faps([10.0, 50.0])
-    assert associate_fap(_at(0.0), faps, LinkBudget(), math.inf, [0, 0]) == [None]
-    assert associate_fap(_at(0.0, 0.0, 0.0), faps, LinkBudget(), math.inf, [1, 1]) == [0, 1, None]
+    faps = _at(10.0, 50.0)
+    assert associate_fap(_at(0.0), faps, ScenarioConfig(fap_capacity=0)) == [None]
+    assert associate_fap(_at(0.0, 0.0, 0.0), faps, ONE_BLOCK) == [0, 1, None]
 
 
 def test_associate_prefers_strongest_power():
-    faps = _faps([0.0, 35.0, 100.0])
-    assert associate_fap(_at(30.0), faps, LinkBudget(), math.inf, [1, 1, 1]) == [1]
+    assert associate_fap(_at(30.0), _at(0.0, 35.0, 100.0), ONE_BLOCK) == [1]
 
 
 def test_associate_interference_limit_blocks_admission():
     # Admission to F-AP 0 leaks into F-AP 1 at 20 m; a tight limit blocks it.
-    faps = _faps([5.0, 20.0])
-    budget = LinkBudget()
-    assert associate_fap(_at(0.0), faps, budget, 1e-30, [1, 1]) == [None]
+    config = ScenarioConfig(fap_capacity=1, interference_limit=1e-30)
+    assert associate_fap(_at(0.0), _at(5.0, 20.0), config) == [None]
 
 
 def _relay_oracle(points, i, j, th, relays):
@@ -220,46 +214,44 @@ def test_relay_search_with_relay_ends_and_coincident_relays():
     assert bridged > 20
 
 
-def _associate_oracle(ue, faps, budget, interference_limit, capacity):
-    """Scalar distances and a Python sort; None when every F-AP is blocked."""
-    dists = np.array([distance(ue, p) for p in faps.positions])
-    rx_power = budget.tx_watts(NodeKind.FAP) * path_gain(dists, budget)
+def _associate_oracle(ue, faps, config, free):
+    """Scalar distances and a Python sort, over the F-APs with free blocks
+    left; None when every F-AP is blocked."""
+    dists = np.array([distance(ue, p) for p in faps])
+    rx_power = config.fap_watts * path_gain(dists, config)
     for i in sorted(range(len(faps)), key=lambda i: (-rx_power[i], i)):
-        if capacity[i] <= 0:
+        if free[i] <= 0:
             continue
         others = np.delete(dists, i)
         if others.size:
-            leak = budget.tx_watts(NodeKind.FUE) * float(np.max(path_gain(others, budget)))
-            if leak > interference_limit:
+            leak = config.fue_watts * float(np.max(path_gain(others, config)))
+            if leak > config.interference_limit:
                 continue
         return i
     return None
 
 
 def test_associate_matches_scalar_distance_oracle():
-    budget = LinkBudget()
     outcomes = set()
     for rng, points in _oracle_layouts("associate", 5):
         n_ues = max(1, len(points) // 3)
-        ues = points[:n_ues]
-        faps = NodeSet(points[n_ues:], 0.0)
-        unlimited = [n_ues] * len(faps)  # no F-AP fills
-        strongest = [_associate_oracle(ue, faps, budget, math.inf, unlimited) for ue in ues]
+        ues, faps = points[:n_ues], points[n_ues:]
+        unlimited = ScenarioConfig(fap_capacity=n_ues)  # no F-AP fills
+        strongest = [_associate_oracle(ue, faps, unlimited, [n_ues] * len(faps)) for ue in ues]
         # Limits at the leak levels the layout produces block some F-APs.
-        leaks = budget.tx_watts(NodeKind.FUE) * path_gain(
-            pairwise_distances(points[:n_ues], faps.positions), budget
-        )
+        leaks = unlimited.fue_watts * path_gain(pairwise_distances(ues, faps), unlimited)
         for limit in (float("inf"), *rng.choice(leaks.ravel(), size=3)):
-            for capacity in (unlimited, rng.integers(0, 3, size=len(faps))):
+            for capacity in (n_ues, int(rng.integers(0, 3))):
+                config = ScenarioConfig(fap_capacity=capacity, interference_limit=float(limit))
                 # The oracle F-UE by F-UE, each admission taking one block.
-                free = list(capacity)
+                free = [capacity] * len(faps)
                 want = []
                 for ue in ues:
-                    f = _associate_oracle(ue, faps, budget, limit, free)
+                    f = _associate_oracle(ue, faps, config, free)
                     if f is not None:
                         free[f] -= 1
                     want.append(f)
-                got = associate_fap(points[:n_ues], faps, budget, limit, capacity)
+                got = associate_fap(ues, faps, config)
                 assert got == want
                 outcomes.update(
                     "blocked" if f is None else "strongest" if f == s else "fallback"
@@ -274,11 +266,10 @@ def test_associate_memory_is_bounded():
     # on a 10 km tree, 39 MiB each.
     rng = derive_rng(3, "associate", "memory")
     ues = rng.uniform(0.0, 3000.0, size=(2000, 2))
-    faps = NodeSet(rng.uniform(0.0, 3000.0, size=(300, 2)), 0.0)
-    budget = LinkBudget()
+    faps = rng.uniform(0.0, 3000.0, size=(300, 2))
     tracemalloc.start()
     try:
-        associate_fap(ues, faps, budget, 1e-9, [5] * len(faps))
+        associate_fap(ues, faps, ScenarioConfig(fap_capacity=5, interference_limit=1e-9))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,11 +13,18 @@ that README keeps on purpose although no run calls it.
 
 The same goes for attributes: an attribute that the package assigns on
 `self` must be read somewhere in the package or in `scenbench/`.
+
+And a config key has one default, on its `ScenarioConfig` field: no
+function parameter, and no field of another class, both takes a key's
+name and gives it a default of its own.
 """
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
+
+from frangine.metrics_sim import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "frangine"
@@ -111,6 +118,33 @@ def unread_attributes(src=SRC):
     })
 
 
+def defaulted_config_keys(src=SRC):
+    """(module, "owner.name") of each function parameter, and each class
+    attribute outside `ScenarioConfig`, that has a config key's name and a
+    default value."""
+    keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default
+                ]
+                owner = getattr(node, "name", "<lambda>")
+                found += [(path.stem, f"{owner}.{arg.arg}") for arg in defaulted]
+            elif isinstance(node, ast.ClassDef) and node.name != "ScenarioConfig":
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        targets = [stmt.target]
+                    else:
+                        targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+                    found += [(path.stem, f"{node.name}.{t.id}") for t in targets
+                              if isinstance(t, ast.Name)]
+    return sorted((module, name) for module, name in found if name.split(".")[1] in keys)
+
+
 def test_every_top_level_name_is_used_by_the_package():
     assert unused_names() == []
 
@@ -150,3 +184,23 @@ def test_every_assigned_attribute_is_read(tmp_path):
     assert planted != cache
     (tmp_path / "caching.py").write_text(planted)
     assert unread_attributes(tmp_path) == [("caching", "spare")]
+
+
+def test_no_second_default_for_a_config_key(tmp_path):
+    assert defaulted_config_keys() == []
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # A record of link keys with defaults of its own, and a layer function
+    # that defaults a key instead of reading the config.
+    with open(tmp_path / "channel.py", "a") as fh:
+        fh.write(
+            "\n\n@dataclass(frozen=True)\nclass Budget:\n"
+            "    noise_power_dbm: float = -100.0\n    margin_db: float = 3.0\n"
+            "\n\ndef rate(config, link_distance, d2d_link_distance=20.0, *, tau=1.0):\n"
+            "    return 0.0\n"
+        )
+    assert defaulted_config_keys(tmp_path) == [
+        ("channel", "Budget.noise_power_dbm"),
+        ("channel", "rate.d2d_link_distance"),
+        ("channel", "rate.tau"),
+    ]
