@@ -118,10 +118,10 @@ def replay_lanes(streams: np.ndarray, capacity: int, policy: EvictionPolicy) -> 
     key, so an empty slot first; keys are unique within a row, so the victim
     is `EdgeCache`'s. A row holds at most as many items as it has distinct
     ids, so W = min(capacity, n, largest id + 1) and any capacity fits in
-    O(L * n) memory.
+    O(L * n) memory. L and n may be 0.
     """
     lanes, n = streams.shape
-    width = min(capacity, n, int(streams.max()) + 1) if streams.size else 0
+    width = min(capacity, n, int(streams.max(initial=0)) + 1)
     held = np.full((lanes, width), -1, dtype=streams.dtype)
     keys = np.full((lanes, width), -1, dtype=np.int64)
     hits = np.zeros((lanes, n), dtype=bool)

@@ -70,15 +70,6 @@ class AccessTable:
     def __post_init__(self):
         self.log_products = np.full(self.gains.shape, np.nan)
 
-    @classmethod
-    def from_positions(cls, fap_xy, fue_xy, config: ScenarioConfig) -> "AccessTable":
-        """Each F-UE served by its nearest F-AP, the strongest under uniform power."""
-        dists = pairwise_distances(fue_xy, fap_xy)
-        return cls(
-            config.fap_watts * path_gain(dists, config), np.argmin(dists, axis=1),
-            config.noise_watts, config.theta,
-        )
-
     def success_probabilities(self, cluster) -> np.ndarray:
         """One probability per F-UE of served_fue_indices(cluster, self)."""
         cluster = np.array(sorted(cluster), dtype=np.intp)
@@ -216,9 +207,7 @@ def _tree_cuts(block, neighbors):
 
 
 def merge_and_split(
-    topology: NetworkTopology,
-    config: ScenarioConfig,
-    utility_fn=None,
+    topology: NetworkTopology, config: ScenarioConfig, utility_fn
 ) -> CoalitionPartition:
     """Merge-and-split coalition formation over the F-AP set.
 
@@ -231,19 +220,11 @@ def merge_and_split(
     blocks stay connected, and a block's split candidates are its
     subtree's edge cuts (`_tree_cuts`), scanned in `_bipartitions`' order.
 
-    utility_fn, when given, replaces the cluster utility; it is called with
-    a sorted tuple of F-AP indices and must be deterministic. The default
-    scores every block on one AccessTable of the topology's F-UEs, under
-    the config's powers and path gain. Each distinct block is evaluated
-    once.
+    utility_fn scores a block, a sorted tuple of F-AP indices, and must be
+    deterministic; a run passes `cluster_utility` on its AccessTable. Each
+    distinct block is evaluated once.
     """
     n = len(topology.faps)
-    if utility_fn is None:
-        table = AccessTable.from_positions(topology.faps, topology.fues, config)
-
-        def utility_fn(block: tuple) -> float:
-            return cluster_utility(block, config, table)
-
     cache: dict[tuple, float] = {}
 
     def utility(block: tuple) -> float:

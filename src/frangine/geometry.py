@@ -147,10 +147,11 @@ def build_fap_adjacency(xy: np.ndarray, mode: FapTopology) -> set:
     return edges
 
 
-def pair_d2d(xy: np.ndarray, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
+def pair_d2d(xy: np.ndarray, d2d_capable: np.ndarray) -> np.ndarray:
     """Greedy nearest-neighbor D2D pairing over the capable F-UEs, rows of
     xy: pairs are taken in ascending (distance, lo, hi) order, each F-UE
-    joining at most one.
+    joining at most one. Returns the (P, 2) np.intp array of (lo, hi) rows
+    in pairing order.
 
     The pairs within r are a prefix of that order, so a round matches over
     them alone, and the next takes the F-UEs left, all over r apart, with r
@@ -164,11 +165,11 @@ def pair_d2d(xy: np.ndarray, d2d_capable: np.ndarray) -> list[tuple[int, int]]:
         for a, b in zip(lo[order].tolist(), hi[order].tolist()):
             if not (paired[a] or paired[b]):
                 paired[a] = paired[b] = True
-                pairs.append((int(idx[a]), int(idx[b])))
+                pairs += (idx[a], idx[b])
         idx, r = idx[np.logical_not(paired)], 2.0 * r
     if idx.size == 2:  # the last two pair at any distance
-        pairs.append(tuple(idx.tolist()))
-    return pairs
+        pairs += idx.tolist()
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def adjacency_is_connected(edges: set, nodes: list[int]) -> bool:

@@ -29,9 +29,11 @@ from .caching import (
 )
 from .channel import db_to_linear, dbm_to_watts, path_gain
 from .coordination import (
+    AccessTable,
     SchedulerKind,
     cellular_success_probability,
     cluster_power,
+    cluster_utility,
     coac_assign,
     drac_assign,
     make_d2d_links,
@@ -208,6 +210,11 @@ class ScenarioConfig:
                 "path_loss_exponent leaves the weaker of tx_power_fap_dbm and "
                 f"tx_power_fue_dbm below {sys.float_info.min:.3g} W at the "
                 f"{diagonal:.3g} m region diagonal"
+            )
+        # Nor is the typical D2D link, so its mean received power is one too.
+        if not self.d2d_link_distance <= diagonal:
+            raise ValueError(
+                f"d2d_link_distance must be at most the {diagonal:.3g} m region diagonal"
             )
         # Every cluster utility divides up to log2(1 + gamma) per served F-UE
         # (like the ceiling, take the expected count) by P(k)^tau, which grows
@@ -462,8 +469,6 @@ def spatial_average_rate(config: ScenarioConfig) -> float:
     """
     k_factor, p_fue, noise = config.d2d_fading(), config.fue_watts, config.noise_watts
     signal_mean = p_fue * float(path_gain(config.d2d_link_distance, config))
-    if signal_mean == 0.0:
-        return 0.0
     lo = math.log(1e-18) - math.log(signal_mean)
     hi = math.log(800.0) - math.log(noise)
     if hi <= lo:
@@ -538,8 +543,6 @@ def d2d_success_probability(tx_xy, config: ScenarioConfig) -> float:
     signal_mean = p_fue * float(path_gain(config.d2d_link_distance, config))
     dists = pairwise_distances(tx_xy, [config.region().center])[:, 0]
     gains = p_fue * path_gain(dists, config)
-    if signal_mean == 0.0:
-        return 0.0
     a = (1.0 + k_factor) * config.theta / signal_mean
     b = a * gains
     # By Markov's inequality on each term of y alone, P <= (1 + K) / max(a N,
@@ -586,9 +589,9 @@ def _pair_relays(xy, pairs, relay_xy, config: ScenarioConfig) -> np.ndarray:
     the only ones `select_mode` rule (3) reads. Neither end of such a pair
     is within D1 of the other, so neither counts as its own relay."""
     found = np.zeros(len(xy), dtype=bool)
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    i, j = pairs.T
     d = np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1])
-    ends = np.column_stack([i, j])[(config.d1 < d) & (d <= config.d2)]
+    ends = pairs[(config.d1 < d) & (d <= config.d2)]
     if ends.size and len(relay_xy):
         # Rows 2p and 2p + 1 hold pair p's ends, then the relays: a relay within D1
         # of both ends of pair p makes two end-relay hits with one key.
@@ -599,17 +602,18 @@ def _pair_relays(xy, pairs, relay_xy, config: ScenarioConfig) -> np.ndarray:
     return found
 
 
-def _content_tiers(config: ScenarioConfig, serving, neighbors):
+def _content_tiers(config: ScenarioConfig, fap, neighbors):
     """Replay every F-UE's warm-up and traffic requests through the caches.
 
     The warm-up requests are one (U, warmup_requests) draw from the
     "warmup" stream and the traffic one (U, requests_per_fue) draw from the
     "traffic" stream; row i is F-UE i's requests. Returns each traffic
     request's tier code as a (U, requests_per_fue) array, and the F-UE and
-    F-AP hit ratios of the traffic. All warm-ups come first, in F-UE order,
-    then all traffic; the warm-ups only prime the caches. A request's tier
-    is what `content_available` gives just before it: the F-UE cache, then
-    the F-AP cache, then whether a linked F-AP holds the item.
+    F-AP hit ratios of the traffic. fap holds each F-UE's serving F-AP, -1
+    for none. All warm-ups come first, in F-UE order, then all traffic; the
+    warm-ups only prime the caches. A request's tier is what
+    `content_available` gives just before it: the F-UE cache, then the F-AP
+    cache, then whether a linked F-AP holds the item.
 
     Each cache serves a stream of its own, so each is replayed over it
     whole: all F-UE caches at once by `replay_lanes`, and each F-AP cache by
@@ -623,7 +627,7 @@ def _content_tiers(config: ScenarioConfig, serving, neighbors):
     misses both its F-UE and its F-AP cache asks.
     """
     catalog = ContentCatalog(config.catalog_items, config.zipf_exponent)
-    n_fues, n_warm, n = len(serving), config.warmup_requests, config.requests_per_fue
+    n_fues, n_warm, n = len(fap), config.warmup_requests, config.requests_per_fue
     warm, traffic = (
         zipf_stream(catalog, (n_fues, length), derive_rng(config.master_seed, tag))
         for tag, length in (("warmup", n_warm), ("traffic", n))
@@ -632,7 +636,6 @@ def _content_tiers(config: ScenarioConfig, serving, neighbors):
         np.hstack((warm, traffic)), config.fue_cache_capacity, config.cache_policy
     )[:, n_warm:]
 
-    fap = np.array([-1 if s is None else s for s in serving], dtype=np.intp)
     admitted = np.flatnonzero(fap >= 0)
     members = admitted[np.argsort(fap[admitted], kind="stable")]  # by F-AP, then F-UE
     load = np.bincount(fap[admitted], minlength=len(neighbors))
@@ -701,8 +704,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     report = MetricsReport(
         n_hpns=len(topology.hpns), n_faps=len(topology.faps), n_fues=n_fues
     )
-    if n_fues == 0:
-        return report
 
     attr_rng = derive_rng(config.master_seed, "ue_attrs")
     speeds = attr_rng.exponential(config.speed_mean, size=n_fues)
@@ -716,16 +717,20 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     # An unpaired F-UE is its own far end: co-located and without a D2D
     # partner, so the rules route it through local coordination or C-RAN.
     partner = np.arange(n_fues)
-    for i, j in pairs:
-        partner[i], partner[j] = j, i
+    partner[pairs] = pairs[:, ::-1]
 
-    serving = associate_fap(xy, topology.faps, config)
+    # One F-UE x F-AP gain matrix serves association, local coordination and
+    # clustering. The clustering table serves each F-UE from its nearest
+    # F-AP, not the argmax of the gains: gains tie under the 1 m clamp.
+    dists = pairwise_distances(xy, topology.faps)
+    gains = path_gain(dists, config)
+    nearest = dists.argmin(axis=1)
+    del dists
+    serving = associate_fap(gains, config)
+    gains *= config.fap_watts  # in place: the mean received powers
     # Local coordination needs the serving F-AP's mean SNR to reach gamma.
-    served = [i for i, s in enumerate(serving) if s is not None]
-    gap = xy[served] - topology.faps[[serving[i] for i in served]]
-    snr = config.fap_watts * path_gain(np.hypot(gap[:, 0], gap[:, 1]), config)
-    lc_feasible = np.zeros(n_fues, dtype=bool)
-    lc_feasible[served] = snr / config.noise_watts >= config.theta
+    rows = np.arange(n_fues)
+    lc_feasible = (serving >= 0) & (gains[rows, serving] / config.noise_watts >= config.theta)
 
     relays = _pair_relays(xy, pairs, xy[relay_willing & d2d_capable], config)
 
@@ -735,7 +740,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     # A request reaches its F-UE's mode only through whether its content is
     # cloud-only. So every F-UE's two modes are decided in one call, on a
     # (U, 2) grid whose column 1 is cloud-only content.
-    u, p = np.arange(n_fues)[:, None], partner[:, None]
+    u, p = rows[:, None], partner[:, None]
     decided = select_mode(
         np.hypot(xy[u, 0] - xy[p, 0], xy[u, 1] - xy[p, 1]), speeds[u], speeds[p],
         voice[u], voice[p], u != p, relays[u], lc_feasible[u] & np.array([True, False]),
@@ -758,12 +763,15 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
 
     # Coalitional clustering of F-APs.
-    partition = merge_and_split(topology, config)
+    table = AccessTable(gains, nearest, config.noise_watts, config.theta)
+    partition = merge_and_split(
+        topology, config, lambda block: cluster_utility(block, config, table)
+    )
     report.mean_cluster_size = float(np.mean(partition.block_sizes()))
 
     # D2D subchannel scheduling and the cellular victim's success. The
     # first F-UE of each pair transmits.
-    tx_xy = xy[[i for i, _ in pairs]]
+    tx_xy = xy[pairs[:, 0]]
     cross_gains = make_d2d_links(tx_xy, config, derive_rng(config.master_seed, "crossgains"))
     if config.scheduler is SchedulerKind.COAC:
         occupied = coac_assign(cross_gains, config)
@@ -781,10 +789,10 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     # Energy efficiency: active F-APs at full power, idle ones asleep. The
     # config's power checks, with one HPN and one F-AP in every layout, make
     # the total positive.
-    active_faps = {s for s in serving if s is not None}
-    n_sleep = len(topology.faps) - len(active_faps)
+    n_active = int(np.count_nonzero(np.bincount(serving + 1)[1:]))
+    n_sleep = len(topology.faps) - n_active
     total_power = (
-        len(active_faps) * (config.p_static + config.p_tx)
+        n_active * (config.p_static + config.p_tx)
         + n_sleep * config.sleep_power_fraction * config.p_static
         + len(topology.hpns) * config.p_hpn
     )

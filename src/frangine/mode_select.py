@@ -13,9 +13,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import path_gain
-from .geometry import pairwise_distances
-
 if TYPE_CHECKING:
     from .metrics_sim import ScenarioConfig
 
@@ -75,16 +72,17 @@ def select_mode(
     )
 
 
-def associate_fap(fue_xy, fap_xy, config: ScenarioConfig) -> list[int | None]:
-    """Pick each F-UE's serving F-AP, in F-UE order: strongest mean received
-    power first, falling back through the power-ordered list past full or
-    interference-blocked F-APs; None when no F-AP admits the F-UE.
+def associate_fap(gains: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Pick each F-UE's serving F-AP from the (U, F) path gains, in F-UE
+    order: strongest mean received power first, falling back through the
+    power-ordered list past full or interference-blocked F-APs. Returns the
+    F-AP indices as an np.intp array, -1 where no F-AP admits the F-UE; the
+    gains are left as they were.
 
     Each F-AP has the config's fap_capacity free resource blocks, one taken
     per admitted F-UE. Admission is blocked when the F-UE's estimated uplink
     interference to the nearest other F-AP exceeds interference_limit.
     """
-    gains = path_gain(pairwise_distances(fue_xy, fap_xy), config)
     # Admission to F-AP i leaks at the strongest gain to the other F-APs: the
     # row maximum, or for the F-AP holding it the second largest (-inf if
     # none), read with the maximum masked in place and then restored.
@@ -102,16 +100,15 @@ def associate_fap(fue_xy, fap_xy, config: ScenarioConfig) -> list[int | None]:
     )
     # Descending power, ties by lower index (a stable sort); -(p g) = g (-p)
     # exactly, so the order is that of the received powers.
-    gains *= -config.fap_watts
-    order = np.argsort(gains, axis=1, kind="stable")
-    free = [config.fap_capacity] * len(fap_xy)
+    order = np.argsort(gains * -config.fap_watts, axis=1, kind="stable")
+    free = [config.fap_capacity] * gains.shape[1]
     serving = []
     for row, (t, stop_top, stop_rest) in zip(order, stops):
         f = next(
             (i for i in row.tolist() if free[i] > 0 and not (stop_top if i == t else stop_rest)),
-            None,
+            -1,
         )
-        if f is not None:
+        if f >= 0:
             free[f] -= 1
         serving.append(f)
-    return serving
+    return np.array(serving, dtype=np.intp)

@@ -16,6 +16,10 @@ independent simulation of the same model:
 
 The D2D signal fades are Rician (`rician_sample`); the package itself
 samples only Rayleigh fades (`channel.fading_sample`).
+
+`access_table` and `table_utility` build, from positions alone, the exact
+table and cluster utility that `run_scenario` builds from its shared F-UE x
+F-AP gains.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import numpy as np
 
 from frangine.channel import fading_sample, path_gain
-from frangine.coordination import served_fue_indices
+from frangine.coordination import AccessTable, cluster_utility, served_fue_indices
 from frangine.geometry import pairwise_distances
 from frangine.metrics_sim import Z_99, ScenarioConfig
 from frangine.rng import derive_rng
@@ -34,6 +38,23 @@ from frangine.rng import derive_rng
 # and changes no output bit: interferer k always reads doubles 3k..3k+2 of
 # the stream, and each trial's interference is summed in draw order.
 CHUNK = 65536
+
+
+def access_table(fap_xy, fue_xy, config: ScenarioConfig) -> AccessTable:
+    """The `AccessTable` of a layout: mean received powers, each F-UE served
+    by its nearest F-AP, the strongest under uniform power."""
+    dists = pairwise_distances(fue_xy, fap_xy)
+    return AccessTable(
+        config.fap_watts * path_gain(dists, config), np.argmin(dists, axis=1),
+        config.noise_watts, config.theta,
+    )
+
+
+def table_utility(topology, config: ScenarioConfig):
+    """The `merge_and_split` utility of a run: `cluster_utility` on the
+    `access_table` of the topology's F-APs and F-UEs."""
+    table = access_table(topology.faps, topology.fues, config)
+    return lambda block: cluster_utility(block, config, table)
 
 
 def rician_sample(k_factor: float, rng: np.random.Generator, size=None):

@@ -23,7 +23,7 @@ from frangine.caching import (
     content_available,
     zipf_stream,
 )
-from frangine.geometry import distance, pair_d2d
+from frangine.geometry import distance, pair_d2d, pairwise_distances
 from frangine.channel import path_gain
 from frangine.metrics_sim import Architecture, LoadReport, _build_topology
 from frangine.mode_select import Mode, associate_fap
@@ -100,6 +100,13 @@ def loop_fronthaul_load(decisions, tiers, config):
     return report, ledger
 
 
+def serving_faps(topology, config) -> np.ndarray:
+    """`associate_fap` on the path gains from the topology's F-UEs to its
+    F-APs: each F-UE's serving F-AP, -1 for none."""
+    gains = path_gain(pairwise_distances(topology.fues, topology.faps), config)
+    return associate_fap(gains, config)
+
+
 def request_loop(config) -> LoopResult:
     """The layout of `run_scenario(config)`, then its requests one by one."""
     topology = _build_topology(config)
@@ -111,10 +118,10 @@ def request_loop(config) -> LoopResult:
     voice = attr_rng.random(n_fues) < config.voice_fraction
     xy = topology.fues
     pairs = pair_d2d(xy, d2d_capable)
-    partner = {i: j for i, j in pairs} | {j: i for i, j in pairs}
-    serving = associate_fap(xy, topology.faps, config)
+    partner = {i: j for i, j in pairs.tolist()} | {j: i for i, j in pairs.tolist()}
+    serving = serving_faps(topology, config).tolist()
     lc_feasible = [
-        s is not None and config.fap_watts * float(path_gain(
+        s >= 0 and config.fap_watts * float(path_gain(
             distance(xy[i], topology.faps[s]), config
         )) / config.noise_watts >= config.theta
         for i, s in enumerate(serving)
@@ -145,7 +152,7 @@ def request_loop(config) -> LoopResult:
         for i in range(n_fues):
             for item in warm[i].tolist():
                 fue_caches[i].request(item)
-                if serving[i] is not None:
+                if serving[i] >= 0:
                     fap_caches[serving[i]].request(item)
 
     decisions, tiers = [], []
@@ -153,15 +160,15 @@ def request_loop(config) -> LoopResult:
     for i in range(n_fues):
         s = serving[i]
         d, far_speed, far_voice, paired, relay = far[i]
-        peers = [fap_caches[j] for j in neighbors[s]] if config.cooperative_caching and s is not None else ()
+        peers = [fap_caches[j] for j in neighbors[s]] if config.cooperative_caching and s >= 0 else ()
         for item in traffic[i].tolist():
-            tier = content_available(item, fue_caches[i], fap_caches[s] if s is not None else None, peers)
+            tier = content_available(item, fue_caches[i], fap_caches[s] if s >= 0 else None, peers)
             local_ok = lc_feasible[i] and tier is not ContentTier.CLOUD_ONLY
             mode = decide(
                 config, d, speeds[i], far_speed, voice[i], far_voice, paired, relay, local_ok,
             )
             fue_hits.append(fue_caches[i].request(item)[0])
-            if s is not None:
+            if s >= 0:
                 fap_hits.append(fap_caches[s].request(item)[0])
             decisions.append((i, mode))
             tiers.append(tier)

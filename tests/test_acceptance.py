@@ -38,7 +38,7 @@ from frangine.geometry import (
 from frangine.metrics_sim import ScenarioConfig, spatial_average_rate
 from frangine.mode_select import MODES, Mode, select_mode
 from frangine.rng import derive_rng
-from mc_oracle import successful_access_probability
+from mc_oracle import successful_access_probability, table_utility
 
 Z99 = 2.5758293035489004
 CONFIG = ScenarioConfig()
@@ -300,7 +300,8 @@ def test_acceptance_4_merge_and_split(passline):
             topo = _ppp_cluster_topology(seed)
             if len(topo.faps) == 0:
                 continue
-            result = merge_and_split(topo, ScenarioConfig(tau=tau))  # a tree
+            config = ScenarioConfig(tau=tau)  # a tree
+            result = merge_and_split(topo, config, table_utility(topo, config))
             sizes.append(float(np.mean(result.block_sizes())))
         mean_sizes[tau] = float(np.mean(sizes))
     assert mean_sizes[0.1] >= mean_sizes[1.0] >= mean_sizes[10.0], mean_sizes

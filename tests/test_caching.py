@@ -116,7 +116,9 @@ def test_replay_lanes_equals_reference_hit_for_hit_and_victim_for_victim(policy)
         lanes = np.array([stream + [pad] * (n - len(stream)) for stream in streams]).reshape(-1, n)
         hits = replay_lanes(lanes, capacity, policy)
         assert hits.shape == lanes.shape
+        # No requests, or no lanes (a layout without F-UEs).
         assert replay_lanes(np.zeros((3, 0), dtype=np.int64), capacity, policy).shape == (3, 0)
+        assert replay_lanes(np.zeros((0, n), dtype=np.int64), capacity, policy).shape == (0, n)
         for stream, row in zip(streams, hits):
             ref = ReferenceCache(capacity, policy)
             assert row[:len(stream)].tolist() == [ref.request(item)[0] for item in stream]

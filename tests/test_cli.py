@@ -247,6 +247,8 @@ def test_out_of_range_fraction_exit_two(tmp_path, capsys, section, key, value):
         ("coordination", "epsilon", "nan"),
         ("geometry", "lambda_m", "-1e-6"),
         ("channel", "d2d_link_distance", "inf"),
+        # Finite, but longer than the 1 km region's 1,414 m diagonal.
+        ("channel", "d2d_link_distance", "1e4"),
         ("mode", "speed_mean", "inf"),
     ],
 )

@@ -35,7 +35,7 @@ from frangine.geometry import (
 )
 from frangine.metrics_sim import ScenarioConfig, _build_topology, run_scenario
 from frangine.rng import derive_rng
-from mc_oracle import FadeTable, successful_access_probability
+from mc_oracle import FadeTable, access_table, successful_access_probability, table_utility
 
 
 def make_topology(fap_positions, fue_positions=(), hpn_positions=((500.0, 500.0),),
@@ -103,7 +103,7 @@ def test_cluster_utility_recomputation_oracle():
         fue_positions=[[405, 500], [610, 500], [500, 710]],
     )
     config = ScenarioConfig(tau=1.0, gamma_th_db=0.0)
-    table = AccessTable.from_positions(topo.faps, topo.fues, config)
+    table = access_table(topo.faps, topo.fues, config)
     cluster = [0, 1]
     u = cluster_utility(cluster, config, table)
     # Recompute from the pieces: F-UEs 0 and 1 are served by the cluster.
@@ -121,7 +121,7 @@ def test_cluster_utility_recomputation_oracle():
 
 def test_utility_decreasing_in_tau_for_power_above_one():
     topo = make_topology([[400, 500], [600, 500]], fue_positions=[[405, 500]])
-    table = AccessTable.from_positions(topo.faps, topo.fues, CONFIG)
+    table = access_table(topo.faps, topo.fues, CONFIG)
     values = []
     for tau in (0.1, 1.0, 10.0):
         values.append(cluster_utility([0, 1], ScenarioConfig(tau=tau), table))
@@ -173,7 +173,7 @@ def test_success_probability_erlang_two_at_midpoint():
     noise = CONFIG.noise_watts
     for gamma_db in (-10.0, 0.0, 10.0):
         theta = db_to_linear(gamma_db)
-        table = AccessTable.from_positions(faps, fue, ScenarioConfig(gamma_th_db=gamma_db))
+        table = access_table(faps, fue, ScenarioConfig(gamma_th_db=gamma_db))
         s = theta / gains[0]
         laplace = 1.0 / ((1 + s * gains[2]) * (1 + s * gains[3]))
         mean_term = gains[2] / (1 + s * gains[2]) + gains[3] / (1 + s * gains[3])
@@ -188,7 +188,7 @@ def test_success_probabilities_agree_with_monte_carlo_oracle():
     oracle = FadeTable(FOUR_FAPS, fues, CONFIG, trials, 23)
     worst = 0.0
     for gamma_db in (-5.0, 5.0):
-        table = AccessTable.from_positions(FOUR_FAPS, fues, ScenarioConfig(gamma_th_db=gamma_db))
+        table = access_table(FOUR_FAPS, fues, ScenarioConfig(gamma_th_db=gamma_db))
         for block in _nonempty_blocks(4):
             p = table.success_probabilities(block)
             successes = oracle.success_counts(block, db_to_linear(gamma_db))
@@ -240,10 +240,10 @@ def test_cluster_utilities_do_not_depend_on_evaluation_order():
     fues = np.random.default_rng(13).uniform(100, 900, size=(20, 2))
     config = ScenarioConfig()
     blocks = _nonempty_blocks(4)
-    first = AccessTable.from_positions(FOUR_FAPS, fues, config)
+    first = access_table(FOUR_FAPS, fues, config)
     forward = [cluster_utility(b, config, first) for b in blocks]
     again = [cluster_utility(b, config, first) for b in reversed(blocks)][::-1]
-    fresh = AccessTable.from_positions(FOUR_FAPS, fues, config)
+    fresh = access_table(FOUR_FAPS, fues, config)
     backward = [cluster_utility(b, config, fresh) for b in reversed(blocks)][::-1]
     assert forward == again == backward
     assert len(set(forward)) > 1
@@ -256,7 +256,7 @@ def test_access_table_builds_no_gain_tensor():
     fues = rng.uniform(0, 2000, size=(n_fues, 2))
     tracemalloc.start()
     try:
-        table = AccessTable.from_positions(faps, fues, CONFIG)
+        table = access_table(faps, fues, CONFIG)
         for block in [tuple(range(n_faps))] + [(a,) for a in range(n_faps)]:
             table.success_probabilities(block)
         _, peak = tracemalloc.get_traced_memory()
@@ -272,7 +272,7 @@ def test_access_table_builds_no_gain_tensor():
 
 def test_merge_and_split_single_fap():
     topo = make_topology([[500, 500]])
-    result = merge_and_split(topo, ScenarioConfig())
+    result = merge_and_split(topo, ScenarioConfig(), table_utility(topo, ScenarioConfig()))
     assert result.blocks == [(0,)]
 
 
@@ -468,7 +468,7 @@ def test_merge_candidates_match_full_rescan(topo, tau):
         faps = clumps[rng.integers(len(clumps), size=n)] + rng.normal(0, 10, size=(n, 2))
         fues = clumps[rng.integers(len(clumps), size=5 * n)] + rng.normal(0, 10, size=(5 * n, 2))
         topology = make_topology(faps, fues, topo=topo)
-        table = AccessTable.from_positions(faps, fues, config)
+        table = access_table(faps, fues, config)
         calls = {"change": [], "oracle": []}
         scores = {}
 
@@ -517,7 +517,7 @@ def test_seven_km_tree_merge_and_split_finishes():
     config = ScenarioConfig(region_width=7000.0, region_height=7000.0)
     topology = _build_topology(config)
     with _time_limit(5.0, "merge_and_split on the 7 km tree"):
-        partition = merge_and_split(topology, config)
+        partition = merge_and_split(topology, config, table_utility(topology, config))
     assert len(topology.faps) == 493
     assert sorted(v for block in partition.blocks for v in block) == list(range(493))
 

@@ -142,7 +142,21 @@ def test_pairwise_distances_bit_equal_to_stacked_difference():
 def test_pair_d2d_greedy_nearest_first():
     fues = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.5, 0.0]])
     pairs = pair_d2d(fues, np.array([True, True, True, True]))
-    assert pairs == [(2, 3), (0, 1)]
+    assert pairs.dtype == np.intp and pairs.tolist() == [[2, 3], [0, 1]]
+
+
+def test_pair_d2d_returns_a_pair_per_row():
+    """A (P, 2) index array in pairing order, (0, 2) when nothing pairs; the
+    last two capable F-UEs pair at any distance."""
+    xy = np.array([[0.0, 0.0], [5e3, 0.0], [1.0, 0.0]])
+    for capable, want in (
+        ([False] * 3, []), ([True, False, False], []), ([True, True, False], [[0, 1]]),
+        ([True] * 3, [[0, 2]]),
+    ):
+        pairs = pair_d2d(xy, np.array(capable))
+        assert pairs.dtype == np.intp and pairs.shape == (len(want), 2)
+        assert pairs.tolist() == want
+    assert pair_d2d(np.zeros((0, 2)), np.zeros(0, dtype=bool)).shape == (0, 2)
 
 
 def test_pair_d2d_respects_capability_and_uniqueness():
@@ -180,7 +194,8 @@ def _prim_oracle(points):
 
 
 def _pair_oracle(points, capable):
-    """Greedy pairing over every candidate pair sorted as Python tuples."""
+    """Greedy pairing over every candidate pair sorted as Python tuples, as
+    [lo, hi] lists in pairing order."""
     idx = np.flatnonzero(capable)
     dist = pairwise_distances(points[idx], points[idx])
     candidates = sorted(
@@ -192,7 +207,7 @@ def _pair_oracle(points, capable):
     for _, i, j in candidates:
         if i in paired or j in paired:
             continue
-        pairs.append((i, j))
+        pairs.append([i, j])
         paired.update((i, j))
     return pairs
 
@@ -219,7 +234,7 @@ def test_tree_matches_cubic_prim_oracle():
 def test_pair_d2d_matches_tuple_sort_oracle():
     for rng, points in _oracle_layouts():
         for capable in (np.ones(len(points), dtype=bool), rng.random(len(points)) < 0.6):
-            assert pair_d2d(points, capable) == _pair_oracle(points, capable)
+            assert pair_d2d(points, capable).tolist() == _pair_oracle(points, capable)
 
 
 def _pair_oracle_within(points, limit):
@@ -235,7 +250,7 @@ def _pair_oracle_within(points, limit):
     for _, i, j in candidates:
         if i in paired or j in paired:
             continue
-        pairs.append((i, j))
+        pairs.append([i, j])
         paired.update((i, j))
     return pairs
 
@@ -276,7 +291,7 @@ def test_pair_d2d_large_layouts_match_oracle_in_time(name, points):
     assert 2 * len(pairs) == len(points)
     dist = pairwise_distances(points, points)
     longest = max(dist[i, j] for i, j in pairs)
-    assert pairs == _pair_oracle_within(points, longest)
+    assert pairs.tolist() == _pair_oracle_within(points, longest)
 
 
 def _pairs_brute(points, r):
@@ -323,7 +338,7 @@ def test_pair_d2d_same_from_any_starting_radius(monkeypatch, radius):
     monkeypatch.setattr(geometry, "_start_radius", lambda xy: radius)
     for rng, points in _oracle_layouts():
         capable = rng.random(len(points)) < 0.7
-        assert pair_d2d(points, capable) == _pair_oracle(points, capable)
+        assert pair_d2d(points, capable).tolist() == _pair_oracle(points, capable)
 
 
 @pytest.mark.parametrize("radius", [None, 1e-3, 2.5])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,11 @@ from frangine.channel import db_to_linear, path_gain
 from frangine.geometry import (
     FapTopology,
     NetworkTopology,
+    build_fap_adjacency,
     pair_d2d,
     pairwise_distances,
 )
-from frangine import metrics_sim
+from frangine import geometry, metrics_sim
 from frangine.metrics_sim import (
     LEDGER_COLUMNS,
     METRICS_COLUMNS,
@@ -28,11 +30,17 @@ from frangine.metrics_sim import (
     sweep,
 )
 from frangine.caching import ContentTier, EvictionPolicy
-from frangine.mode_select import MODES, Mode, associate_fap, select_mode
+from frangine.coordination import (
+    AccessTable,
+    cellular_success_probability,
+    coac_assign,
+    make_d2d_links,
+)
+from frangine.mode_select import MODES, Mode, select_mode
 from frangine.rng import derive_rng
 import mc_oracle
 from mc_oracle import mc_d2d_success_probability, mc_spatial_average_rate
-from request_oracle import request_loop
+from request_oracle import request_loop, serving_faps
 from test_coordination import _time_limit
 
 FAST = ScenarioConfig(
@@ -62,11 +70,93 @@ def test_changing_seed_changes_outputs():
 
 
 def test_zero_fues_empty_report():
-    report = run_scenario(dataclasses.replace(FAST, lambda_fue=0.0))
+    config = dataclasses.replace(FAST, lambda_fue=0.0)
+    report = run_scenario(config)
     assert report.n_fues == 0
     assert report.load.total_payload_bits == 0.0
     assert report.load.fronthaul_bits == 0.0
     assert len(report.ledger) == 0 and ledger_rows(report) == []
+    # A layout without F-UEs takes the same path as any other: the metrics
+    # that need no F-UE are the layer functions' values on no D2D links.
+    no_tx = np.empty((0, 2))
+    assert report.n_d2d_pairs == 0 and report.energy_efficiency == 0.0
+    assert report.spatial_average_rate == spatial_average_rate(config) > 0.0
+    assert report.d2d_success_probability == d2d_success_probability(no_tx, config) > 0.0
+    seed = config.master_seed
+    cross_gains = make_d2d_links(no_tx, config, derive_rng(seed, "crossgains"))
+    assert report.cellular_success_probability == cellular_success_probability(
+        coac_assign(cross_gains, config), cross_gains, metrics_sim._build_topology(config).hpns,
+        config, derive_rng(seed, "cellular"),
+    )
+    assert report.mean_cluster_size == 1.0  # with no F-UE served, no merge pays
+
+
+def _run_tables(monkeypatch, config):
+    """The report of a run and every `AccessTable` it builds."""
+    tables = []
+
+    def recording(*args):
+        tables.append(AccessTable(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(metrics_sim, "AccessTable", recording)
+    return run_scenario(config), tables
+
+
+def test_clustering_table_serves_the_nearest_fap(monkeypatch):
+    """One F-UE 0.6 m from F-AP 0 and 0.3 m from F-AP 1: both gains sit at
+    the 1 m clamp and tie, so association takes F-AP 0, the first of the
+    stable order; the clustering table serves the nearer F-AP 1."""
+    faps = np.array([[500.6, 500.0], [499.7, 500.0]])
+    layout = NetworkTopology(
+        np.array([[100.0, 100.0]]), faps, np.array([[500.0, 500.0]]),
+        build_fap_adjacency(faps, FapTopology.TREE),
+    )
+    monkeypatch.setattr(metrics_sim, "_build_topology", lambda config: layout)
+    associated = []
+    associate = metrics_sim.associate_fap
+
+    def recording(gains, config):
+        associated.append(associate(gains, config))
+        return associated[-1]
+
+    monkeypatch.setattr(metrics_sim, "associate_fap", recording)
+    report, (table,) = _run_tables(monkeypatch, ScenarioConfig(mc_trials=10))
+    assert report.n_fues == 1 and table.gains[0, 0] == table.gains[0, 1]
+    assert associated[0].tolist() == [0] and table.serving.tolist() == [1]
+
+
+@pytest.mark.parametrize("topology", list(FapTopology))
+def test_clustering_table_equals_the_positions_built_one(monkeypatch, topology):
+    for seed in range(1, 5):
+        for overrides in ({}, {"lambda_fue": 2e-4}, {"interference_limit": 3e-10}):
+            config = ScenarioConfig(
+                fap_topology=topology, master_seed=seed, mc_trials=10, **overrides
+            )
+            _, (table,) = _run_tables(monkeypatch, config)
+            layout = metrics_sim._build_topology(config)
+            want = mc_oracle.access_table(layout.faps, layout.fues, config)
+            assert table.gains.tobytes() == want.gains.tobytes()
+            assert table.serving.tobytes() == want.serving.tobytes()
+            assert (table.noise_watts, table.theta) == (want.noise_watts, want.theta)
+
+
+def test_run_builds_one_fue_by_fap_distance_matrix(monkeypatch):
+    """Association, local coordination and clustering share one matrix."""
+    shapes = []
+    original = geometry.pairwise_distances
+
+    def counting(a, b):
+        shapes.append((len(a), len(b)))
+        return original(a, b)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("frangine")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    report = run_scenario(ScenarioConfig())
+    assert report.n_fues > 1 and report.n_faps > 1 and report.n_d2d_pairs > 1
+    assert shapes.count((report.n_fues, report.n_faps)) == 1
 
 
 def test_report_ranges():
@@ -267,8 +357,7 @@ def test_request_pipeline_covers_unadmitted_fues_and_no_warmup():
     unadmitted = 0
     for config in configs:
         topology = metrics_sim._build_topology(config)
-        serving = associate_fap(topology.fues, topology.faps, config)
-        unadmitted += serving.count(None)
+        unadmitted += int(np.count_nonzero(serving_faps(topology, config) < 0))
     assert unadmitted > 0
 
 
@@ -307,7 +396,7 @@ def _hand_tiers(monkeypatch, config, serving, neighbors, warm, traffic):
     """`_content_tiers` over the given warm-up and traffic item arrays."""
     draws = iter((np.array(warm, dtype=np.int64), np.array(traffic, dtype=np.int64)))
     monkeypatch.setattr(metrics_sim, "zipf_stream", lambda catalog, shape, rng: next(draws))
-    return metrics_sim._content_tiers(config, serving, neighbors)
+    return metrics_sim._content_tiers(config, np.array(serving, dtype=np.intp), neighbors)
 
 
 HAND_CACHES = ScenarioConfig(
@@ -323,7 +412,7 @@ def test_cooperative_lookup_hand_trace(monkeypatch):
     evicted at step 2 and inserted again at step 3: both lookups find it.
     Item 7, evicted at step 1 and inserted again at step 2, is not there
     after 2 requests. F-UE 2 finds 7 at F-AP 0 after F-UE 1's requests."""
-    serving = [1, 0, 1, 0, None]
+    serving = [1, 0, 1, 0, -1]
     traffic = [[7, 8], [8, 7], [7, 8], [8, 7], [8, 8]]
     fue, fap, cloud = (metrics_sim.TIERS.index(t) for t in ContentTier)
     tiers, fue_ratio, fap_ratio = _hand_tiers(
@@ -362,7 +451,7 @@ def test_content_tiers_allocate_for_the_requests_not_the_capacities():
         _cooperative_config(1), fue_cache_capacity=10**12, fap_cache_capacity=10**12
     )
     topology = metrics_sim._build_topology(config)
-    serving = associate_fap(topology.fues, topology.faps, config)
+    serving = serving_faps(topology, config)
     requests = len(serving) * (config.warmup_requests + config.requests_per_fue)
     tracemalloc.start()
     try:
@@ -467,13 +556,15 @@ def test_spatial_average_rate_without_interferers_is_the_rayleigh_closed_form(sn
     assert rate == pytest.approx(exact, rel=1e-12)
 
 
+# (region sides, K in dB or None for Rayleigh, density, D2D link distance):
+# a link is at most the region diagonal.
 RATE_CASES = {
-    "1 km, Rayleigh": ((1000.0, 1000.0), None, 5e-5),
-    "1 km, K = 10 dB": ((1000.0, 1000.0), 10.0, 5e-5),
-    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), 6.0, 2.5e-4),
-    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), 3.0, 5e-5),
-    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), 0.0, 1e-5),
-    "1.6 x 1 m": ((1.6, 1.0), None, 0.3),
+    "1 km, Rayleigh": ((1000.0, 1000.0), None, 5e-5, 20.0),
+    "1 km, K = 10 dB": ((1000.0, 1000.0), 10.0, 5e-5, 20.0),
+    "2 km, K = 6 dB, dense": ((2000.0, 2000.0), 6.0, 2.5e-4, 20.0),
+    "3 x 1 km, K = 3 dB": ((3000.0, 1000.0), 3.0, 5e-5, 20.0),
+    "1 x 3 km, K = 0 dB": ((1000.0, 3000.0), 0.0, 1e-5, 20.0),
+    "1.6 x 1 m": ((1.6, 1.0), None, 0.3, 1.0),
 }
 
 
@@ -488,8 +579,8 @@ def test_region_area_nodes_integrate_the_rectangle(half_sides):
 
 @pytest.mark.parametrize("case", sorted(RATE_CASES))
 def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
-    (width, height), k_db, density = RATE_CASES[case]
-    config = _rate_config(width, height, density, k_db)
+    (width, height), k_db, density, link = RATE_CASES[case]
+    config = _rate_config(width, height, density, k_db, d2d_link_distance=link)
     coarse = spatial_average_rate(config)
     monkeypatch.setattr(metrics_sim, "AREA_NODES", 4 * metrics_sim.AREA_NODES)
     monkeypatch.setattr(metrics_sim, "Z_NODES", 4 * metrics_sim.Z_NODES)
@@ -498,7 +589,7 @@ def test_spatial_average_rate_fourfold_quadrature_agrees(monkeypatch, case):
 
 def test_spatial_average_rate_is_finite_at_extremes():
     rates = [
-        spatial_average_rate(_rate_config(1.5, 0.5, 1.0)),
+        spatial_average_rate(_rate_config(1.5, 0.5, 1.0, d2d_link_distance=1.0)),
         spatial_average_rate(_rate_config(3000.0, 1000.0)),
     ]
     for tx, noise in ((-150.0, -100.0), (150.0, -250.0), (20.0, 100.0), (-300.0, -300.0)):
@@ -678,7 +769,7 @@ def _d2d_layout(config):
     The capable F-UEs come from a stream of this test's own."""
     fues = metrics_sim._build_topology(config).fues
     capable = derive_rng(config.master_seed, "test-capable").random(len(fues))
-    return fues[[i for i, _ in pair_d2d(fues, capable < config.d2d_fraction)]]
+    return fues[pair_d2d(fues, capable < config.d2d_fraction)[:, 0]]
 
 
 NO_TX = np.empty((0, 2))
@@ -775,16 +866,22 @@ def test_d2d_success_edge_cases():
     )
     assert 0.0 < d2d_success_probability(tx_xy, silent) < 1.0
     assert d2d_success_probability(NO_TX, silent) == 1.0
-    # A signal power that underflows to 0 W, over a 1e300 m link, never
-    # succeeds, with or without noise, interferers and fading; nothing is NaN.
+    # A link longer than the region diagonal is rejected, such as the 1e300 m
+    # one whose signal power underflowed to 0 W. At the diagonal itself the
+    # signal is a normal double, with or without noise, interferers and
+    # fading, and success is a probability.
+    diagonal = math.hypot(config.region_width, config.region_height)
+    for link in (1e300, math.nextafter(diagonal, math.inf)):
+        with pytest.raises(ValueError, match="d2d_link_distance must be at most"):
+            ScenarioConfig(d2d_link_distance=link)
     for noise_dbm in (-100.0, -300.0):
         for k_db in (None, 6.0):
-            mute = ScenarioConfig(
-                d2d_link_distance=1e300, noise_power_dbm=noise_dbm, d2d_k_factor_db=k_db
+            far = ScenarioConfig(
+                d2d_link_distance=diagonal, noise_power_dbm=noise_dbm, d2d_k_factor_db=k_db
             )
-            assert _d2d_gains(NO_TX, mute)[0] == 0.0
-            assert d2d_success_probability(tx_xy, mute) == 0.0
-            assert d2d_success_probability(NO_TX, mute) == 0.0
+            assert _d2d_gains(NO_TX, far)[0] >= sys.float_info.min
+            assert 0.0 <= d2d_success_probability(tx_xy, far) <= 1.0
+            assert 0.0 < d2d_success_probability(NO_TX, far) <= 1.0
     # A K-factor that underflows to 0 is Rayleigh; the highest threshold a
     # config takes, 300 dB, is unreachable, and the lowest, -300 dB, is
     # always met.
@@ -883,10 +980,10 @@ def test_pair_relays_give_select_mode_decisions_of_full_list():
         relay_xy = points[rng.random(len(points)) < 0.5]
         for _ in range(5):
             order = rng.permutation(len(points))
-            pairs = list(zip(order[0::2].tolist(), order[1::2].tolist()))
+            pairs = order[: len(order) // 2 * 2].reshape(-1, 2)
             found = metrics_sim._pair_relays(points, pairs, relay_xy, th)
             full = _full_relay_flags(points, pairs, relay_xy, th)
-            i, j = np.array(pairs + [(j, i) for i, j in pairs]).T
+            i, j = np.concatenate([pairs, pairs[:, ::-1]]).T
             d = pairwise_distances(points, points)[i, j]
             want, got = (
                 select_mode(d, 0.0, 0.0, False, False, True, flags[i], True, th)

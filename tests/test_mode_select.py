@@ -122,29 +122,34 @@ def _at(*xs):
 ONE_BLOCK = ScenarioConfig(fap_capacity=1)
 
 
+def _associate(ues, faps, config):
+    """`associate_fap` on the path gains of these positions, as a list."""
+    return associate_fap(path_gain(pairwise_distances(ues, faps), config), config).tolist()
+
+
 def test_associate_single_fap_with_capacity():
-    assert associate_fap(_at(0.0), _at(10.0), ONE_BLOCK) == [0]
+    assert _associate(_at(0.0), _at(10.0), ONE_BLOCK) == [0]
 
 
 def test_associate_falls_back_when_nearest_full():
     # The first F-UE takes F-AP 0's last block; the second falls back.
-    assert associate_fap(_at(0.0, 0.0), _at(10.0, 50.0), ONE_BLOCK) == [0, 1]
+    assert _associate(_at(0.0, 0.0), _at(10.0, 50.0), ONE_BLOCK) == [0, 1]
 
 
-def test_associate_all_full_returns_none():
+def test_associate_all_full_returns_minus_one():
     faps = _at(10.0, 50.0)
-    assert associate_fap(_at(0.0), faps, ScenarioConfig(fap_capacity=0)) == [None]
-    assert associate_fap(_at(0.0, 0.0, 0.0), faps, ONE_BLOCK) == [0, 1, None]
+    assert _associate(_at(0.0), faps, ScenarioConfig(fap_capacity=0)) == [-1]
+    assert _associate(_at(0.0, 0.0, 0.0), faps, ONE_BLOCK) == [0, 1, -1]
 
 
 def test_associate_prefers_strongest_power():
-    assert associate_fap(_at(30.0), _at(0.0, 35.0, 100.0), ONE_BLOCK) == [1]
+    assert _associate(_at(30.0), _at(0.0, 35.0, 100.0), ONE_BLOCK) == [1]
 
 
 def test_associate_interference_limit_blocks_admission():
     # Admission to F-AP 0 leaks into F-AP 1 at 20 m; a tight limit blocks it.
     config = ScenarioConfig(fap_capacity=1, interference_limit=1e-30)
-    assert associate_fap(_at(0.0), _at(5.0, 20.0), config) == [None]
+    assert _associate(_at(0.0), _at(5.0, 20.0), config) == [-1]
 
 
 def _relay_oracle(points, i, j, th, relays):
@@ -177,7 +182,7 @@ def test_relay_search_matches_linear_scan_oracle():
         relay = (rng.random(n) < 0.5) & (rng.random(n) < 0.8)  # willing and capable
         for _ in range(10):
             order = rng.permutation(n).tolist()
-            pairs = list(zip(order[0::2], order[1::2]))
+            pairs = np.reshape(order[: n // 2 * 2], (-1, 2))
             found = _pair_relays(points, pairs, points[relay], TH)
             want = np.zeros(n, dtype=bool)
             for i, j in pairs:
@@ -196,8 +201,8 @@ def test_relay_search_with_relay_ends_and_coincident_relays():
     for rng, points in _oracle_layouts("relay-ends", 16):
         n = len(points)
         order = rng.permutation(n).tolist()
-        pairs = list(zip(order[0::2], order[1::2]))
-        ends = np.array([k for pair in pairs for k in pair])
+        pairs = np.reshape(order[: n // 2 * 2], (-1, 2))
+        ends = pairs.ravel()
         # Points D1 = 50 m east of some ends: 10 m grid points stay on the grid.
         shifted = points[ends[rng.random(ends.size) < 0.3]] + [TH.d1, 0.0]
         relay_xy = np.repeat(np.concatenate([points[ends], shifted]), 3, axis=0)
@@ -216,7 +221,7 @@ def test_relay_search_with_relay_ends_and_coincident_relays():
 
 def _associate_oracle(ue, faps, config, free):
     """Scalar distances and a Python sort, over the F-APs with free blocks
-    left; None when every F-AP is blocked."""
+    left; -1 when every F-AP is blocked."""
     dists = np.array([distance(ue, p) for p in faps])
     rx_power = config.fap_watts * path_gain(dists, config)
     for i in sorted(range(len(faps)), key=lambda i: (-rx_power[i], i)):
@@ -228,7 +233,7 @@ def _associate_oracle(ue, faps, config, free):
             if leak > config.interference_limit:
                 continue
         return i
-    return None
+    return -1
 
 
 def test_associate_matches_scalar_distance_oracle():
@@ -248,29 +253,34 @@ def test_associate_matches_scalar_distance_oracle():
                 want = []
                 for ue in ues:
                     f = _associate_oracle(ue, faps, config, free)
-                    if f is not None:
+                    if f >= 0:
                         free[f] -= 1
                     want.append(f)
-                got = associate_fap(ues, faps, config)
-                assert got == want
+                gains = path_gain(pairwise_distances(ues, faps), config)
+                given = gains.copy()
+                got = associate_fap(gains, config)
+                assert got.dtype == np.intp and got.tolist() == want
+                assert np.array_equal(gains, given)  # read, not changed
                 outcomes.update(
-                    "blocked" if f is None else "strongest" if f == s else "fallback"
+                    "blocked" if f < 0 else "strongest" if f == s else "fallback"
                     for f, s in zip(want, strongest)
                 )
     assert outcomes == {"blocked", "strongest", "fallback"}
 
 
 def test_associate_memory_is_bounded():
-    # About two U x F arrays at once (the distances and the gains, then the
-    # gains and their stable order), never a copy of either: 5,054 x 1,005
-    # on a 10 km tree, 39 MiB each.
+    # Beyond the gains it is given, two U x F arrays at once (the powers and
+    # their stable order), never a copy of either: 5,054 x 1,005 on a 10 km
+    # tree, 39 MiB each.
     rng = derive_rng(3, "associate", "memory")
     ues = rng.uniform(0.0, 3000.0, size=(2000, 2))
     faps = rng.uniform(0.0, 3000.0, size=(300, 2))
+    config = ScenarioConfig(fap_capacity=5, interference_limit=1e-9)
+    gains = path_gain(pairwise_distances(ues, faps), config)
     tracemalloc.start()
     try:
-        associate_fap(ues, faps, ScenarioConfig(fap_capacity=5, interference_limit=1e-9))
+        associate_fap(gains, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2 * 8 * ues.shape[0] * len(faps)
+    assert peak <= 2.2 * 8 * ues.shape[0] * len(faps)

@@ -11,6 +11,10 @@ kinds of name are exempt: the targets that `scenbench/tracer.py` hooks by name (
 list, read from its source and never changed), and the S-FFR allocator
 that README keeps on purpose although no run calls it.
 
+A method goes the same way: one that no code in the package or in
+`scenbench/` reads as an attribute is flagged as `Class.method`, dunders
+and the hook targets (`caching.EdgeCache.request`) aside.
+
 The same goes for attributes: an attribute that the package assigns on
 `self` must be read somewhere in the package or in `scenbench/`.
 
@@ -32,12 +36,13 @@ KEPT = {("coordination", "sffr_allocate"), ("coordination", "SffrUe")}
 
 
 def _hook_targets():
-    """(module, top-level name) of each hook in the tracer's HOOKS list."""
+    """(module, dotted name) of each hook in the tracer's HOOKS list:
+    ("geometry", "pair_d2d"), ("caching", "EdgeCache.request")."""
     tree = ast.parse((ROOT / "scenbench" / "tracer.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "HOOKS":
             for hook in node.value.elts:
-                yield tuple(hook.args[1].value.split(".")[:2])
+                yield tuple(hook.args[1].value.split(".", 1))
 
 
 def _definitions(tree):
@@ -51,6 +56,30 @@ def _definitions(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield name.id, node
+
+
+def _methods(tree):
+    """("Class.method", node) for each method of each top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _attribute_reads(trees) -> set:
+    """Each name that `trees` read as `<anything>.<name>` or by `getattr`."""
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+            read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
+    return read
+
+
+def _bench_trees():
+    return [ast.parse(path.read_text()) for path in sorted((ROOT / "scenbench").glob("*.py"))]
 
 
 def _reads(tree) -> Counter:
@@ -82,17 +111,26 @@ def _imports(tree) -> set:
 def unused_names(src=SRC, hooks=None):
     """(module, name) of each top-level name of the package that its own
     module reads only inside the name's definition, if at all, and that no
-    other module imports; hook targets and the kept S-FFR names aside."""
+    other module imports; then (module, "Class.method") of each method that
+    no code in the package or in `scenbench/` reads as an attribute. Hook
+    targets, dunders and the kept S-FFR names aside."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     reads = {module: _reads(tree) for module, tree in trees.items()}
     imported = set().union(*map(_imports, trees.values()))
     exempt = KEPT | imported | set(_hook_targets() if hooks is None else hooks)
+    attributes = _attribute_reads([*trees.values(), *_bench_trees()])
     return [
         (module, name)
         for module, tree in trees.items()
         for name, node in _definitions(tree)
         if not name.startswith("__") and (module, name) not in exempt
         and reads[module][name] == _reads(node)[name]
+    ] + [
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in _methods(tree)
+        if not node.name.startswith("__") and (module, name) not in exempt
+        and node.name not in attributes
     ]
 
 
@@ -101,14 +139,7 @@ def unread_attributes(src=SRC):
     package assigns but that no code in the package or in `scenbench/`
     reads, as `<anything>.<attribute>` or by `getattr`."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    bench = (ast.parse(path.read_text()) for path in (ROOT / "scenbench").glob("*.py"))
-    readers = [*trees.values(), *bench]
-    read = set()
-    for node in (node for tree in readers for node in ast.walk(tree)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
-            read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
+    read = _attribute_reads([*trees.values(), *_bench_trees()])
     return sorted({
         (module, node.attr)
         for module, tree in trees.items()
@@ -156,6 +187,7 @@ def test_only_hook_targets_go_unread():
         ("caching", "content_available"),
         ("geometry", "distance"),
         ("geometry", "adjacency_is_connected"),
+        ("caching", "EdgeCache.request"),
     ]
 
 
@@ -171,6 +203,28 @@ def test_a_helper_only_tests_call_is_found(tmp_path):
     assert unused_names(tmp_path) == planted
     # A hook target is exempt, as the tracer reaches it by name.
     assert unused_names(tmp_path, [*_hook_targets(), *planted]) == []
+
+
+def test_a_method_only_tests_call_is_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # A constructor that only tests call, as `AccessTable.from_positions`
+    # became once runs built the table from their own gains; and a dunder.
+    source = (tmp_path / "coordination.py").read_text()
+    anchor = "    def success_probabilities(self, cluster) -> np.ndarray:\n"
+    planted = source.replace(anchor, (
+        "    @classmethod\n"
+        "    def from_positions(cls, fap_xy, fue_xy, config):\n"
+        "        return None\n\n"
+        "    def __repr__(self):\n"
+        "        return 'AccessTable'\n\n"
+    ) + anchor, 1)
+    assert planted != source
+    (tmp_path / "coordination.py").write_text(planted)
+    assert unused_names(tmp_path) == [("coordination", "AccessTable.from_positions")]
+    # A hook target is exempt by its full dotted path.
+    hooks = [*_hook_targets(), ("coordination", "AccessTable.from_positions")]
+    assert unused_names(tmp_path, hooks) == []
 
 
 def test_every_assigned_attribute_is_read(tmp_path):
