@@ -1,11 +1,11 @@
-"""Path gain and small-scale fading.
+"""Small-scale fading.
 
-Fades have unit mean power, so the config's powers and `path_gain` alone
-set mean received power. Only Rayleigh fades are sampled at run time: the
-static D2D cross gains (`coordination.make_d2d_links`) and the cellular
-success check (`coordination.cellular_success_probability`) draw them
-here. A D2D link's Rician fading is a plain linear K-factor
-(`metrics_sim.ScenarioConfig.d2d_fading`), and
+Fades have unit mean power, so the config's powers and `config.path_gain`
+alone set mean received power. Only Rayleigh fades are sampled at run
+time: the static D2D cross gains (`coordination.make_d2d_links`) and the
+cellular success check (`coordination.cellular_success_probability`) draw
+them here. A D2D link's Rician fading is a plain linear K-factor
+(`config.ScenarioConfig.d2d_fading`), and
 `metrics_sim.spatial_average_rate` and
 `metrics_sim.d2d_success_probability` draw no fades: they are exact, from
 the Rician moment generating function and its Poisson-mixture form.
@@ -13,29 +13,7 @@ the Rician moment generating function and its Poisson-mixture form.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    from .metrics_sim import ScenarioConfig
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def path_gain(d: float, config: ScenarioConfig) -> float:
-    """Power-law path gain, clamped at 1 m to avoid the d -> 0 singularity."""
-    # In place on one new array: a distance matrix needs no second copy.
-    gain = np.maximum(d, 1.0)
-    gain **= -config.path_loss_exponent
-    gain *= db_to_linear(config.reference_gain_db)
-    return gain
 
 
 def fading_sample(rng: np.random.Generator, size=None):

@@ -1,30 +1,31 @@
 """Command-line entry point: validate configs, run scenarios and sweeps,
 compare architectures, and emit CSV.
 
-Config files are sectioned key=value text (INI syntax). Unknown sections or
-keys are rejected so a typo can never silently fall back to a default.
-Exit codes: 0 ok, 2 config error, 3 runtime error.
+Config files are sectioned key=value text (INI syntax), read by
+`config.parse_config`. Exit codes: 0 ok, 2 config error, 3 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import dataclasses
-import itertools
 import os
 import sys
 import tempfile
-from enum import Enum
 
-from .metrics_sim import (
-    CONFIG_TYPES,
+from .config import (
     Architecture,
+    ParseError,
+    ScenarioConfig,
+    ValidationError,
+    canonical_config,
+    parse_config,
+)
+from .metrics_sim import (
     InvalidGridValue,
     LEDGER_COLUMNS,
     METRICS_COLUMNS,
-    ScenarioConfig,
     UnknownParameter,
     ledger_rows,
     metrics_row,
@@ -35,88 +36,6 @@ from .metrics_sim import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ParseError(Exception):
-    pass
-
-
-class ValidationError(Exception):
-    pass
-
-
-# The INI layout: each section and its keys, in field order. A key's section
-# is on its `ScenarioConfig` field, and its type (`metrics_sim.CONFIG_TYPES`)
-# drives its parsing.
-CONFIG_SCHEMA = {
-    section: [f.name for f in fields]
-    for section, fields in itertools.groupby(
-        dataclasses.fields(ScenarioConfig), lambda f: f.metadata["section"]
-    )
-}
-
-
-def _parse_value(key: str, text: str):
-    kind, optional = CONFIG_TYPES[key]
-    word = text.strip().lower()
-    if optional and word in ("none", "rayleigh"):
-        return None
-    if issubclass(kind, Enum):
-        return kind(word)
-    if kind is not bool:
-        return kind(text)
-    if word not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
-        raise ValueError(f"not a boolean: {text!r}")
-    return word in ("true", "yes", "on", "1")
-
-
-def parse_config(path: str) -> ScenarioConfig:
-    """Load and fully validate a scenario config; unknown keys are errors."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ParseError(f"malformed config {path}: {exc}") from exc
-
-    overrides = {}
-    for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
-            raise ParseError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                raise ParseError(f"unknown key {key!r} in section [{section}]")
-            try:
-                overrides[key] = _parse_value(key, raw)
-            except ValueError as exc:
-                raise ParseError(f"[{section}] {key}: {exc}") from exc
-    try:
-        return ScenarioConfig(**overrides)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _render_value(value) -> str:
-    if value is None:
-        return "none"
-    if hasattr(value, "value"):
-        return str(value.value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def canonical_config(config: ScenarioConfig) -> str:
-    """Canonical text for a config; reparsing it reproduces the config."""
-    lines = []
-    for section, keys in CONFIG_SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {_render_value(getattr(config, key))}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:

@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
-from .channel import fading_sample, path_gain
+from .channel import fading_sample
+from .config import ScenarioConfig, cluster_power, path_gain
 from .geometry import FapTopology, NetworkTopology, NodeKind, pairwise_distances
-
-if TYPE_CHECKING:
-    from .metrics_sim import ScenarioConfig
 
 
 def round_half_away(x: float) -> int:
@@ -139,14 +135,6 @@ def _phase_type_success(own, others, theta: float, noise: float) -> np.ndarray:
             mass = mass + weight * term
     kept = mass.sum(axis=1)
     return np.where(kept <= 0.5, kept, 1.0 - lost)
-
-
-def cluster_power(cluster_size: int, config: ScenarioConfig) -> float:
-    """Watts drawn by a cluster: p_static + p_tx per F-AP, and p_coord per
-    ordered coordination pair."""
-    return cluster_size * (config.p_static + config.p_tx) + config.p_coord * cluster_size * (
-        cluster_size - 1
-    )
 
 
 def served_fue_indices(cluster, table: AccessTable) -> np.ndarray:
@@ -277,11 +265,6 @@ def merge_and_split(
 # ---------------------------------------------------------------------------
 # D2D subchannel scheduling (COAC / DRAC)
 # ---------------------------------------------------------------------------
-
-
-class SchedulerKind(Enum):
-    COAC = "coac"
-    DRAC = "drac"
 
 
 def make_d2d_links(tx_xy, config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

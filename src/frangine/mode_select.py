@@ -9,12 +9,10 @@ capability.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .metrics_sim import ScenarioConfig
+from .config import Architecture, ScenarioConfig
 
 
 class Mode(Enum):
@@ -40,15 +38,17 @@ def select_mode(
     local_ok,
     config: ScenarioConfig,
 ) -> np.ndarray:
-    """The mode code of each F-UE towards its far end, first rule wins.
+    """The mode code of each F-UE towards its far end under the config's
+    architecture: the F-RAN rules, first rule wins, or the C-RAN or H-CRAN
+    gate.
 
     The inputs broadcast against each other: the distance to the far end,
     both speeds, both real-time voice flags, whether the far end is a D2D
     partner (both ends D2D capable), whether a willing relay lies within D1
     of both ends, and whether local coordination can serve the request (the
     serving F-AP reaches gamma and the content is held locally). The
-    config gives the distance thresholds D1 < D2 < D3 and the speed
-    threshold.
+    config gives the distance thresholds D1 < D2 < D3, the speed
+    threshold and the architecture.
     """
     d1, d2, d3, t = config.d1, config.d2, config.d3, config.speed_threshold
     direct = has_partner  # rule (1) implies the paper's "slow relative movement"
@@ -67,9 +67,17 @@ def select_mode(
         ),
     }
     # (5) Everything else goes through the BBU pool.
-    return np.select(
+    fran = np.select(
         list(rules.values()), list(map(MODES.index, rules)), MODES.index(Mode.GLOBAL_CRAN)
     )
+    # The architecture gates. C-RAN serves every request through the BBU
+    # pool; H-CRAN sends a fast or voice F-UE, or one with a fast partner, to
+    # the HPN and the rest through the BBU pool.
+    to_hpn = (config.architecture is Architecture.HCRAN) & (
+        (speed > t) | voice | (partner_speed > t)
+    )
+    gated = np.where(to_hpn, MODES.index(Mode.HPN), MODES.index(Mode.GLOBAL_CRAN))
+    return np.where(config.architecture is Architecture.FRAN, fran, gated)
 
 
 def associate_fap(gains: np.ndarray, config: ScenarioConfig) -> np.ndarray:

@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from frangine.channel import fading_sample, path_gain
+from frangine.channel import fading_sample
+from frangine.config import path_gain
 from frangine.coordination import AccessTable, cluster_utility, served_fue_indices
 from frangine.geometry import pairwise_distances
 from frangine.metrics_sim import Z_99, ScenarioConfig

@@ -24,8 +24,8 @@ from frangine.caching import (
     zipf_stream,
 )
 from frangine.geometry import distance, pair_d2d, pairwise_distances
-from frangine.channel import path_gain
-from frangine.metrics_sim import Architecture, LoadReport, _build_topology
+from frangine.config import Architecture, path_gain
+from frangine.metrics_sim import LoadReport, _build_topology
 from frangine.mode_select import Mode, associate_fap
 from frangine.rng import derive_rng
 

@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from frangine._kernels import sinr_trials, success_fraction
-from frangine.channel import db_to_linear, dbm_to_watts, fading_sample, path_gain
+from frangine.channel import fading_sample
+from frangine.config import db_to_linear, dbm_to_watts, path_gain
 from frangine.metrics_sim import ScenarioConfig
 from frangine.rng import derive_rng
 from mc_oracle import rician_sample

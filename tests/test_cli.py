@@ -5,7 +5,6 @@ import os
 import pytest
 
 from frangine.cli import (
-    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_OK,
     ParseError,
@@ -15,6 +14,7 @@ from frangine.cli import (
     parse_config,
 )
 from frangine import metrics_sim
+from frangine.config import CONFIG_SCHEMA, CONFIG_TYPES, MAX_DENSE_ELEMENTS, RULES
 from frangine.metrics_sim import ScenarioConfig
 
 FAST_BODY = """\
@@ -79,9 +79,9 @@ FAILING = {
 
 def _rule_cases():
     for f in dataclasses.fields(ScenarioConfig):
-        kind = metrics_sim.CONFIG_TYPES[f.name][0]
+        kind = CONFIG_TYPES[f.name][0]
         for rule in f.metadata["rules"]:
-            others = [metrics_sim.RULES[r][0] for r in f.metadata["rules"] if r != rule]
+            others = [RULES[r][0] for r in f.metadata["rules"] if r != rule]
             value = next(v for v in map(kind, FAILING[rule]) if all(ok(v) for ok in others))
             yield f.name, rule, value
 
@@ -90,7 +90,7 @@ def _rule_cases():
 def test_each_field_rule_rejects_a_value_failing_only_it(key, rule, value):
     with pytest.raises(ValueError) as info:
         ScenarioConfig(**{key: value})
-    assert str(info.value) == f"{key} {metrics_sim.RULES[rule][1]}"
+    assert str(info.value) == f"{key} {RULES[rule][1]}"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -279,7 +279,7 @@ def test_size_ceiling_accepts_the_ladder(overrides):
 
 def test_size_ceiling_bounds_the_largest_dense_array():
     # Dense at 2 km: lambda_fue * 4e6 F-UEs x 12 F-APs of gains.
-    edge = metrics_sim.MAX_DENSE_ELEMENTS / (4e6 * 12)
+    edge = MAX_DENSE_ELEMENTS / (4e6 * 12)
     ScenarioConfig(**DENSE, lambda_fue=edge * 0.99)
     with pytest.raises(ValueError, match="lambda_fue, lambda_fap"):
         ScenarioConfig(**DENSE, lambda_fue=edge * 1.01)

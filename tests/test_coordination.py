@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from frangine import _kernels
-from frangine.channel import db_to_linear, fading_sample, path_gain
+from frangine.channel import fading_sample
+from frangine.config import db_to_linear, path_gain
 from frangine.coordination import (
     AccessTable,
     SffrUe,

@@ -15,10 +15,9 @@ from pathlib import Path
 import pytest
 
 from frangine.caching import EvictionPolicy
-from frangine.cli import CONFIG_SCHEMA
-from frangine.coordination import SchedulerKind
+from frangine.config import CONFIG_SCHEMA, Architecture, SchedulerKind
 from frangine.geometry import FapTopology
-from frangine.metrics_sim import Architecture, ledger_rows, run_scenario
+from frangine.metrics_sim import ledger_rows, run_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frangine.channel import db_to_linear, path_gain
+from frangine.config import K_FACTOR_DB_MAX, Architecture, db_to_linear, path_gain
 from frangine.geometry import (
     FapTopology,
     NetworkTopology,
@@ -18,7 +18,6 @@ from frangine import geometry, metrics_sim
 from frangine.metrics_sim import (
     LEDGER_COLUMNS,
     METRICS_COLUMNS,
-    Architecture,
     ScenarioConfig,
     UnknownParameter,
     d2d_success_probability,
@@ -526,7 +525,7 @@ def test_spatial_average_rate_no_fading_snr_one():
     # unfaded log2(2) = 1.
     stats = pytest.importorskip("scipy.stats")
     integrate = pytest.importorskip("scipy.integrate")
-    k_db = metrics_sim.K_FACTOR_DB_MAX
+    k_db = K_FACTOR_DB_MAX
     config = _rate_config(k_db=k_db, tx_power_fue_dbm=-100.0, noise_power_dbm=-100.0,
                           d2d_link_distance=1.0)
     k = db_to_linear(k_db)
@@ -896,14 +895,14 @@ def test_d2d_success_edge_cases():
 def test_d2d_success_at_the_k_factor_ceiling_finishes():
     config = ScenarioConfig(
         **DENSE, fap_capacity=200, mc_trials=200,
-        d2d_k_factor_db=metrics_sim.K_FACTOR_DB_MAX,
+        d2d_k_factor_db=K_FACTOR_DB_MAX,
     )
     with _time_limit(10.0, "a 1,000-F-UE run at the K-factor ceiling"):
         report = run_scenario(config)
     assert report.n_fues > 900 and report.n_d2d_pairs > 250
     assert 0.0 < report.d2d_success_probability <= 1.0
     with pytest.raises(ValueError, match="d2d_k_factor_db"):
-        dataclasses.replace(config, d2d_k_factor_db=metrics_sim.K_FACTOR_DB_MAX + 0.1)
+        dataclasses.replace(config, d2d_k_factor_db=K_FACTOR_DB_MAX + 0.1)
 
 
 _WRONG_TYPES = [

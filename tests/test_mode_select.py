@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from frangine.channel import path_gain
+from frangine.config import Architecture, path_gain
 from frangine.geometry import distance, pairwise_distances
 from frangine.metrics_sim import ScenarioConfig, _pair_relays
 from frangine.mode_select import MODES, Mode, associate_fap, select_mode
 from frangine.rng import derive_rng
+from request_oracle import decide
 
 TH = ScenarioConfig(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
 
@@ -113,6 +115,25 @@ def test_speed_dominance_property():
     content, feasible = rng.random((2, 50)) < 0.5
     codes = select_mode(d, s_src, s_dst, False, False, True, False, content & feasible, TH)
     assert (codes == MODES.index(Mode.HPN)).all()
+
+
+@pytest.mark.parametrize("architecture", list(Architecture))
+def test_select_mode_applies_the_architecture_gate(architecture):
+    cases = list(itertools.product(
+        [15.0, 100.0, 325.0, 1000.0], [0.0, 20.0], [0.0, 20.0],
+        *[[False, True]] * 5,
+    ))
+    config = dataclasses.replace(TH, architecture=architecture)
+    d, speed, far_speed, voice, far_voice, paired, relay, local_ok = map(np.array, zip(*cases))
+    codes = select_mode(d, speed, far_speed, voice, far_voice, paired, relay, local_ok, config)
+    fast = (speed > TH.speed_threshold) | voice | (far_speed > TH.speed_threshold)
+    if architecture is Architecture.CRAN:
+        assert (codes == MODES.index(Mode.GLOBAL_CRAN)).all()
+    elif architecture is Architecture.HCRAN:
+        want = np.where(fast, MODES.index(Mode.HPN), MODES.index(Mode.GLOBAL_CRAN))
+        assert (codes == want).all()
+    else:
+        assert [MODES[c] for c in codes.tolist()] == [decide(config, *case) for case in cases]
 
 
 def _at(*xs):

@@ -21,6 +21,10 @@ The same goes for attributes: an attribute that the package assigns on
 And a config key has one default, on its `ScenarioConfig` field: no
 function parameter, and no field of another class, both takes a key's
 name and gives it a default of its own.
+
+Last, the modules import each other without a cycle and without a
+`TYPE_CHECKING` guard, and `config` imports no package module but the
+leaves it reads (`CONFIG_LEAVES`), so every layer can import it.
 """
 
 import ast
@@ -33,6 +37,7 @@ from frangine.metrics_sim import ScenarioConfig
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "frangine"
 KEPT = {("coordination", "sffr_allocate"), ("coordination", "SffrUe")}
+CONFIG_LEAVES = {"geometry", "caching"}
 
 
 def _hook_targets():
@@ -176,6 +181,44 @@ def defaulted_config_keys(src=SRC):
     return sorted((module, name) for module, name in found if name.split(".")[1] in keys)
 
 
+def _module_imports(tree) -> set:
+    """The package modules that `tree` imports anywhere in it, by
+    `from .module import name` or `from . import module`."""
+    return {
+        node.module.split(".")[0] if node.module else alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def import_faults(src=SRC):
+    """("TYPE_CHECKING", module) of each module that names `TYPE_CHECKING`;
+    ("cycle", "a, b, ...") of each set of modules that import each other in
+    a cycle; and ("config imports", module) of each package module that
+    `config` imports beyond `CONFIG_LEAVES`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    faults = [
+        ("TYPE_CHECKING", module) for module, tree in trees.items()
+        if any("TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "name", None),
+                                   getattr(node, "attr", None)) for node in ast.walk(tree))
+    ]
+    reach = {module: _module_imports(tree) & trees.keys() for module, tree in trees.items()}
+    for middle in trees:  # the transitive closure, one intermediate module at a time
+        for module in trees:
+            if middle in reach[module]:
+                reach[module] |= reach[middle]
+    cycles = {
+        ", ".join(m for m in trees if m == module or module in reach[m] and m in reach[module])
+        for module in trees if module in reach[module]
+    }
+    faults += [("cycle", cycle) for cycle in sorted(cycles)]
+    faults += [
+        ("config imports", module)
+        for module in sorted(_module_imports(trees["config"]) - CONFIG_LEAVES)
+    ]
+    return faults
+
+
 def test_every_top_level_name_is_used_by_the_package():
     assert unused_names() == []
 
@@ -257,4 +300,25 @@ def test_no_second_default_for_a_config_key(tmp_path):
         ("channel", "Budget.noise_power_dbm"),
         ("channel", "rate.d2d_link_distance"),
         ("channel", "rate.tau"),
+    ]
+
+
+def test_modules_import_without_cycles_or_guards(tmp_path):
+    assert import_faults() == []
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # A layer that imports the config's module only for type checking, as
+    # channel, coordination and mode_select once did to dodge the cycle
+    # through metrics_sim; and a config that reads a stream of its own.
+    with open(tmp_path / "channel.py", "a") as fh:
+        fh.write(
+            "\n\nfrom typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n"
+            "    from .metrics_sim import run_scenario\n"
+        )
+    with open(tmp_path / "config.py", "a") as fh:
+        fh.write("\n\nfrom .rng import derive_rng\n")
+    assert import_faults(tmp_path) == [
+        ("TYPE_CHECKING", "channel"),
+        ("cycle", "channel, coordination, metrics_sim"),
+        ("config imports", "rng"),
     ]
