@@ -34,6 +34,7 @@ K_FACTOR_DB_MAX = 30.0
 # The most elements a config may expect in one dense array (2 GB of float64
 # at this ceiling), such as the F-UE x F-AP gains or the mesh's edge set.
 MAX_DENSE_ELEMENTS = 2.5e8
+MESH_LINK_ELEMENTS = 15  # of 8 B: a mesh edge-set tuple is 119.5 B (tracemalloc, 1,000 F-APs)
 
 # Each single-key rule a config field may name: the check its value must
 # pass, and the message that follows the key when it fails. A field's rules
@@ -171,7 +172,9 @@ class ScenarioConfig:
         region = ", region_width and region_height"
         for keys, elements, array in (
             ("lambda_fue, lambda_fap" + region, fues * faps, "F-UE x F-AP gains"),
-            ("lambda_fap" + region, faps * faps, "F-AP x F-AP distances"),
+            ("lambda_fap, fap_topology" + region, faps * (faps - 1) / 2 * MESH_LINK_ELEMENTS,
+             "mesh F-AP link elements") if self.fap_topology is FapTopology.MESH
+            else ("lambda_fap" + region, faps * faps, "F-AP x F-AP distances"),
             ("lambda_m" + region, self.lambda_m * area, "HPN distances"),
             (
                 "lambda_fue, warmup_requests, requests_per_fue" + region,

@@ -41,8 +41,9 @@ class CoalitionPartition:
 
 @dataclass
 class AccessTable:
-    """Exact Rayleigh success probabilities of the F-UEs for any F-AP block
-    (Haenggi, Stochastic Geometry for Wireless Networks, ch. 5).
+    """Exact Rayleigh success probabilities, for any F-AP block, of the F-UEs
+    that association (`serving`) gives its F-APs; an unadmitted F-UE (-1) is
+    in no block (Haenggi, Stochastic Geometry for Wireless Networks, ch. 5).
 
     F-UE u, served by F-AP serving[u] in block C, receives S = sum_{j in C}
     g_j E_j and I = sum_{k not in C} g_k E_k, with g = gains[u] and i.i.d.
@@ -58,7 +59,7 @@ class AccessTable:
     """
 
     gains: np.ndarray  # (U, F) mean received powers, watts
-    serving: np.ndarray  # (U,) the F-AP serving each F-UE
+    serving: np.ndarray  # (U,) each F-UE's F-AP from association, -1 if none
     noise_watts: float
     theta: float  # linear SINR threshold
     cancellation_limit = 1e4  # largest sum |terms| / p kept (error ~1e-11 p)
@@ -138,8 +139,9 @@ def _phase_type_success(own, others, theta: float, noise: float) -> np.ndarray:
 
 
 def served_fue_indices(cluster, table: AccessTable) -> np.ndarray:
-    """F-UEs of the table whose serving F-AP lies in the cluster."""
-    in_cluster = np.zeros(table.gains.shape[1], dtype=bool)
+    """F-UEs of the table whose serving F-AP lies in the cluster. Serving -1
+    reads the mask's spare last slot, so an unadmitted F-UE is in none."""
+    in_cluster = np.zeros(table.gains.shape[1] + 1, dtype=bool)
     in_cluster[list(cluster)] = True
     return np.flatnonzero(in_cluster[table.serving])
 

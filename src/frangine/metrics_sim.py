@@ -259,13 +259,10 @@ def spatial_average_rate(config: ScenarioConfig) -> float:
     # 1 - M_S(z), from log M_S(z) so that it keeps its digits at small z.
     zs = z * signal_mean
     log_m_s = -np.log1p(zs / (1.0 + k_factor)) - k_factor * zs / (1.0 + k_factor + zs)
-    log_integrand = -z * noise
-    if config.lambda_fue > 0:
-        r, area = _region_area_nodes(*config.region().center)
-        zg = z[:, None] * (p_fue * path_gain(r, config))
-        zg /= zg + 1.0  # in place: under 1 MiB per (z, r) array by default
-        log_integrand -= config.lambda_fue * (zg @ area)
-    integrand = -np.expm1(log_m_s) * np.exp(log_integrand)
+    r, area = _region_area_nodes(*config.region().center)
+    zg = z[:, None] * (p_fue * path_gain(r, config))
+    zg /= zg + 1.0  # in place: under 1 MiB per (z, r) array by default
+    integrand = -np.expm1(log_m_s) * np.exp(-z * noise - config.lambda_fue * (zg @ area))
     return float(integrand @ np.tile(width * w, len(edges) - 1)) / math.log(2.0)
 
 
@@ -499,12 +496,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     partner[pairs] = pairs[:, ::-1]
 
     # One F-UE x F-AP gain matrix serves association, local coordination and
-    # clustering. The clustering table serves each F-UE from its nearest
-    # F-AP, not the argmax of the gains: gains tie under the 1 m clamp.
-    dists = pairwise_distances(xy, topology.faps)
-    gains = path_gain(dists, config)
-    nearest = dists.argmin(axis=1)
-    del dists
+    # clustering; every later layer reads association's serving (-1: none).
+    gains = path_gain(pairwise_distances(xy, topology.faps), config)
     serving = associate_fap(gains, config)
     gains *= config.fap_watts  # in place: the mean received powers
     # Local coordination needs the serving F-AP's mean SNR to reach gamma.
@@ -534,7 +527,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     )
 
     # Coalitional clustering of F-APs.
-    table = AccessTable(gains, nearest, config.noise_watts, config.theta)
+    table = AccessTable(gains, serving, config.noise_watts, config.theta)
     partition = merge_and_split(
         topology, config, lambda block: cluster_utility(block, config, table)
     )

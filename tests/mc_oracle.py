@@ -19,7 +19,8 @@ samples only Rayleigh fades (`channel.fading_sample`).
 
 `access_table` and `table_utility` build, from positions alone, the exact
 table and cluster utility that `run_scenario` builds from its shared F-UE x
-F-AP gains.
+F-AP gains. The table serves each F-UE where `associate` puts it: a scalar
+association oracle that shares no code with `mode_select.associate_fap`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from frangine.channel import fading_sample
 from frangine.config import path_gain
 from frangine.coordination import AccessTable, cluster_utility, served_fue_indices
-from frangine.geometry import pairwise_distances
+from frangine.geometry import distance, pairwise_distances
 from frangine.metrics_sim import Z_99, ScenarioConfig
 from frangine.rng import derive_rng
 
@@ -41,12 +42,39 @@ from frangine.rng import derive_rng
 CHUNK = 65536
 
 
+def associate(fue_xy, fap_xy, config: ScenarioConfig) -> np.ndarray:
+    """Each F-UE's serving F-AP, F-UE by F-UE: scalar distances and a Python
+    sort by received power (ties by lower index), over the F-APs with free
+    blocks left whose admission leaks no more than the interference limit
+    to the nearest other F-AP. Each admission takes one of the F-AP's
+    fap_capacity blocks; -1 when every F-AP is full or blocked."""
+    free = [config.fap_capacity] * len(fap_xy)
+    serving = []
+    for ue in fue_xy:
+        dists = np.array([distance(ue, p) for p in fap_xy])
+        rx_power = config.fap_watts * path_gain(dists, config)
+        chosen = -1
+        for i in sorted(range(len(fap_xy)), key=lambda i: (-rx_power[i], i)):
+            if free[i] <= 0:
+                continue
+            others = np.delete(dists, i)
+            if others.size:
+                leak = config.fue_watts * float(np.max(path_gain(others, config)))
+                if leak > config.interference_limit:
+                    continue
+            chosen = i
+            free[i] -= 1
+            break
+        serving.append(chosen)
+    return np.array(serving, dtype=np.intp)
+
+
 def access_table(fap_xy, fue_xy, config: ScenarioConfig) -> AccessTable:
     """The `AccessTable` of a layout: mean received powers, each F-UE served
-    by its nearest F-AP, the strongest under uniform power."""
+    by the F-AP that `associate` gives it."""
     dists = pairwise_distances(fue_xy, fap_xy)
     return AccessTable(
-        config.fap_watts * path_gain(dists, config), np.argmin(dists, axis=1),
+        config.fap_watts * path_gain(dists, config), associate(fue_xy, fap_xy, config),
         config.noise_watts, config.theta,
     )
 

@@ -271,6 +271,7 @@ DENSE = {"region_width": 2000.0, "region_height": 2000.0, "lambda_fap": 3e-6,
         DENSE | {"lambda_fue": 1.25e-3},  # dense 5k
         DENSE | {"lambda_fue": 5e-3},  # dense 20k
         DENSE | {"lambda_fue": 7e-3},  # 16.8k capable F-UEs, no capable x capable array
+        {"lambda_fap": 0.0058},  # 1 km tree of 5,800 F-APs, over the mesh's link ceiling
     ],
 )
 def test_size_ceiling_accepts_the_ladder(overrides):
@@ -289,6 +290,18 @@ def test_size_ceiling_bounds_the_largest_dense_array():
     with pytest.raises(ValueError, match="region_width"):
         ScenarioConfig(region_width=1e300, region_height=1e300, lambda_m=0.0, lambda_fap=0.0,
                        lambda_fue=0.0)
+
+
+def test_mesh_links_over_the_ceiling_exit_two(tmp_path, capsys):
+    # 5,800 F-APs at 1 km: a mesh links 1.68e7 pairs, 2.52e8 elements at
+    # 15 per link. As a tree the same F-APs are 3.36e7 distances.
+    path = tmp_path / "mesh.ini"
+    path.write_text("[geometry]\nlambda_fap = 0.0058\nfap_topology = mesh\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("lambda_fap", "fap_topology"))
+    path.write_text("[geometry]\nlambda_fap = 0.0058\nfap_topology = tree\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("key", ["requests_per_fue", "warmup_requests"])

@@ -34,6 +34,7 @@ from frangine.coordination import (
     cellular_success_probability,
     coac_assign,
     make_d2d_links,
+    served_fue_indices,
 )
 from frangine.mode_select import MODES, Mode, select_mode
 from frangine.rng import derive_rng
@@ -102,16 +103,23 @@ def _run_tables(monkeypatch, config):
     return run_scenario(config), tables
 
 
-def test_clustering_table_serves_the_nearest_fap(monkeypatch):
-    """One F-UE 0.6 m from F-AP 0 and 0.3 m from F-AP 1: both gains sit at
-    the 1 m clamp and tie, so association takes F-AP 0, the first of the
-    stable order; the clustering table serves the nearer F-AP 1."""
-    faps = np.array([[500.6, 500.0], [499.7, 500.0]])
+def _run_layout(monkeypatch, faps, fues, config):
+    """`_run_tables` on a hand layout: one HPN far off, the given F-APs
+    tree-linked, and the given F-UEs."""
+    faps = np.array(faps, dtype=float)
     layout = NetworkTopology(
-        np.array([[100.0, 100.0]]), faps, np.array([[500.0, 500.0]]),
+        np.array([[100.0, 100.0]]), faps, np.array(fues, dtype=float),
         build_fap_adjacency(faps, FapTopology.TREE),
     )
     monkeypatch.setattr(metrics_sim, "_build_topology", lambda config: layout)
+    return _run_tables(monkeypatch, config)
+
+
+def test_clustering_table_serves_the_associated_fap(monkeypatch):
+    """One F-UE 0.6 m from F-AP 0 and 0.3 m from F-AP 1: both gains sit at
+    the 1 m clamp and tie, so association takes F-AP 0, the first of the
+    stable order, and so does the clustering table, though F-AP 1 is
+    nearer."""
     associated = []
     associate = metrics_sim.associate_fap
 
@@ -120,13 +128,49 @@ def test_clustering_table_serves_the_nearest_fap(monkeypatch):
         return associated[-1]
 
     monkeypatch.setattr(metrics_sim, "associate_fap", recording)
-    report, (table,) = _run_tables(monkeypatch, ScenarioConfig(mc_trials=10))
+    report, (table,) = _run_layout(
+        monkeypatch, [[500.6, 500.0], [499.7, 500.0]], [[500.0, 500.0]],
+        ScenarioConfig(mc_trials=10),
+    )
     assert report.n_fues == 1 and table.gains[0, 0] == table.gains[0, 1]
-    assert associated[0].tolist() == [0] and table.serving.tolist() == [1]
+    assert associated[0].tolist() == [0] and table.serving.tolist() == [0]
+
+
+# Two F-APs 200 m apart and F-UEs 50, 60 and 70 m from F-AP 0: F-AP 0 is
+# every F-UE's nearest and strongest.
+FULL_FAPS = [[400.0, 500.0], [600.0, 500.0]]
+FULL_FUES = [[450.0, 500.0], [460.0, 500.0], [470.0, 500.0]]
+
+
+def test_fue_past_a_full_fap_counts_toward_its_serving_block(monkeypatch):
+    # One free block per F-AP: F-UE 0 takes F-AP 0's, so F-UE 1 falls back
+    # to F-AP 1 and counts toward F-AP 1's block, not its nearest F-AP's.
+    _, (table,) = _run_layout(
+        monkeypatch, FULL_FAPS, FULL_FUES[:2], ScenarioConfig(mc_trials=10, fap_capacity=1)
+    )
+    assert table.serving.tolist() == [0, 1]
+    assert served_fue_indices((0,), table).tolist() == [0]
+    assert served_fue_indices((1,), table).tolist() == [1]
+    assert table.success_probabilities((1,)).shape == (1,)
+
+
+def test_unadmitted_fue_counts_toward_no_block(monkeypatch):
+    # Both F-APs full after two admissions: F-UE 2 is served by none (-1),
+    # and is in no block, not even one holding the last F-AP, which -1
+    # would index in a mask with one slot per F-AP.
+    _, (table,) = _run_layout(
+        monkeypatch, FULL_FAPS, FULL_FUES, ScenarioConfig(mc_trials=10, fap_capacity=1)
+    )
+    assert table.serving.tolist() == [0, 1, -1]
+    for block, served in (((0,), [0]), ((1,), [1]), ((0, 1), [0, 1])):
+        assert served_fue_indices(block, table).tolist() == served
+        assert table.success_probabilities(block).shape == (len(served),)
 
 
 @pytest.mark.parametrize("topology", list(FapTopology))
 def test_clustering_table_equals_the_positions_built_one(monkeypatch, topology):
+    # The oracle table serves each F-UE where `mc_oracle.associate` puts it.
+    unadmitted = 0
     for seed in range(1, 5):
         for overrides in ({}, {"lambda_fue": 2e-4}, {"interference_limit": 3e-10}):
             config = ScenarioConfig(
@@ -138,6 +182,8 @@ def test_clustering_table_equals_the_positions_built_one(monkeypatch, topology):
             assert table.gains.tobytes() == want.gains.tobytes()
             assert table.serving.tobytes() == want.serving.tobytes()
             assert (table.noise_watts, table.theta) == (want.noise_watts, want.theta)
+            unadmitted += int(np.count_nonzero(want.serving < 0))
+    assert unadmitted > 0
 
 
 def test_run_builds_one_fue_by_fap_distance_matrix(monkeypatch):
@@ -535,6 +581,23 @@ def test_spatial_average_rate_no_fading_snr_one():
     rate = spatial_average_rate(config)
     assert rate == pytest.approx(exact, rel=1e-12)
     assert rate == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "keys,rate",
+    [
+        ({}, 21.742682291482126),
+        ({"k_db": 6.0}, 22.257705104800795),
+        ({"k_db": K_FACTOR_DB_MAX}, 22.57398301621855),
+        ({"width": 1.5, "height": 0.5, "d2d_link_distance": 1.0}, 39.0303909614119),
+        ({"k_db": 6.0, "noise_power_dbm": -300.0}, 88.69626631833893),
+    ],
+)
+def test_spatial_average_rate_at_zero_density_is_pinned(keys, rate):
+    # With no interferer the density term subtracts 0.0 from each log
+    # integrand, so the rate keeps every bit of the interference-free
+    # integral; these are its values.
+    assert spatial_average_rate(_rate_config(**keys)) == rate
 
 
 def test_spatial_average_rate_degrades_with_interferer_density():

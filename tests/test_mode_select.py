@@ -10,6 +10,7 @@ from frangine.geometry import distance, pairwise_distances
 from frangine.metrics_sim import ScenarioConfig, _pair_relays
 from frangine.mode_select import MODES, Mode, associate_fap, select_mode
 from frangine.rng import derive_rng
+from mc_oracle import associate
 from request_oracle import decide
 
 TH = ScenarioConfig(d1=50.0, d2=150.0, d3=500.0, speed_threshold=10.0)
@@ -240,43 +241,19 @@ def test_relay_search_with_relay_ends_and_coincident_relays():
     assert bridged > 20
 
 
-def _associate_oracle(ue, faps, config, free):
-    """Scalar distances and a Python sort, over the F-APs with free blocks
-    left; -1 when every F-AP is blocked."""
-    dists = np.array([distance(ue, p) for p in faps])
-    rx_power = config.fap_watts * path_gain(dists, config)
-    for i in sorted(range(len(faps)), key=lambda i: (-rx_power[i], i)):
-        if free[i] <= 0:
-            continue
-        others = np.delete(dists, i)
-        if others.size:
-            leak = config.fue_watts * float(np.max(path_gain(others, config)))
-            if leak > config.interference_limit:
-                continue
-        return i
-    return -1
-
-
 def test_associate_matches_scalar_distance_oracle():
     outcomes = set()
     for rng, points in _oracle_layouts("associate", 5):
         n_ues = max(1, len(points) // 3)
         ues, faps = points[:n_ues], points[n_ues:]
         unlimited = ScenarioConfig(fap_capacity=n_ues)  # no F-AP fills
-        strongest = [_associate_oracle(ue, faps, unlimited, [n_ues] * len(faps)) for ue in ues]
+        strongest = associate(ues, faps, unlimited).tolist()
         # Limits at the leak levels the layout produces block some F-APs.
         leaks = unlimited.fue_watts * path_gain(pairwise_distances(ues, faps), unlimited)
         for limit in (float("inf"), *rng.choice(leaks.ravel(), size=3)):
             for capacity in (n_ues, int(rng.integers(0, 3))):
                 config = ScenarioConfig(fap_capacity=capacity, interference_limit=float(limit))
-                # The oracle F-UE by F-UE, each admission taking one block.
-                free = [capacity] * len(faps)
-                want = []
-                for ue in ues:
-                    f = _associate_oracle(ue, faps, config, free)
-                    if f >= 0:
-                        free[f] -= 1
-                    want.append(f)
+                want = associate(ues, faps, config).tolist()
                 gains = path_gain(pairwise_distances(ues, faps), config)
                 given = gains.copy()
                 got = associate_fap(gains, config)

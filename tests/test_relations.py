@@ -41,6 +41,17 @@ def test_no_fap_capacity_admits_no_fue(seed):
     )
 
 
+@pytest.mark.parametrize("tau", [0.1, 1.0])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_admitted_fue_makes_no_cluster(seed, tau):
+    # A cluster's reward counts the F-UEs its F-APs serve. With no F-UE
+    # admitted every reward is 0, so no merge pays and every block stays a
+    # single F-AP, whatever the energy pressure tau.
+    report = run_scenario(ScenarioConfig(fap_capacity=0, tau=tau, master_seed=seed))
+    assert report.n_faps > 1
+    assert report.mean_cluster_size == 1.0
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_no_d2d_capable_fue_makes_no_d2d_link(seed):
     # With no D2D-capable F-UE there is no pair, no request goes D2D or
